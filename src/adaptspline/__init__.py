@@ -42,9 +42,11 @@ from .splines import (
     PenaltyMatrix,
     Sample,
     SplineFit,
+    SplineSystem,
     affine_fit,
     build_penalty,
     evaluate,
+    prepare_system,
     roughness_of,
     solve_weighted,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "ScaleFit",
     "ScaleRegionSpec",
     "SplineFit",
+    "SplineSystem",
     "StudyConfig",
     "TestFunction",
     "TraceEntry",
@@ -91,6 +94,7 @@ __all__ = [
     "make_dataset",
     "min_detectable_delta",
     "mrise_study",
+    "prepare_system",
     "rise",
     "roughness_of",
     "rupcar",

@@ -6,6 +6,23 @@ round every point lying in some violating interval has its weight
 multiplied by q.  A companion run keeps all weights equal (the classic
 one-parameter smoothing family); the final answer is the smoother of the
 two accepted fits.
+
+Both branches start from the same place, and ``fit`` builds it once: the
+noise scale, the region test with its interval family, the least squares
+line and its test, the spline system of the sample (see
+``splines.prepare_system``; dropped when the call returns) and the start
+weight.  The start weight is found by halving an equal weight from 1
+until the fit hugs the line, at most 60 times; the report says how many
+halvings it took and whether it stopped at that cap.
+
+At q = 2 the equal-weight branch climbs back up the rungs 2**-j of that
+search, so the search judges each rung as it goes and keeps a record per
+rung (passed, max |w|, violation count, roughness) plus the fit of the
+smallest passing rung.  The branch reads each rung it reaches from that
+record instead of solving it again, and solves only the weights above
+the top rung (and a rung it is cut off on by the iteration budget).
+Other q solve every weight.  Either way the fits are the ones the
+branches would compute on their own.
 """
 
 from __future__ import annotations
@@ -15,8 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .multiscale import RegionReport, RegionSpec, dyadic_family, in_region, sigma_hat
-from .splines import Sample, SplineFit, affine_fit, solve_weighted
+from .multiscale import IntervalFamily, RegionReport, RegionSpec, dyadic_family, in_region, sigma_hat
+from .splines import Sample, SplineFit, SplineSystem, affine_fit, prepare_system, solve_weighted
 
 __all__ = [
     "AdaptConfig",
@@ -79,7 +96,11 @@ class FitReport:
     examined fit starting with the least squares line (recorded with
     lambda 0).  ``final_weights`` is None when the line itself was
     accepted.  On truncation the final fit is the last one examined and
-    ``passed`` is False.
+    ``passed`` is False.  The start weight is 2**-``start_halvings``;
+    ``start_capped`` is True when its search stopped at the cap of 60
+    halvings with the fit still farther from the least squares line than
+    ``init_tolerance`` allows.  Both stay 0 / False when the line itself
+    was accepted.
     """
 
     final_fit: SplineFit
@@ -96,6 +117,8 @@ class FitReport:
     roughness_global: float | None = None
     truncated_local: bool | None = None
     truncated_global: bool | None = None
+    start_halvings: int = 0
+    start_capped: bool = False
 
     @property
     def roughness(self) -> float:
@@ -113,16 +136,81 @@ def _entry(report: RegionReport, weights: np.ndarray | None, rough: float) -> Tr
     return TraceEntry(report.max_abs_w, len(report.violation_w), lmin, lmax, rough)
 
 
-def _initial_lambda(sample: Sample, line: SplineFit, tol_abs: float) -> tuple[float, SplineFit]:
-    """Halve an equal weight from 1 until the fit hugs the least squares line."""
-    lam = 1.0
-    fit_ = solve_weighted(sample, np.full(sample.n, lam))
-    for _ in range(_MAX_HALVINGS):
-        if np.max(np.abs(fit_.values - line.values)) <= tol_abs:
-            break
+@dataclass(frozen=True)
+class _Ladder:
+    """Outcome of the start-weight search.
+
+    ``lam`` = 2**-halvings is the start weight and ``fit`` its equal-weight
+    fit; ``capped`` says the search stopped at its cap with the fit still
+    off the line.  ``rungs`` maps each rung weight to its judge's
+    ``(passed, record)`` and ``passing`` is the fit of the smallest passing
+    rung; both stay empty unless the search was given a judge.
+    """
+
+    lam: float
+    fit: SplineFit
+    halvings: int
+    capped: bool
+    rungs: dict
+    passing: SplineFit | None
+
+
+def _initial_lambda(
+    system: SplineSystem, line: SplineFit, tol_abs: float, judge=None, q: float = 2.0
+) -> _Ladder:
+    """Halve an equal weight from 1 until the fit hugs the least squares line.
+
+    ``judge`` is the test of the equal-weight climb that will follow at
+    factor ``q``.  At q = 2 that climb meets exactly the rungs of this
+    search, so each rung's fit is judged as soon as it is solved:
+    ``judge(lam, fit)`` returns ``(passed, record)``.  The ladder keeps
+    that pair per rung and the fit of the smallest passing rung, and drops
+    the other fits.  At other q, or without a judge, nothing is judged.
+    """
+    judge = judge if q == 2.0 else None
+    lam, halvings = 1.0, 0
+    rungs: dict = {}
+    passing = None
+    while True:
+        fit_ = solve_weighted(system, np.full(system.n, lam))
+        if judge is not None:
+            rungs[lam] = judge(lam, fit_)
+            if rungs[lam][0]:
+                passing = fit_
+        close = np.max(np.abs(fit_.values - line.values)) <= tol_abs
+        if close or halvings == _MAX_HALVINGS:
+            return _Ladder(lam, fit_, halvings, not close, rungs, passing)
         lam *= 0.5
-        fit_ = solve_weighted(sample, np.full(sample.n, lam))
-    return lam, fit_
+        halvings += 1
+
+
+def _climb(system: SplineSystem, ladder: _Ladder, q: float, budget: int, judge):
+    """Multiply one shared weight by q from the start weight until ``judge`` accepts.
+
+    A weight the ladder holds a verdict for (every rung, when the ladder
+    was judged for this q) is read from it, not solved again.  Returns the
+    final weight and fit, the bumps made, whether the judge accepted, and
+    the judge's record of each examined weight.
+    """
+    lam, current = ladder.lam, ladder.fit
+    records = []
+    iterations = 0
+    while True:
+        verdict = ladder.rungs.get(lam)
+        if verdict is None:
+            verdict = judge(lam, current)
+        records.append(verdict[1])
+        if verdict[0] or iterations >= budget:
+            break
+        lam *= q
+        iterations += 1
+        if lam not in ladder.rungs:
+            current = solve_weighted(system, np.full(system.n, lam))
+    if lam != ladder.lam and lam in ladder.rungs:
+        # ended on a rung read from the ladder, which kept its fit only
+        # if it was the smallest passing one
+        current = ladder.passing if verdict[0] else solve_weighted(system, np.full(system.n, lam))
+    return lam, current, iterations, verdict[0], records
 
 
 def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -133,73 +221,104 @@ def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.cumsum(steps[:-1]) > 0.0
 
 
-def _run(sample: Sample, config: AdaptConfig, branch: str) -> FitReport:
-    n = sample.n
+@dataclass(frozen=True)
+class _Start:
+    """What both branches share, built once per call and dropped with it.
+
+    ``ladder`` is None when the least squares line itself was accepted.
+    """
+
+    sample: Sample
+    system: SplineSystem
+    spec: RegionSpec
+    family: IntervalFamily
+    line: SplineFit
+    line_entry: TraceEntry
+    ladder: _Ladder | None
+
+    def judge(self, lam: float, fit_: SplineFit) -> tuple[bool, TraceEntry]:
+        """Region test of an equal-weight fit, as (passed, trace entry)."""
+        report = in_region(self.sample, fit_.values, self.family, self.spec)
+        return report.passed, TraceEntry(report.max_abs_w, len(report.violation_w), lam, lam, fit_.roughness)
+
+
+def _prepare(sample: Sample, config: AdaptConfig, rungs: bool) -> _Start:
+    """Noise scale, region test, line, spline system and start weight.
+
+    ``rungs`` asks the start search to judge its rungs for the
+    equal-weight branch.
+    """
     if config.sigma is not None:
         sigma = float(config.sigma)
     elif sample.sigma is not None:
         sigma = sample.sigma
     else:
         sigma = sigma_hat(sample)
-    spec = RegionSpec(sigma=sigma, tau=config.tau, n=n)
-    family = dyadic_family(n)
-
+    spec = RegionSpec(sigma=sigma, tau=config.tau, n=sample.n)
+    family = dyadic_family(sample.n)
     line = _ls_line(sample)
     report = in_region(sample, line.values, family, spec)
-    trace = [_entry(report, None, 0.0)]
+    start = _Start(sample, prepare_system(sample), spec, family, line, _entry(report, None, 0.0), None)
     if report.passed:
-        return FitReport(
-            final_fit=line,
-            final_weights=None,
-            iterations=0,
-            trace=tuple(trace),
-            sigma_used=sigma,
-            threshold_used=spec.threshold,
-            tau=config.tau,
-            passed=True,
-            truncated=False,
-            chosen_branch=branch,
-        )
+        return start
+    judge = start.judge if rungs else None
+    ladder = _initial_lambda(start.system, line, config.init_tolerance * sample.spread(), judge, config.q)
+    return replace(start, ladder=ladder)
 
-    tol_abs = config.init_tolerance * sample.spread()
-    lam1, current = _initial_lambda(sample, line, tol_abs)
-    weights = np.full(n, lam1)
 
-    iterations = 0
-    truncated = False
-    while True:
-        report = in_region(sample, current.values, family, spec)
-        trace.append(_entry(report, weights, current.roughness))
-        if report.passed:
-            break
-        if iterations >= config.max_iterations:
-            truncated = True
-            break
-        if branch == "global":
-            weights = weights * config.q
-        else:
-            mask = _covered_mask(n, report.violation_lo, report.violation_hi)
-            weights = np.where(mask, weights * config.q, weights)
-        current = solve_weighted(sample, weights)
-        iterations += 1
-
+def _report(start: _Start, config: AdaptConfig, branch: str, fit_: SplineFit,
+            weights: np.ndarray | None, iterations: int, trace: list, passed: bool) -> FitReport:
+    ladder = start.ladder
     return FitReport(
-        final_fit=current,
+        final_fit=fit_,
         final_weights=weights,
         iterations=iterations,
         trace=tuple(trace),
-        sigma_used=sigma,
-        threshold_used=spec.threshold,
+        sigma_used=start.spec.sigma,
+        threshold_used=start.spec.threshold,
         tau=config.tau,
-        passed=report.passed,
-        truncated=truncated,
+        passed=passed,
+        truncated=not passed,
         chosen_branch=branch,
+        start_halvings=ladder.halvings if ladder else 0,
+        start_capped=ladder.capped if ladder else False,
     )
+
+
+def _local(start: _Start, config: AdaptConfig) -> FitReport:
+    if start.ladder is None:
+        return _report(start, config, "local", start.line, None, 0, [start.line_entry], True)
+    n = start.system.n
+    weights = np.full(n, start.ladder.lam)
+    current = start.ladder.fit
+    trace = [start.line_entry]
+    iterations = 0
+    while True:
+        report = in_region(start.sample, current.values, start.family, start.spec)
+        trace.append(_entry(report, weights, current.roughness))
+        if report.passed or iterations >= config.max_iterations:
+            break
+        mask = _covered_mask(n, report.violation_lo, report.violation_hi)
+        weights = np.where(mask, weights * config.q, weights)
+        current = solve_weighted(start.system, weights)
+        iterations += 1
+    return _report(start, config, "local", current, weights, iterations, trace, report.passed)
+
+
+def _global(start: _Start, config: AdaptConfig) -> FitReport:
+    if start.ladder is None:
+        return _report(start, config, "global", start.line, None, 0, [start.line_entry], True)
+    lam, current, iterations, passed, entries = _climb(
+        start.system, start.ladder, config.q, config.max_iterations, start.judge
+    )
+    weights = np.full(start.system.n, lam)
+    return _report(start, config, "global", current, weights, iterations, [start.line_entry, *entries], passed)
 
 
 def fit_local(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
     """Adapt weights locally: bump only the points inside violating intervals."""
-    return _run(sample, config or AdaptConfig(), "local")
+    config = config or AdaptConfig()
+    return _local(_prepare(sample, config, rungs=False), config)
 
 
 def fit_global(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
@@ -209,18 +328,20 @@ def fit_global(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
     accepts the smoothest member inside the region; its roughness trace is
     nondecreasing along the run.
     """
-    return _run(sample, config or AdaptConfig(), "global")
+    config = config or AdaptConfig()
+    return _global(_prepare(sample, config, rungs=True), config)
 
 
 def fit(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
-    """Run both branches and keep the smoother accepted fit.
+    """Run both branches from one shared start and keep the smoother accepted fit.
 
     If exactly one branch is accepted it wins; otherwise the smaller final
     roughness wins, with ties going to the local branch.
     """
     config = config or AdaptConfig()
-    local = fit_local(sample, config)
-    glob = fit_global(sample, config)
+    start = _prepare(sample, config, rungs=True)
+    local = _local(start, config)
+    glob = _global(start, config)
     if local.passed != glob.passed:
         chosen = local if local.passed else glob
     elif glob.roughness < local.roughness:

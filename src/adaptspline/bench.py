@@ -187,8 +187,16 @@ def rise(fn: TestFunction, fit_: SplineFit, order: int = 0, grid: int = _RISE_GR
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    x = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-    truth = (fn.f, fn.df, fn.d2f)[order](x)
+    x = _rise_grid(grid)
+    return _rise_against((fn.f, fn.df, fn.d2f)[order](x), x, fit_, order)
+
+
+def _rise_grid(grid: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, grid + 2)[1:-1]
+
+
+def _rise_against(truth: np.ndarray, x: np.ndarray, fit_: SplineFit, order: int) -> float:
+    """RISE of a fit against the truth already evaluated on the grid x."""
     diff = truth - evaluate(fit_, x, order)
     return float(np.sqrt(np.trapezoid(diff * diff, x)))
 
@@ -223,6 +231,10 @@ def mrise_study(config: StudyConfig) -> list[dict]:
     column set function, n, sigma, order, mrise, replicates, seed.
     """
     runner = fit if config.estimator == "wss" else fit_global
+    # the truth on the RISE grid is the same for every replicate
+    x = _rise_grid(_RISE_GRID)
+    fn = config.function
+    truths = (fn.f(x), fn.df(x), fn.d2f(x))
     rows = []
     for n in config.n_grid:
         errors = {0: [], 1: [], 2: []}
@@ -232,7 +244,7 @@ def mrise_study(config: StudyConfig) -> list[dict]:
             )
             report = runner(data, config.adapt)
             for order in (0, 1, 2):
-                errors[order].append(rise(config.function, report.final_fit, order))
+                errors[order].append(_rise_against(truths[order], x, report.final_fit, order))
         for order in (0, 1, 2):
             rows.append(
                 {

@@ -102,6 +102,8 @@ def _report_json(report: FitReport, extra: dict) -> dict:
         "roughness": report.roughness,
         "roughness_local": report.roughness_local,
         "roughness_global": report.roughness_global,
+        "start_halvings": report.start_halvings,
+        "start_capped": report.start_capped,
         "lambda_min": float(weights.min()) if weights is not None else None,
         "lambda_max": float(weights.max()) if weights is not None else None,
         "trace": [
@@ -302,7 +304,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=2.0, help="weight growth factor (default 2)")
     p.add_argument("--max-iter", type=int, default=200, help="iteration budget (default 200)")
     p.add_argument("--sigma", type=float, default=None, help="fixed noise scale (default: estimated)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (reserved; fitting is deterministic)")
     p.add_argument("--rescale", action="store_true", help="map [min t, max t] affinely onto [0, 1]")
     p.add_argument("--plot-data", metavar="PATH", help="also write a gnuplot-ready whitespace table")
 

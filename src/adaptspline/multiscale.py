@@ -16,7 +16,7 @@ pure Gaussian white noise is accepted with a prescribed probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,7 +220,9 @@ def calibrate_tau(
     lo0 = family.lo - 1
 
     maxima = np.empty(replicates)
-    batch = max(1, (1 << 22) // max(n, 1))
+    # a batch materialises a few batch x |family| arrays; 2**21 doubles
+    # (16 MB) each keeps the peak memory flat in n
+    batch = max(1, (1 << 21) // len(family))
     pos = 0
     while pos < replicates:
         b = min(batch, replicates - pos)

@@ -17,6 +17,17 @@ and the fitted values are ``g = y - diag(1/lambda) Q gamma``.  Everything
 runs in O(n) time and memory via banded Cholesky factorization; the system
 is symmetrically scaled to unit diagonal first so that weights spanning
 many orders of magnitude stay harmless.
+
+Only the ``diag(1/lambda)`` term changes with the weights.  The rest (the
+spacings, the coefficients of Q, the bands of R and ``Q^T y``) is built
+once by ``prepare_system``, and ``solve_weighted`` takes that system in
+place of the sample, so the many solves of one adaptive fit share it.
+A solve factors the scaled bands with LAPACK ``dpbtrf`` and solves with
+``dpbtrs``, called directly from ``scipy.linalg.lapack`` (the routines
+behind ``cholesky_banded`` / ``cho_solve_banded``, without their
+per-call wrapper work).  It keeps their guards: a system or fit that is
+not finite (weights beyond the range of double precision) raises
+``ValueError``, and a failed factorization raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -25,13 +36,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 __all__ = [
     "Sample",
     "SplineFit",
+    "SplineSystem",
     "PenaltyMatrix",
     "build_penalty",
+    "prepare_system",
     "solve_weighted",
     "evaluate",
     "roughness_of",
@@ -154,17 +168,14 @@ def _q_coeffs(h: np.ndarray):
     return a, b, c
 
 
-def _apply_qt(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _apply_qt(h: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Q^T v: second divided differences, one per interior knot."""
-    h = np.diff(t)
-    return v[:-2] / h[:-1] - v[1:-1] * (1.0 / h[:-1] + 1.0 / h[1:]) + v[2:] / h[1:]
+    return v[:-2] / h[:-1] + v[1:-1] * b + v[2:] / h[1:]
 
 
-def _apply_q(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _apply_q(a: np.ndarray, b: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Q u for a vector u indexed by interior knots."""
-    h = np.diff(t)
-    a, b, c = _q_coeffs(h)
-    out = np.zeros(t.size)
+    out = np.zeros(u.size + 2)
     out[:-2] += a * u
     out[1:-1] += b * u
     out[2:] += c * u
@@ -218,7 +229,8 @@ class PenaltyMatrix:
         return ab
 
     def _gamma_of(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qtg = _apply_qt(self.knots, g)
+        h = np.diff(self.knots)
+        qtg = _apply_qt(h, _q_coeffs(h)[1], g)
         gamma = _solve_banded_upper(self._r_upper(), qtg)
         return gamma, qtg
 
@@ -234,7 +246,7 @@ class PenaltyMatrix:
         """Matrix-vector product K g."""
         g = np.asarray(g, dtype=float)
         gamma, _ = self._gamma_of(g)
-        return _apply_q(self.knots, gamma)
+        return _apply_q(*_q_coeffs(np.diff(self.knots)), gamma)
 
     def dense(self) -> np.ndarray:
         """Explicit n x n matrix; O(n^2) memory, intended for diagnostics."""
@@ -274,12 +286,53 @@ def _r_apply(r_main: np.ndarray, r_off: np.ndarray, u: np.ndarray) -> np.ndarray
     return out
 
 
-def solve_weighted(sample: Sample, weights) -> SplineFit:
+@dataclass(frozen=True)
+class SplineSystem:
+    """The weight-free part of the weighted spline system of one sample.
+
+    Holds the spacings h, the coefficients a, b, c of Q, the two bands of
+    R and Q^T y.  ``solve_weighted`` accepts it in place of the sample, so
+    that a run of solves on one sample with changing weights builds this
+    geometry once; each solve then only assembles and factors the weighted
+    bands.  Build it with ``prepare_system`` and keep it for one fit.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    r_main: np.ndarray
+    r_off: np.ndarray
+    qty: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.t.size
+
+
+def prepare_system(sample: Sample) -> SplineSystem:
+    """The weight-free geometry of the spline system for ``sample``."""
+    t, y = sample.t, sample.y
+    h = np.diff(t)
+    a, b, c = _q_coeffs(h)
+    r_main, r_off = _r_bands(h)
+    return SplineSystem(t, y, h, a, b, c, r_main, r_off, _apply_qt(h, b, y))
+
+
+def _singular() -> RuntimeError:
+    return RuntimeError("weighted spline system is numerically singular")
+
+
+def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     """Minimize the weighted smoothing criterion exactly.
 
     Parameters
     ----------
-    sample : Sample
+    sample : Sample or SplineSystem
+        The data, or their system from ``prepare_system`` when several
+        solves share one sample.
     weights : array_like
         Strictly positive per-point weights lambda_i.  Larger weights pull
         the spline towards the corresponding observations; as all weights
@@ -289,14 +342,22 @@ def solve_weighted(sample: Sample, weights) -> SplineFit:
     -------
     SplineFit
         The unique minimizing natural cubic spline.
+
+    Raises
+    ------
+    ValueError
+        If the weights are invalid, or so extreme that the system or the
+        fit is not finite in double precision.
+    RuntimeError
+        If LAPACK finds the scaled system not positive definite.
     """
-    lam = check_weights(weights, sample.n)
-    t, y = sample.t, sample.y
-    n = sample.n
+    system = sample if isinstance(sample, SplineSystem) else prepare_system(sample)
+    lam = check_weights(weights, system.n)
+    t, y, h = system.t, system.y, system.h
+    a, b, c = system.a, system.b, system.c
+    r_main, r_off = system.r_main, system.r_off
+    n = system.n
     d = 1.0 / lam
-    h = np.diff(t)
-    a, b, c = _q_coeffs(h)
-    r_main, r_off = _r_bands(h)
 
     # Pentadiagonal M = R + Q^T diag(d) Q, assembled band by band.
     diag = r_main + d[:-2] * a * a + d[1:-1] * b * b + d[2:] * c * c
@@ -310,32 +371,38 @@ def solve_weighted(sample: Sample, weights) -> SplineFit:
     s = 1.0 / np.sqrt(diag)
     m = n - 2
     rows = min(3, m)
-    ab = np.zeros((rows, m))
+    ab = np.zeros((rows, m), order="F")
     ab[-1] = 1.0
     if sup1.size:
         ab[-2, 1:] = sup1 * s[:-1] * s[1:]
     if sup2.size:
         ab[-3, 2:] = sup2 * s[:-2] * s[2:]
+    if not np.isfinite(ab).all():
+        raise ValueError("weighted spline system is not finite; the weights are out of range")
 
-    try:
-        factor = cholesky_banded(ab, lower=False)
-    except LinAlgError as exc:  # cannot occur for positive weights, but guard
-        raise RuntimeError("weighted spline system is numerically singular") from exc
+    factor, info = dpbtrf(ab, lower=0, overwrite_ab=1)
+    if info != 0:
+        raise _singular()
 
     def msolve(rhs):
-        return s * cho_solve_banded((factor, False), s * rhs)
+        x, info = dpbtrs(factor, s * rhs, lower=0, overwrite_b=1)
+        if info != 0:
+            raise _singular()
+        return s * x
 
-    gamma = msolve(_apply_qt(t, y))
-    g = y - d * _apply_q(t, gamma)
+    gamma = msolve(system.qty)
+    g = y - d * _apply_q(a, b, c, gamma)
     # Two refinement sweeps on the consistency defect R gamma = Q^T g.  The
     # defect is well scaled in double precision even when the weights span
     # twelve orders of magnitude, so the refined solution is accurate to
     # ~1e-12 while each sweep reuses the factorization at O(n) cost.
     for _ in range(2):
-        rho = _apply_qt(t, g) - _r_apply(r_main, r_off, gamma)
+        rho = _apply_qt(h, b, g) - _r_apply(r_main, r_off, gamma)
         dgamma = msolve(rho)
         gamma = gamma + dgamma
-        g = g - d * _apply_q(t, dgamma)
+        g = g - d * _apply_q(a, b, c, dgamma)
+    if not np.isfinite(g).all():
+        raise ValueError("weighted spline fit is not finite; the weights are out of range")
 
     c_full = np.zeros(n)
     c_full[1:-1] = gamma

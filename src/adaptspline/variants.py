@@ -21,15 +21,14 @@ provides a smoother fallback exactly as in the mean procedure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .adapt import AdaptConfig, _covered_mask, _initial_lambda, _ls_line
+from .adapt import AdaptConfig, _climb, _covered_mask, _initial_lambda, _ls_line
 from .multiscale import IntervalFamily, dyadic_family
-from .splines import Sample, SplineFit, evaluate, solve_weighted
+from .splines import Sample, SplineFit, SplineSystem, evaluate, prepare_system, solve_weighted
 
 __all__ = [
     "ScaleRegionSpec",
@@ -226,6 +225,10 @@ class _ScaleProblem:
     def scale_values(self, fit_values: np.ndarray) -> np.ndarray:
         return np.maximum(np.sqrt(np.maximum(fit_values, 0.0)), self.floor)
 
+    def judge(self, lam: float, fit_: SplineFit) -> tuple[bool, None]:
+        """Whether a fit meets every enforceable band, as (passed, no record)."""
+        return self.violations(fit_.values).size == 0, None
+
     def violations(self, fit_values: np.ndarray, size: int | None = None) -> np.ndarray:
         sv = self.scale_values(fit_values)
         c = np.concatenate(([0.0], np.cumsum(self.y2 / (sv * sv))))
@@ -236,55 +239,27 @@ class _ScaleProblem:
         return np.flatnonzero(bad)
 
 
-def _scale_branch(problem: _ScaleProblem, config: AdaptConfig, branch: str):
-    target = problem.target
-    n = target.n
-    line = _ls_line(target)
-    if problem.violations(line.values).size == 0:
-        return line, None, 0, True, False
-
-    tol_abs = config.init_tolerance * target.spread()
-    lam1, current = _initial_lambda(target, line, tol_abs)
-    weights = np.full(n, lam1)
+def _scale_local(problem: _ScaleProblem, system: SplineSystem, ladder, config: AdaptConfig):
+    """The length-ordered local sweep from the start weight."""
+    n = system.n
+    weights = np.full(n, ladder.lam)
+    current = ladder.fit
     budget = config.max_iterations
     iterations = 0
-    truncated = False
-    passed = False
-
-    if branch == "global":
-        while True:
-            if problem.violations(current.values).size == 0:
-                passed = True
-                break
-            if iterations >= budget:
-                truncated = True
-                break
-            weights = weights * config.q
-            current = solve_weighted(target, weights)
-            iterations += 1
-    else:
-        while not truncated:
-            for size in problem.unique_sizes:
-                while True:
-                    bad = problem.violations(current.values, int(size))
-                    if bad.size == 0:
-                        break
-                    if iterations >= budget:
-                        truncated = True
-                        break
-                    mask = _covered_mask(n, problem.family.lo[bad], problem.family.hi[bad])
-                    weights = np.where(mask, weights * config.q, weights)
-                    current = solve_weighted(target, weights)
-                    iterations += 1
-                if truncated:
+    while True:
+        for size in problem.unique_sizes:
+            while True:
+                bad = problem.violations(current.values, int(size))
+                if bad.size == 0:
                     break
-            if truncated:
-                break
-            if problem.violations(current.values).size == 0:
-                passed = True
-                break
-
-    return current, weights, iterations, passed, truncated
+                if iterations >= budget:
+                    return current, weights, iterations, False, True
+                mask = _covered_mask(n, problem.family.lo[bad], problem.family.hi[bad])
+                weights = np.where(mask, weights * config.q, weights)
+                current = solve_weighted(system, weights)
+                iterations += 1
+        if problem.violations(current.values).size == 0:
+            return current, weights, iterations, True, False
 
 
 def scale_fit(
@@ -323,8 +298,19 @@ def scale_fit(
             pinned_intervals=int(problem.pinned.sum()),
         )
 
-    loc = _scale_branch(problem, config, "local")
-    glo = _scale_branch(problem, config, "global")
+    # the line, its test and the start weight are shared by both branches
+    target = problem.target
+    system = prepare_system(target)
+    line = _ls_line(target)
+    if problem.violations(line.values).size == 0:
+        return ScaleFit(
+            line, None, True, 0, False, False, problem.floor,
+            pinned_intervals=int(problem.pinned.sum()),
+        )
+    ladder = _initial_lambda(system, line, config.init_tolerance * target.spread(), problem.judge, config.q)
+    loc = _scale_local(problem, system, ladder, config)
+    lam, current, iterations, passed, _ = _climb(system, ladder, config.q, config.max_iterations, problem.judge)
+    glo = current, np.full(n, lam), iterations, passed, not passed
     if loc[3] != glo[3]:
         chosen, branch = (loc, "local") if loc[3] else (glo, "global")
     elif glo[0].roughness < loc[0].roughness:

@@ -1,9 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import adaptspline.adapt as adapt_module
 from adaptspline import (
+    SIGMA_PRESETS,
     AdaptConfig,
     Sample,
+    bumps,
     dyadic_family,
     fit,
     fit_global,
@@ -12,6 +17,7 @@ from adaptspline import (
     make_dataset,
     rupcar,
     sine,
+    solve_weighted,
     RegionSpec,
 )
 
@@ -72,8 +78,6 @@ class TestPureNoise:
         assert rep.passed
         assert rep.max_abs_w <= r.threshold_used
         # smoother than the near-interpolating member of the family
-        from adaptspline import solve_weighted
-
         interp = solve_weighted(s, np.full(s.n, 1e9))
         assert r.roughness < interp.roughness
 
@@ -157,3 +161,150 @@ class TestDeterminismAndEquivariance:
         r = fit_local(s, config)
         assert r.truncated and not r.passed
         assert r.iterations == 5
+
+
+def bumps_hi(n, seed=0):
+    return make_dataset(bumps(), n, SIGMA_PRESETS["bumps-hi"], seed=[802, n, seed])
+
+
+def rupcar_hi(n, seed=0):
+    return make_dataset(rupcar(6), n, SIGMA_PRESETS["rupcar-hi"], seed=[803, n, seed])
+
+
+def assert_same_fit(a, b):
+    assert np.array_equal(a.final_fit.values, b.final_fit.values)
+    assert np.array_equal(a.final_fit.second_derivs, b.final_fit.second_derivs)
+    assert a.final_fit.roughness == b.final_fit.roughness
+    if a.final_weights is None:
+        assert b.final_weights is None
+    else:
+        assert np.array_equal(a.final_weights, b.final_weights)
+    assert a.trace == b.trace
+    assert (a.iterations, a.passed, a.truncated) == (b.iterations, b.passed, b.truncated)
+    assert (a.start_halvings, a.start_capped) == (b.start_halvings, b.start_capped)
+
+
+def assert_final_fit_from_its_weights(report, sample):
+    """The final fit is the solve at the final weights, and the last trace entry judges it."""
+    if report.final_weights is None:
+        return
+    refit = solve_weighted(sample, report.final_weights)
+    assert np.array_equal(report.final_fit.values, refit.values)
+    assert np.array_equal(report.final_fit.second_derivs, refit.second_derivs)
+    rep = in_region(sample, refit.values, dyadic_family(sample.n), RegionSpec(report.sigma_used, report.tau, sample.n))
+    last = report.trace[-1]
+    assert (last.max_abs_w, last.violations, last.roughness) == (
+        rep.max_abs_w, len(rep.violation_w), refit.roughness)
+    assert (last.lambda_min, last.lambda_max) == (report.final_weights.min(), report.final_weights.max())
+
+
+class TestSharedStart:
+    """``fit`` shares one start between its branches; the fits must not notice."""
+
+    @pytest.mark.parametrize("max_iterations", [5, 200])
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [64, 400, 1024])
+    @pytest.mark.parametrize("make", [bumps_hi, rupcar_hi])
+    def test_fit_equals_its_branches_run_alone(self, make, n, q, max_iterations):
+        s = make(n)
+        config = AdaptConfig(q=q, max_iterations=max_iterations)
+        r = fit(s, config)
+        local = fit_local(s, config)
+        glob = fit_global(s, config)
+        assert_same_fit(r, local if r.chosen_branch == "local" else glob)
+        assert_final_fit_from_its_weights(local, s)
+        assert_final_fit_from_its_weights(glob, s)
+        assert r.roughness_local == local.roughness
+        assert r.roughness_global == glob.roughness
+        assert r.truncated_local == local.truncated
+        assert r.truncated_global == glob.truncated
+
+    @pytest.mark.parametrize("max_iterations", [3, 200])
+    def test_climb_ending_inside_the_ladder(self, max_iterations):
+        # smooth data and a loose threshold: the equal-weight branch passes
+        # at a weight below 1, on a rung of the start search (or, with a
+        # budget of 3, is cut off on one)
+        n = 2048
+        t = np.arange(1, n + 1) / n
+        s = Sample(t, np.sin(2 * np.pi * t) + 0.3 * np.random.default_rng([806, n]).standard_normal(n))
+        config = AdaptConfig(tau=100.0, max_iterations=max_iterations)
+        r = fit(s, config)
+        glob = fit_global(s, config)
+        assert glob.iterations < glob.start_halvings
+        assert glob.passed == (max_iterations == 200)
+        assert_final_fit_from_its_weights(glob, s)
+        assert_same_fit(r, fit_local(s, config) if r.chosen_branch == "local" else glob)
+        assert r.roughness_global == glob.roughness
+
+    def test_accepted_line(self):
+        t = np.linspace(0.0, 1.0, 50)
+        s = Sample(t, 2.0 - t + 1e-3 * np.sin(7.0 * t))
+        r = fit(s)
+        assert r.final_weights is None
+        assert_same_fit(r, fit_local(s))
+        assert_same_fit(r, fit_global(s))
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("solve_weighted", "sigma_hat", "dyadic_family", "_initial_lambda"):
+            monkeypatch.setattr(adapt_module, name, counting(name, getattr(adapt_module, name)))
+        return counts
+
+    def test_work_counts_at_q2(self, counts):
+        s = bumps_hi(400)
+        r = fit(s)
+        made = dict(counts)
+        local, glob = fit_local(s), fit_global(s)
+        k = r.start_halvings
+        # the equal-weight climb passes every rung of the start search,
+        # so all of them are read rather than solved again
+        assert glob.iterations >= k > 0
+        assert made == {
+            "sigma_hat": 1,
+            "dyadic_family": 1,
+            "_initial_lambda": 1,
+            "solve_weighted": (k + 1) + local.iterations + (glob.iterations - k),
+        }
+
+    def test_work_counts_at_q3(self, counts):
+        s = bumps_hi(400)
+        config = AdaptConfig(q=3.0)
+        r = fit(s, config)
+        made = dict(counts)
+        local, glob = fit_local(s, config), fit_global(s, config)
+        k = r.start_halvings
+        assert made == {
+            "sigma_hat": 1,
+            "dyadic_family": 1,
+            "_initial_lambda": 1,
+            "solve_weighted": (k + 1) + local.iterations + glob.iterations,
+        }
+
+
+class TestStartWeightReport:
+    def test_cap_is_reported(self):
+        s = make_dataset(sine(2), 64, 0.1, seed=[804, 0])
+        r = fit(s, AdaptConfig(init_tolerance=1e-300))
+        assert r.start_capped is True
+        assert r.start_halvings == 60
+        assert fit_local(s, AdaptConfig(init_tolerance=1e-300)).start_capped is True
+
+    def test_default_fit_converges(self):
+        r = fit(bumps_hi(400))
+        assert r.start_capped is False
+        assert 0 < r.start_halvings < 60
+        assert r.final_weights.min() >= 2.0 ** -r.start_halvings
+
+    def test_accepted_line_ran_no_search(self):
+        t = np.linspace(0.0, 1.0, 50)
+        r = fit(Sample(t, 1.0 + t))
+        assert (r.start_halvings, r.start_capped) == (0, False)

@@ -149,6 +149,24 @@ class TestStudy:
         for row in rows:
             assert row["mrise"] == pytest.approx(expected[row["order"]], rel=1e-12)
 
+    @pytest.mark.parametrize("estimator", ["wss", "global-only"])
+    def test_rows_equal_public_rise_bit_for_bit(self, estimator):
+        from adaptspline import fit as adapt_fit
+        from adaptspline import fit_global
+
+        config = study_preset("bumps-hi", n_grid=(64, 128), replicates=3, seed=7, estimator=estimator)
+        runner = adapt_fit if estimator == "wss" else fit_global
+        expected = []
+        for n in config.n_grid:
+            errors = {0: [], 1: [], 2: []}
+            for rep in range(config.replicates):
+                data = make_dataset(config.function, n, config.sigma, seed=[7, n, rep])
+                final = runner(data).final_fit
+                for order in (0, 1, 2):
+                    errors[order].append(rise(config.function, final, order))
+            expected += [float(np.median(errors[order])) for order in (0, 1, 2)]
+        assert [row["mrise"] for row in mrise_study(config)] == expected
+
     def test_bit_reproducible(self):
         config = StudyConfig(function=sine(), sigma=0.2, n_grid=(64,), replicates=3, seed=9)
         assert mrise_study(config) == mrise_study(config)

@@ -41,6 +41,16 @@ class TestFitCommand:
         fit_vals = np.array([float(r[1]) for r in rows[1:]])
         np.testing.assert_allclose(fit_vals, 1.0 + 2.0 * t, atol=1e-9)
 
+    def test_report_states_start_weight_search(self, noisy_csv, tmp_path):
+        assert main(["fit", str(noisy_csv)]) == 0
+        doc = json.loads((tmp_path / "data.report.json").read_text())
+        assert doc["start_capped"] is False
+        assert isinstance(doc["start_halvings"], int) and 0 < doc["start_halvings"] < 60
+        assert doc["lambda_min"] >= 2.0 ** -doc["start_halvings"]
+
+    def test_seed_flag_removed(self, noisy_csv, capsys):
+        assert main(["fit", str(noisy_csv), "--seed", "1"]) == 2
+
     def test_roughness_round_trip(self, noisy_csv, tmp_path):
         assert main(["fit", str(noisy_csv)]) == 0
         doc = json.loads((tmp_path / "data.report.json").read_text())

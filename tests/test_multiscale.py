@@ -173,6 +173,18 @@ class TestCalibrateTau:
         b = calibrate_tau(64, 0.9, replicates=1500, seed=42)
         assert a == b
 
+    def test_equals_row_at_a_time_recomputation(self):
+        # n = 3000 splits the 1000 replicates over several batches
+        n, alpha, replicates, seed = 3000, 0.9, 1000, 17
+        fam = dyadic_family(n)
+        inv_sqrt = 1.0 / np.sqrt(fam.sizes)
+        maxima = []
+        for j in range(replicates):
+            c = np.concatenate(([0.0], np.cumsum(np.random.default_rng([seed, j]).standard_normal(n))))
+            maxima.append(float(np.max(np.abs(c[fam.hi] - c[fam.lo - 1]) * inv_sqrt)))
+        q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
+        assert calibrate_tau(n, alpha, replicates=replicates, seed=seed) == q * q / math.log(n)
+
     def test_monotone_in_alpha(self):
         taus = [calibrate_tau(128, alpha, replicates=3000, seed=3) for alpha in (0.8, 0.9, 0.95, 0.99)]
         assert taus == sorted(taus)

@@ -7,6 +7,7 @@ from adaptspline import (
     affine_fit,
     build_penalty,
     evaluate,
+    prepare_system,
     roughness_of,
     solve_weighted,
 )
@@ -171,6 +172,43 @@ class TestSolveWeighted:
         s = Sample([0.1, 0.5, 0.9], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             solve_weighted(s, np.ones(4))
+
+
+class TestPreparedSystem:
+    def test_same_fit_as_from_the_sample(self, rng):
+        t = jittered_design(40, rng)
+        y = rng.normal(size=40)
+        s = Sample(t, y)
+        system = prepare_system(s)
+        assert system.n == 40
+        for _ in range(3):
+            lam = 10.0 ** rng.uniform(-6, 6, 40)
+            a = solve_weighted(s, lam)
+            b = solve_weighted(system, lam)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.second_derivs, b.second_derivs)
+            assert a.roughness == b.roughness
+
+    def test_three_points(self):
+        s = Sample([0.1, 0.5, 0.9], [1.0, 3.0, 2.0])
+        fit = solve_weighted(prepare_system(s), np.ones(3))
+        np.testing.assert_allclose(fit.values, dense_weighted_fit(s.t, s.y, np.ones(3)), atol=1e-12)
+
+    def test_weights_beyond_double_range_raise(self):
+        # 1/1e-310 overflows, so the system has infinite entries
+        s = Sample(np.linspace(0.0, 1.0, 50), np.sin(np.arange(50.0)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            solve_weighted(s, np.full(50, 1e-310))
+
+    def test_indefinite_factorization_raises(self):
+        # a spacing of 1e-12 next to a tiny weight loses positive
+        # definiteness in double precision
+        t = np.array([0.0, 0.25, 0.5, 0.5 + 1e-12, 0.75, 1.0])
+        y = np.array([0.0, 1.0, -1.0, 1.0, 0.0, 1.0])
+        lam = np.ones(6)
+        lam[3] = 1e-12
+        with pytest.raises(RuntimeError, match="numerically singular"):
+            solve_weighted(Sample(t, y), lam)
 
 
 class TestEvaluate:
