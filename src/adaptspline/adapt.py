@@ -1,38 +1,42 @@
-"""Adaptive choice of the spline weights via the residual region.
+"""Adaptive choice of the spline weights via a residual test.
 
 Starting from the least squares line, per-point weights grow until the
-weighted spline fit is accepted by the multiscale residual test: at each
+weighted spline fit is accepted by a multiscale residual test: at each
 round every point lying in some violating interval has its weight
 multiplied by q.  A companion run keeps all weights equal (the classic
 one-parameter smoothing family); the final answer is the smoother of the
 two accepted fits.
 
-Both branches start from the same place, and ``fit`` builds it once: the
-noise scale, the region test with its interval family, the least squares
-line and its test, the spline system of the sample (see
-``splines.prepare_system``; dropped when the call returns) and the start
-weight.  The start weight is found by halving an equal weight from 1
-until the fit hugs the line, at most 60 times; the report says how many
-halvings it took and whether it stopped at that cap.
+One engine (``_adapt``) runs this loop for the mean fits here and for the
+scale fit of ``variants``; a caller hands it the sample to fit, the test
+and the order in which the local branch takes the violations (all at
+once for the w-test of the mean fits, shortest intervals first for the
+chi-squared bands of the scale fit).  Both branches start from the same
+place, built once per call: the least squares line and its test, the
+spline system of the sample (see ``splines.prepare_system``; dropped when
+the call returns) and the start weight.  The start weight is found by
+halving an equal weight from 1 until the fit hugs the line, at most 60
+times; the report says how many halvings it took and whether it stopped
+at that cap.
 
 At q = 2 the equal-weight branch climbs back up the rungs 2**-j of that
 search, so the search judges each rung as it goes and keeps a record per
-rung (passed, max |w|, violation count, roughness) plus the fit of the
-smallest passing rung.  The branch reads each rung it reaches from that
-record instead of solving it again, and solves only the weights above
-the top rung (and a rung it is cut off on by the iteration budget).
-Other q solve every weight.  Either way the fits are the ones the
-branches would compute on their own.
+rung (passed and the test's trace record) plus the fit of the smallest
+passing rung.  The branch reads each rung it reaches from that record
+instead of solving it again, and solves only the weights above the top
+rung (and a rung it is cut off on by the iteration budget).  Other q
+solve every weight.  Either way the fits are the ones the branches would
+compute on their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .multiscale import IntervalFamily, RegionReport, RegionSpec, dyadic_family, in_region, sigma_hat
+from .multiscale import RegionSpec, dyadic_family, in_region, sigma_hat
 from .splines import Sample, SplineFit, SplineSystem, affine_fit, prepare_system, solve_weighted
 
 __all__ = [
@@ -61,7 +65,6 @@ class AdaptConfig:
 
     q: float = 2.0
     tau: float = 3.0
-    alpha: float = 0.95
     max_iterations: int = 200
     init_tolerance: float = 1e-3
     sigma: float | None = None
@@ -130,12 +133,6 @@ def _ls_line(sample: Sample) -> SplineFit:
     return affine_fit(sample.t, float(intercept), float(slope))
 
 
-def _entry(report: RegionReport, weights: np.ndarray | None, rough: float) -> TraceEntry:
-    lmin = float(weights.min()) if weights is not None else 0.0
-    lmax = float(weights.max()) if weights is not None else 0.0
-    return TraceEntry(report.max_abs_w, len(report.violation_w), lmin, lmax, rough)
-
-
 @dataclass(frozen=True)
 class _Ladder:
     """Outcome of the start-weight search.
@@ -184,35 +181,6 @@ def _initial_lambda(
         halvings += 1
 
 
-def _climb(system: SplineSystem, ladder: _Ladder, q: float, budget: int, judge):
-    """Multiply one shared weight by q from the start weight until ``judge`` accepts.
-
-    A weight the ladder holds a verdict for (every rung, when the ladder
-    was judged for this q) is read from it, not solved again.  Returns the
-    final weight and fit, the bumps made, whether the judge accepted, and
-    the judge's record of each examined weight.
-    """
-    lam, current = ladder.lam, ladder.fit
-    records = []
-    iterations = 0
-    while True:
-        verdict = ladder.rungs.get(lam)
-        if verdict is None:
-            verdict = judge(lam, current)
-        records.append(verdict[1])
-        if verdict[0] or iterations >= budget:
-            break
-        lam *= q
-        iterations += 1
-        if lam not in ladder.rungs:
-            current = solve_weighted(system, np.full(system.n, lam))
-    if lam != ladder.lam and lam in ladder.rungs:
-        # ended on a rung read from the ladder, which kept its fit only
-        # if it was the smallest passing one
-        current = ladder.passing if verdict[0] else solve_weighted(system, np.full(system.n, lam))
-    return lam, current, iterations, verdict[0], records
-
-
 def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Boolean mask of points lying in at least one of the intervals."""
     steps = np.zeros(n + 1)
@@ -222,32 +190,120 @@ def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Start:
-    """What both branches share, built once per call and dropped with it.
+class _Branch:
+    """Where one branch ended: fit, weights (None for the accepted line),
+    bumps made, last verdict and the records of every examined fit."""
 
-    ``ladder`` is None when the least squares line itself was accepted.
+    name: str
+    fit: SplineFit
+    weights: np.ndarray | None
+    iterations: int
+    passed: bool
+    records: tuple
+
+
+@dataclass(frozen=True)
+class _Run:
+    """The branches run, by name, the chosen one and the start's outcome."""
+
+    branches: dict
+    chosen: _Branch
+    halvings: int
+    capped: bool
+
+
+def _local(system: SplineSystem, ladder: _Ladder, test, sweep, config: AdaptConfig, first) -> _Branch:
+    """Bump the points in one sweep group's violating intervals by q until
+    the group is clean, then take the next group, wrapping around; stop
+    once every group is clean at one fit."""
+    weights = np.full(system.n, ladder.lam)
+    current = ladder.fit
+    passed, lo, hi, record = test(current, weights)
+    records = [first, record]
+    iterations = clean = group = 0
+    while clean < len(sweep):
+        size = sweep[group]
+        keep = slice(None) if size is None else hi - lo + 1 == size
+        if lo[keep].size == 0:
+            clean += 1
+            group = (group + 1) % len(sweep)
+            continue
+        if iterations >= config.max_iterations:
+            break
+        weights = np.where(_covered_mask(system.n, lo[keep], hi[keep]), weights * config.q, weights)
+        current = solve_weighted(system, weights)
+        iterations += 1
+        passed, lo, hi, record = test(current, weights)
+        records.append(record)
+        clean = 0
+    return _Branch("local", current, weights, iterations, passed, tuple(records))
+
+
+def _global(system: SplineSystem, ladder: _Ladder, judge, config: AdaptConfig, first) -> _Branch:
+    """Multiply one shared weight by q from the start weight until the test accepts.
+
+    A weight the ladder holds a verdict for (every rung, when the ladder
+    was judged for this q) is read from it, not solved again.
     """
+    lam, current = ladder.lam, ladder.fit
+    records = [first]
+    iterations = 0
+    while True:
+        verdict = ladder.rungs.get(lam)
+        if verdict is None:
+            verdict = judge(lam, current)
+        records.append(verdict[1])
+        if verdict[0] or iterations >= config.max_iterations:
+            break
+        lam *= config.q
+        iterations += 1
+        if lam not in ladder.rungs:
+            current = solve_weighted(system, np.full(system.n, lam))
+    if lam != ladder.lam and lam in ladder.rungs:
+        # ended on a rung read from the ladder, which kept its fit only
+        # if it was the smallest passing one
+        current = ladder.passing if verdict[0] else solve_weighted(system, np.full(system.n, lam))
+    return _Branch("global", current, np.full(system.n, lam), iterations, verdict[0], tuple(records))
 
-    sample: Sample
-    system: SplineSystem
-    spec: RegionSpec
-    family: IntervalFamily
-    line: SplineFit
-    line_entry: TraceEntry
-    ladder: _Ladder | None
 
-    def judge(self, lam: float, fit_: SplineFit) -> tuple[bool, TraceEntry]:
-        """Region test of an equal-weight fit, as (passed, trace entry)."""
-        report = in_region(self.sample, fit_.values, self.family, self.spec)
-        return report.passed, TraceEntry(report.max_abs_w, len(report.violation_w), lam, lam, fit_.roughness)
+def _adapt(target: Sample, test, sweep, config: AdaptConfig, branches=("local", "global")) -> _Run:
+    """Run the named branches on ``target`` from one shared start.
 
-
-def _prepare(sample: Sample, config: AdaptConfig, rungs: bool) -> _Start:
-    """Noise scale, region test, line, spline system and start weight.
-
-    ``rungs`` asks the start search to judge its rungs for the
-    equal-weight branch.
+    ``test(fit, weights)`` returns ``(passed, lo, hi, record)``: the
+    verdict on the fit, its violating intervals (1-based, inclusive) and
+    what the trace keeps of it.  ``weights`` is a scalar for an
+    equal-weight fit and 0 for the least squares line.  ``sweep`` lists
+    the groups the local branch takes in turn: ``None`` stands for every
+    violation, an interval size for the violations of that size.
     """
+    line = _ls_line(target)
+    passed, _, _, first = test(line, 0.0)
+    halvings, capped = 0, False
+    if passed:
+        done = {name: _Branch(name, line, None, 0, True, (first,)) for name in branches}
+    else:
+        def judge(lam, fit_):
+            passed, _, _, record = test(fit_, lam)
+            return passed, record
+
+        system = prepare_system(target)
+        tol_abs = config.init_tolerance * target.spread()
+        ladder = _initial_lambda(system, line, tol_abs, judge if "global" in branches else None, config.q)
+        halvings, capped = ladder.halvings, ladder.capped
+        done = {}
+        if "local" in branches:
+            done["local"] = _local(system, ladder, test, sweep, config, first)
+        if "global" in branches:
+            done["global"] = _global(system, ladder, judge, config, first)
+    # an accepted branch beats a rejected one, then the smaller final
+    # roughness wins; min keeps the first of equals, so ties go to local
+    chosen = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))
+    return _Run(done, chosen, halvings, capped)
+
+
+def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
+    """The mean fit: the w-test over the dyadic family, one sweep group."""
+    config = config or AdaptConfig()
     if config.sigma is not None:
         sigma = float(config.sigma)
     elif sample.sigma is not None:
@@ -256,69 +312,45 @@ def _prepare(sample: Sample, config: AdaptConfig, rungs: bool) -> _Start:
         sigma = sigma_hat(sample)
     spec = RegionSpec(sigma=sigma, tau=config.tau, n=sample.n)
     family = dyadic_family(sample.n)
-    line = _ls_line(sample)
-    report = in_region(sample, line.values, family, spec)
-    start = _Start(sample, prepare_system(sample), spec, family, line, _entry(report, None, 0.0), None)
-    if report.passed:
-        return start
-    judge = start.judge if rungs else None
-    ladder = _initial_lambda(start.system, line, config.init_tolerance * sample.spread(), judge, config.q)
-    return replace(start, ladder=ladder)
 
+    def test(fit_: SplineFit, weights):
+        report = in_region(sample, fit_.values, family, spec)
+        w = np.asarray(weights)
+        record = TraceEntry(report.max_abs_w, len(report.violation_w), float(w.min()), float(w.max()),
+                            fit_.roughness)
+        return report.passed, report.violation_lo, report.violation_hi, record
 
-def _report(start: _Start, config: AdaptConfig, branch: str, fit_: SplineFit,
-            weights: np.ndarray | None, iterations: int, trace: list, passed: bool) -> FitReport:
-    ladder = start.ladder
+    run = _adapt(sample, test, (None,), config, branches)
+    both = {}
+    if len(run.branches) == 2:
+        local, glob = run.branches["local"], run.branches["global"]
+        both = dict(
+            roughness_local=local.fit.roughness,
+            roughness_global=glob.fit.roughness,
+            truncated_local=not local.passed,
+            truncated_global=not glob.passed,
+        )
+    chosen = run.chosen
     return FitReport(
-        final_fit=fit_,
-        final_weights=weights,
-        iterations=iterations,
-        trace=tuple(trace),
-        sigma_used=start.spec.sigma,
-        threshold_used=start.spec.threshold,
+        final_fit=chosen.fit,
+        final_weights=chosen.weights,
+        iterations=chosen.iterations,
+        trace=chosen.records,
+        sigma_used=spec.sigma,
+        threshold_used=spec.threshold,
         tau=config.tau,
-        passed=passed,
-        truncated=not passed,
-        chosen_branch=branch,
-        start_halvings=ladder.halvings if ladder else 0,
-        start_capped=ladder.capped if ladder else False,
+        passed=chosen.passed,
+        truncated=not chosen.passed,
+        chosen_branch=chosen.name,
+        start_halvings=run.halvings,
+        start_capped=run.capped,
+        **both,
     )
-
-
-def _local(start: _Start, config: AdaptConfig) -> FitReport:
-    if start.ladder is None:
-        return _report(start, config, "local", start.line, None, 0, [start.line_entry], True)
-    n = start.system.n
-    weights = np.full(n, start.ladder.lam)
-    current = start.ladder.fit
-    trace = [start.line_entry]
-    iterations = 0
-    while True:
-        report = in_region(start.sample, current.values, start.family, start.spec)
-        trace.append(_entry(report, weights, current.roughness))
-        if report.passed or iterations >= config.max_iterations:
-            break
-        mask = _covered_mask(n, report.violation_lo, report.violation_hi)
-        weights = np.where(mask, weights * config.q, weights)
-        current = solve_weighted(start.system, weights)
-        iterations += 1
-    return _report(start, config, "local", current, weights, iterations, trace, report.passed)
-
-
-def _global(start: _Start, config: AdaptConfig) -> FitReport:
-    if start.ladder is None:
-        return _report(start, config, "global", start.line, None, 0, [start.line_entry], True)
-    lam, current, iterations, passed, entries = _climb(
-        start.system, start.ladder, config.q, config.max_iterations, start.judge
-    )
-    weights = np.full(start.system.n, lam)
-    return _report(start, config, "global", current, weights, iterations, [start.line_entry, *entries], passed)
 
 
 def fit_local(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
     """Adapt weights locally: bump only the points inside violating intervals."""
-    config = config or AdaptConfig()
-    return _local(_prepare(sample, config, rungs=False), config)
+    return _fit(sample, config, ("local",))
 
 
 def fit_global(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
@@ -328,8 +360,7 @@ def fit_global(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
     accepts the smoothest member inside the region; its roughness trace is
     nondecreasing along the run.
     """
-    config = config or AdaptConfig()
-    return _global(_prepare(sample, config, rungs=True), config)
+    return _fit(sample, config, ("global",))
 
 
 def fit(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
@@ -338,20 +369,4 @@ def fit(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
     If exactly one branch is accepted it wins; otherwise the smaller final
     roughness wins, with ties going to the local branch.
     """
-    config = config or AdaptConfig()
-    start = _prepare(sample, config, rungs=True)
-    local = _local(start, config)
-    glob = _global(start, config)
-    if local.passed != glob.passed:
-        chosen = local if local.passed else glob
-    elif glob.roughness < local.roughness:
-        chosen = glob
-    else:
-        chosen = local
-    return replace(
-        chosen,
-        roughness_local=local.roughness,
-        roughness_global=glob.roughness,
-        truncated_local=local.truncated,
-        truncated_global=glob.truncated,
-    )
+    return _fit(sample, config, ("local", "global"))

@@ -214,6 +214,8 @@ def _cmd_scale(args) -> int:
         "coverage": spec.coverage,
         "floor": result.floor,
         "pinned_intervals": result.pinned_intervals,
+        "start_halvings": result.start_halvings,
+        "start_capped": result.start_capped,
         "roughness": result.s.roughness,
         "scale_csv": str(csv_path),
         "rescale": None if transform is None else {"offset": transform[0], "scale": transform[1]},

@@ -15,8 +15,8 @@ the pentadiagonal SPD system
 
 and the fitted values are ``g = y - diag(1/lambda) Q gamma``.  Everything
 runs in O(n) time and memory via banded Cholesky factorization; the system
-is symmetrically scaled to unit diagonal first so that weights spanning
-many orders of magnitude stay harmless.
+is symmetrically scaled to unit diagonal first.  Wide weight spreads still
+cost accuracy; ``solve_weighted`` states the limit measured so far.
 
 Only the ``diag(1/lambda)`` term changes with the weights.  The rest (the
 spacings, the coefficients of Q, the bands of R and ``Q^T y``) is built
@@ -367,7 +367,7 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     sup2 = d[2:-2] * c[:-2] * a[2:]
 
     # Symmetric scaling to unit diagonal keeps the factorization stable
-    # when the weights span many orders of magnitude.
+    # over moderate weight spreads (see the limit stated below).
     s = 1.0 / np.sqrt(diag)
     m = n - 2
     rows = min(3, m)
@@ -392,10 +392,12 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
 
     gamma = msolve(system.qty)
     g = y - d * _apply_q(a, b, c, gamma)
-    # Two refinement sweeps on the consistency defect R gamma = Q^T g.  The
-    # defect is well scaled in double precision even when the weights span
-    # twelve orders of magnitude, so the refined solution is accurate to
-    # ~1e-12 while each sweep reuses the factorization at O(n) cost.
+    # Two refinement sweeps on the consistency defect R gamma = Q^T g, each
+    # reusing the factorization at O(n) cost.  Against a 60-digit dense
+    # solve (n = 48, random weights) the refined fit is within ~1e-10 of the
+    # data spread for weights spanning up to nine decades and ~1e-8 at
+    # twelve; past thirteen it can be off by more than the spread itself,
+    # or the factorization fails (ROADMAP item 2).
     for _ in range(2):
         rho = _apply_qt(h, b, g) - _r_apply(r_main, r_off, gamma)
         dgamma = msolve(rho)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .adapt import AdaptConfig, _climb, _covered_mask, _initial_lambda, _ls_line
+from .adapt import AdaptConfig, _adapt
 from .multiscale import IntervalFamily, dyadic_family
-from .splines import Sample, SplineFit, SplineSystem, evaluate, prepare_system, solve_weighted
+from .splines import Sample, SplineFit, evaluate
 
 __all__ = [
     "ScaleRegionSpec",
@@ -170,6 +170,10 @@ class ScaleRegionSpec:
         )
 
 
+def _scale_clip(values: np.ndarray, floor: float) -> np.ndarray:
+    return np.maximum(np.sqrt(np.maximum(values, 0.0)), floor)
+
+
 @dataclass(frozen=True)
 class ScaleFit:
     """Result of the heteroscedastic scale procedure.
@@ -179,7 +183,9 @@ class ScaleFit:
     it is used as a divisor.  ``pinned_intervals`` counts family intervals
     whose lower band cannot be met even at the floor (the data there are
     essentially zero); these are exempt from enforcement, and an input
-    that pins everything is flagged ``degenerate``.
+    that pins everything is flagged ``degenerate``.  ``start_halvings``
+    and ``start_capped`` report the start-weight search as ``FitReport``
+    does; both stay 0 / False when no search ran.
     """
 
     s: SplineFit
@@ -191,75 +197,41 @@ class ScaleFit:
     floor: float
     chosen_branch: str = "local"
     pinned_intervals: int = 0
+    start_halvings: int = 0
+    start_capped: bool = False
 
     def scale_values(self) -> np.ndarray:
         """The fitted scale at the design points."""
-        return np.maximum(np.sqrt(np.maximum(self.s.values, 0.0)), self.floor)
+        return _scale_clip(self.s.values, self.floor)
 
     def scale_at(self, x) -> np.ndarray:
         """The fitted scale anywhere in [0, 1]."""
-        return np.maximum(np.sqrt(np.maximum(evaluate(self.s, x, 0), 0.0)), self.floor)
+        return _scale_clip(evaluate(self.s, x, 0), self.floor)
 
 
-class _ScaleProblem:
-    """Shared state of one scale estimation: bands, floor, pinned intervals."""
+def _band_test(y2: np.ndarray, floor: float, spec: ScaleRegionSpec):
+    """The chi-squared band test of a fit to the squared data ``y2``.
 
-    def __init__(self, sample: Sample, spec: ScaleRegionSpec):
-        self.family = spec.family
-        self.sizes = self.family.sizes
-        self.unique_sizes = np.unique(self.sizes)
-        self.lob = np.empty(len(self.family))
-        self.upb = np.empty(len(self.family))
-        for size in self.unique_sizes:
-            lo_b, up_b = spec.bounds(int(size))
-            sel = self.sizes == size
-            self.lob[sel] = lo_b
-            self.upb[sel] = up_b
-        a = np.abs(sample.y)
-        self.y2 = a * a
-        self.floor = SCALE_FLOOR_FRACTION * float(a.max())
-        c = np.concatenate(([0.0], np.cumsum(self.y2 / self.floor**2)))
-        self.pinned = (c[self.family.hi] - c[self.family.lo - 1]) < self.lob
-        self.target = Sample(sample.t, self.y2)
+    Returns the test in the form ``adapt._adapt`` takes and the mask of
+    pinned intervals, which the test exempts.
+    """
+    family = spec.family
+    sizes = family.sizes
+    lob = np.empty(len(family))
+    upb = np.empty(len(family))
+    for size in np.unique(sizes):
+        lob[sizes == size], upb[sizes == size] = spec.bounds(int(size))
+    c = np.concatenate(([0.0], np.cumsum(y2 / floor**2)))
+    pinned = (c[family.hi] - c[family.lo - 1]) < lob
 
-    def scale_values(self, fit_values: np.ndarray) -> np.ndarray:
-        return np.maximum(np.sqrt(np.maximum(fit_values, 0.0)), self.floor)
+    def test(fit_: SplineFit, weights):
+        sv = _scale_clip(fit_.values, floor)
+        c = np.concatenate(([0.0], np.cumsum(y2 / (sv * sv))))
+        v = c[family.hi] - c[family.lo - 1]
+        bad = np.flatnonzero(((v < lob) | (v > upb)) & ~pinned)
+        return bad.size == 0, family.lo[bad], family.hi[bad], None
 
-    def judge(self, lam: float, fit_: SplineFit) -> tuple[bool, None]:
-        """Whether a fit meets every enforceable band, as (passed, no record)."""
-        return self.violations(fit_.values).size == 0, None
-
-    def violations(self, fit_values: np.ndarray, size: int | None = None) -> np.ndarray:
-        sv = self.scale_values(fit_values)
-        c = np.concatenate(([0.0], np.cumsum(self.y2 / (sv * sv))))
-        v = c[self.family.hi] - c[self.family.lo - 1]
-        bad = ((v < self.lob) | (v > self.upb)) & ~self.pinned
-        if size is not None:
-            bad &= self.sizes == size
-        return np.flatnonzero(bad)
-
-
-def _scale_local(problem: _ScaleProblem, system: SplineSystem, ladder, config: AdaptConfig):
-    """The length-ordered local sweep from the start weight."""
-    n = system.n
-    weights = np.full(n, ladder.lam)
-    current = ladder.fit
-    budget = config.max_iterations
-    iterations = 0
-    while True:
-        for size in problem.unique_sizes:
-            while True:
-                bad = problem.violations(current.values, int(size))
-                if bad.size == 0:
-                    break
-                if iterations >= budget:
-                    return current, weights, iterations, False, True
-                mask = _covered_mask(n, problem.family.lo[bad], problem.family.hi[bad])
-                weights = np.where(mask, weights * config.q, weights)
-                current = solve_weighted(system, weights)
-                iterations += 1
-        if problem.violations(current.values).size == 0:
-            return current, weights, iterations, True, False
+    return test, pinned
 
 
 def scale_fit(
@@ -285,40 +257,20 @@ def scale_fit(
     if spec.family.n != sample.n:
         raise ValueError("family size does not match the sample")
 
-    n = sample.n
-    if float(np.max(np.abs(sample.y))) == 0.0:
-        zero = SplineFit(sample.t.copy(), np.zeros(n), np.zeros(n), 0.0)
-        return ScaleFit(zero, None, False, 0, False, True, 0.0)
+    a = np.abs(sample.y)
+    y2 = a * a
+    floor = SCALE_FLOOR_FRACTION * float(a.max())
+    # an all-zero input has nothing to test (its empty mask counts as all
+    # pinned); otherwise every interval may be pinned, leaving nothing to fit
+    test, pinned = _band_test(y2, floor, spec) if floor > 0.0 else (None, np.zeros(0, dtype=bool))
+    if pinned.all():
+        zero = SplineFit(sample.t.copy(), np.zeros(sample.n), np.zeros(sample.n), 0.0)
+        return ScaleFit(zero, None, False, 0, False, True, floor, pinned_intervals=int(pinned.sum()))
 
-    problem = _ScaleProblem(sample, spec)
-    if bool(problem.pinned.all()):
-        zero = SplineFit(sample.t.copy(), np.zeros(n), np.zeros(n), 0.0)
-        return ScaleFit(
-            zero, None, False, 0, False, True, problem.floor,
-            pinned_intervals=int(problem.pinned.sum()),
-        )
-
-    # the line, its test and the start weight are shared by both branches
-    target = problem.target
-    system = prepare_system(target)
-    line = _ls_line(target)
-    if problem.violations(line.values).size == 0:
-        return ScaleFit(
-            line, None, True, 0, False, False, problem.floor,
-            pinned_intervals=int(problem.pinned.sum()),
-        )
-    ladder = _initial_lambda(system, line, config.init_tolerance * target.spread(), problem.judge, config.q)
-    loc = _scale_local(problem, system, ladder, config)
-    lam, current, iterations, passed, _ = _climb(system, ladder, config.q, config.max_iterations, problem.judge)
-    glo = current, np.full(n, lam), iterations, passed, not passed
-    if loc[3] != glo[3]:
-        chosen, branch = (loc, "local") if loc[3] else (glo, "global")
-    elif glo[0].roughness < loc[0].roughness:
-        chosen, branch = glo, "global"
-    else:
-        chosen, branch = loc, "local"
-    fit_, weights, iterations, passed, truncated = chosen
+    run = _adapt(Sample(sample.t, y2), test, np.unique(spec.family.sizes), config)
+    chosen = run.chosen
     return ScaleFit(
-        fit_, weights, passed, iterations, truncated, False, problem.floor,
-        chosen_branch=branch, pinned_intervals=int(problem.pinned.sum()),
+        chosen.fit, chosen.weights, chosen.passed, chosen.iterations, not chosen.passed, False, floor,
+        chosen_branch=chosen.name, pinned_intervals=int(pinned.sum()),
+        start_halvings=run.halvings, start_capped=run.capped,
     )

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from adaptspline import PenaltyMatrix, Sample, sigma_hat
+from adaptspline import PenaltyMatrix, Sample, scale_fit, sigma_hat
 from adaptspline.cli import main
 
 
@@ -167,6 +167,18 @@ class TestScaleCommand:
         assert rows[0] == ["t", "scale", "lambda"]
         scales = np.array([float(r[1]) for r in rows[1:]])
         assert np.all(scales > 0.0)
+
+    def test_report_states_start_weight_search(self, tmp_path):
+        n = 512
+        t = np.arange(1, n + 1) / n
+        y = np.sin(4.0 * np.pi * t) ** 2 * np.random.default_rng(22).standard_normal(n)
+        path = tmp_path / "vol.csv"
+        write_csv(path, t, y)
+        assert main(["scale", str(path)]) == 0
+        doc = json.loads((tmp_path / "vol.scale.json").read_text())
+        assert doc["start_capped"] is False
+        assert isinstance(doc["start_halvings"], int) and 0 < doc["start_halvings"] < 60
+        assert doc["start_halvings"] == scale_fit(Sample(t, y)).start_halvings
 
     def test_degenerate_zero_input_exit_3(self, tmp_path):
         n = 64

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import adaptspline.adapt as adapt_module
 from adaptspline import (
     AdaptConfig,
     Sample,
@@ -15,8 +17,10 @@ from adaptspline import (
     scale_fit,
     sigma_hat,
     sine,
+    solve_weighted,
     v_stat,
 )
+from adaptspline.variants import SCALE_FLOOR_FRACTION
 
 
 def grid_sample(n, y):
@@ -231,3 +235,132 @@ class TestScaleFit:
         )
         assert result.truncated and not result.passed
         assert result.iterations == 1
+
+
+def scale_sample(n, shape, seed):
+    t = np.arange(1, n + 1) / n
+    z = np.random.default_rng([905, n, seed]).standard_normal(n)
+    return Sample(t, shape(t) * z)
+
+
+def sin2(t):
+    return np.sin(4.0 * np.pi * t) ** 2
+
+
+def step(t):
+    return np.where(t < 0.5, 0.1, 3.0)
+
+
+def reference_local_sweep(sample, budget, q=2.0, init_tolerance=1e-3):
+    """The locally adaptive sweep of ``scale_fit``, written out from its docstring.
+
+    Returns the start halvings, the final weights, the bumps made and
+    whether every enforceable band holds.
+    """
+    n, t, y = sample.n, sample.t, sample.y
+    target = Sample(t, y * y)
+    spec = ScaleRegionSpec.for_size(n)
+    lo, hi = spec.family.lo, spec.family.hi
+    sizes = hi - lo + 1
+    lower = np.array([spec.bounds(k)[0] for k in sizes])
+    upper = np.array([spec.bounds(k)[1] for k in sizes])
+    floor = SCALE_FLOOR_FRACTION * float(np.max(np.abs(y)))
+
+    def v(scale):
+        c = np.concatenate(([0.0], np.cumsum(target.y / (scale * scale))))
+        return c[hi] - c[lo - 1]
+
+    pinned = v(np.full(n, floor)) < lower
+
+    def violating(fit_):
+        vs = v(np.maximum(np.sqrt(np.maximum(fit_.values, 0.0)), floor))
+        return ((vs < lower) | (vs > upper)) & ~pinned
+
+    # start: halve an equal weight from 1 until the fit hugs the LS line
+    slope, intercept = np.polyfit(t, target.y, 1)
+    line = intercept + slope * t
+    halvings = 0
+    while True:
+        weights = np.full(n, 2.0 ** -halvings)
+        current = solve_weighted(target, weights)
+        if np.max(np.abs(current.values - line)) <= init_tolerance * target.spread() or halvings == 60:
+            break
+        halvings += 1
+    # finish each interval size, shortest first, then re-sweep until all hold
+    iterations = 0
+    while True:
+        for size in np.unique(sizes):
+            while (bad := violating(current) & (sizes == size)).any():
+                if iterations == budget:
+                    return halvings, weights, iterations, False
+                covered = np.zeros(n, dtype=bool)
+                for a, b in zip(lo[bad], hi[bad]):
+                    covered[a - 1 : b] = True
+                weights = np.where(covered, weights * q, weights)
+                current = solve_weighted(target, weights)
+                iterations += 1
+        if not violating(current).any():
+            return halvings, weights, iterations, True
+
+
+class TestScaleFitEngine:
+    """``scale_fit`` runs on the engine of the mean fits; pin what it computes."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 400])
+    @pytest.mark.parametrize("shape", [sin2, step, lambda t: 1.0 + t])
+    def test_fit_is_the_solve_at_its_weights(self, shape, budget):
+        s = scale_sample(256, shape, 0)
+        result = scale_fit(s, config=AdaptConfig(max_iterations=budget))
+        if result.weights is None:
+            assert result.passed and result.iterations == 0
+            return
+        again = solve_weighted(Sample(s.t, s.y * s.y), result.weights)
+        assert np.array_equal(result.s.values, again.values)
+        assert np.array_equal(result.s.second_derivs, again.second_derivs)
+        assert result.s.roughness == again.roughness
+
+    @pytest.mark.parametrize(
+        "shape, seed, budget",
+        [(sin2, 0, 400), (sin2, 1, 400), (step, 0, 400), (sin2, 0, 7), (step, 1, 7)],
+    )
+    def test_local_branch_is_the_length_ordered_sweep(self, shape, seed, budget):
+        s = scale_sample(256, shape, seed)
+        result = scale_fit(s, config=AdaptConfig(max_iterations=budget))
+        assert result.chosen_branch == "local"
+        halvings, weights, iterations, passed = reference_local_sweep(s, budget)
+        assert result.start_halvings == halvings
+        assert np.array_equal(result.weights, weights)
+        assert result.iterations == iterations
+        assert result.passed == passed
+        assert result.truncated == (not passed) == (budget == 7)
+
+    def test_one_start_search_per_fit(self, monkeypatch):
+        counts = Counter()
+        search = adapt_module._initial_lambda
+
+        def counting(*args, **kwargs):
+            counts["_initial_lambda"] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(adapt_module, "_initial_lambda", counting)
+        for q in (2.0, 3.0):
+            counts.clear()
+            result = scale_fit(scale_sample(256, sin2, 0), config=AdaptConfig(q=q, max_iterations=400))
+            assert result.start_halvings > 0
+            assert counts == {"_initial_lambda": 1}
+
+    def test_start_reported(self):
+        n = 1024
+        t = np.arange(1, n + 1) / n
+        z = np.random.default_rng([31, 0]).standard_normal(n)
+        result = scale_fit(Sample(t, sin2(t) * z))
+        assert result.start_capped is False
+        assert 0 < result.start_halvings < 60
+
+    def test_accepted_line_reports_no_start(self):
+        n = 1024
+        t = np.arange(1, n + 1) / n
+        z = np.random.default_rng([32, 0]).standard_normal(n)
+        result = scale_fit(Sample(t, 2.0 * z))
+        assert result.weights is None and result.passed
+        assert (result.start_halvings, result.start_capped) == (0, False)
