@@ -70,12 +70,14 @@ class AdaptConfig:
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.q <= 1.0:
-            raise ValueError("q must exceed 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.init_tolerance <= 0.0:
-            raise ValueError("init_tolerance must be positive")
+        if not (math.isfinite(self.q) and self.q > 1.0):
+            raise ValueError("q must be a finite number above 1")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError("tau must be a positive finite number")
+        if not (math.isfinite(self.max_iterations) and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be a finite number of at least 1")
+        if not (math.isfinite(self.init_tolerance) and self.init_tolerance > 0.0):
+            raise ValueError("init_tolerance must be a positive finite number")
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be a nonnegative finite number")
 

@@ -14,12 +14,12 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .adapt import AdaptConfig, fit, fit_global
+from .adapt import fit, fit_global
 from .splines import Sample, SplineFit, evaluate
 
 __all__ = [
@@ -211,13 +211,12 @@ class StudyConfig:
     replicates: int = 100
     seed: int = 0
     estimator: str = "wss"
-    adapt: AdaptConfig = field(default_factory=AdaptConfig)
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be a nonnegative finite number")
         if self.estimator not in ("wss", "global-only"):
             raise ValueError("estimator must be 'wss' or 'global-only'")
 
@@ -242,7 +241,7 @@ def mrise_study(config: StudyConfig) -> list[dict]:
             data = make_dataset(
                 config.function, n, config.sigma, "gaussian", seed=[config.seed, n, rep]
             )
-            report = runner(data, config.adapt)
+            report = runner(data)
             for order in (0, 1, 2):
                 errors[order].append(_rise_against(truths[order], x, report.final_fit, order))
         for order in (0, 1, 2):

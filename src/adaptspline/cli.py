@@ -229,8 +229,6 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.replicates < 1000:
-        raise CliError("need at least 1000 replicates")
     tau = calibrate_tau(args.n, args.alpha, replicates=args.replicates, seed=args.seed)
     print(
         json.dumps(
@@ -370,10 +368,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

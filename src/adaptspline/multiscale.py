@@ -68,6 +68,13 @@ class IntervalFamily:
     def __iter__(self):
         return iter(zip(self.lo.tolist(), self.hi.tolist()))
 
+    def sums(self, x) -> np.ndarray:
+        """Sum of the length-n vector x over each interval, via prefix sums."""
+        if len(x) != self.n:
+            raise ValueError("vector length does not match the family's n")
+        c = np.concatenate(([0.0], np.cumsum(x)))
+        return c[self.hi] - c[self.lo - 1]
+
 
 def dyadic_family(n: int) -> IntervalFamily:
     """The dyadic multiscale family over n points.
@@ -104,14 +111,9 @@ def w_stat(sample: Sample, fit_values, interval) -> float:
 def all_w_stats(sample: Sample, fit_values, family: IntervalFamily) -> np.ndarray:
     """Vector of w statistics, one per interval of the family."""
     g = np.asarray(fit_values, dtype=float)
-    if g.shape != (sample.n,) or family.n != sample.n:
-        raise ValueError("fit values and family must match the sample size")
-    return _w_from_residuals(sample.y - g, family)
-
-
-def _w_from_residuals(residuals: np.ndarray, family: IntervalFamily) -> np.ndarray:
-    c = np.concatenate(([0.0], np.cumsum(residuals)))
-    return (c[family.hi] - c[family.lo - 1]) / np.sqrt(family.sizes)
+    if g.shape != (sample.n,):
+        raise ValueError("fit values must match the sample size")
+    return family.sums(sample.y - g) / np.sqrt(family.sizes)
 
 
 def sigma_hat(sample: Sample) -> float:
@@ -136,10 +138,10 @@ class RegionSpec:
     n: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be a nonnegative finite number")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError("tau must be a positive finite number")
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
@@ -205,7 +207,7 @@ def calibrate_tau(
 
     with the quantile taken as the order statistic at ceil(alpha*replicates).
     Replicate j draws from an independent generator seeded by (seed, j), so
-    the result does not depend on execution order or batching.
+    the result does not depend on execution order.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -213,28 +215,11 @@ def calibrate_tau(
         raise ValueError("need at least 1000 replicates")
     if family is None:
         family = dyadic_family(n)
-    if family.n != n:
-        raise ValueError("family size does not match n")
     inv_sqrt = 1.0 / np.sqrt(family.sizes)
-    hi = family.hi
-    lo0 = family.lo - 1
-
     maxima = np.empty(replicates)
-    # a batch materialises a few batch x |family| arrays; 2**21 doubles
-    # (16 MB) each keeps the peak memory flat in n
-    batch = max(1, (1 << 21) // len(family))
-    pos = 0
-    while pos < replicates:
-        b = min(batch, replicates - pos)
-        z = np.empty((b, n))
-        for j in range(b):
-            z[j] = np.random.default_rng([seed, pos + j]).standard_normal(n)
-        c = np.zeros((b, n + 1))
-        np.cumsum(z, axis=1, out=c[:, 1:])
-        w = np.abs(c[:, hi] - c[:, lo0]) * inv_sqrt
-        maxima[pos : pos + b] = w.max(axis=1)
-        pos += b
-
+    for j in range(replicates):
+        z = np.random.default_rng([seed, j]).standard_normal(n)
+        maxima[j] = np.max(np.abs(family.sums(z)) * inv_sqrt)
     maxima.sort()
     idx = math.ceil(alpha * replicates)
     q = maxima[idx - 1]

@@ -273,8 +273,6 @@ class PenaltyMatrix:
 
 def build_penalty(sample: Sample) -> PenaltyMatrix:
     """Penalty quadratic form for the design points of ``sample``."""
-    if sample.n < 3:
-        raise ValueError("need at least 3 data points")
     return PenaltyMatrix(sample.t.copy())
 
 

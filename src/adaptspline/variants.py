@@ -221,13 +221,11 @@ def _band_test(y2: np.ndarray, floor: float, spec: ScaleRegionSpec):
     upb = np.empty(len(family))
     for size in np.unique(sizes):
         lob[sizes == size], upb[sizes == size] = spec.bounds(int(size))
-    c = np.concatenate(([0.0], np.cumsum(y2 / floor**2)))
-    pinned = (c[family.hi] - c[family.lo - 1]) < lob
+    pinned = family.sums(y2 / floor**2) < lob
 
     def test(fit_: SplineFit, weights):
         sv = _scale_clip(fit_.values, floor)
-        c = np.concatenate(([0.0], np.cumsum(y2 / (sv * sv))))
-        v = c[family.hi] - c[family.lo - 1]
+        v = family.sums(y2 / (sv * sv))
         bad = np.flatnonzero(((v < lob) | (v > upb)) & ~pinned)
         return bad.size == 0, family.lo[bad], family.hi[bad], None
 

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -41,7 +42,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(q=1.0), dict(max_iterations=0), dict(init_tolerance=0.0), dict(sigma=-1.0)],
+        [dict(q=1.0), dict(max_iterations=0), dict(init_tolerance=0.0), dict(sigma=-1.0), dict(tau=0.0)]
+        + [
+            {field: value}
+            for field in ("q", "tau", "max_iterations", "init_tolerance", "sigma")
+            for value in (math.nan, math.inf)
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

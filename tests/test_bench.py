@@ -207,3 +207,5 @@ class TestStudy:
             StudyConfig(function=sine(), sigma=1.0, replicates=0)
         with pytest.raises(ValueError):
             StudyConfig(function=sine(), sigma=1.0, estimator="pspl")
+        with pytest.raises(ValueError):
+            StudyConfig(function=sine(), sigma=math.nan)

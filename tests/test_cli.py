@@ -48,6 +48,11 @@ class TestFitCommand:
         assert isinstance(doc["start_halvings"], int) and 0 < doc["start_halvings"] < 60
         assert doc["lambda_min"] >= 2.0 ** -doc["start_halvings"]
 
+    @pytest.mark.parametrize("flag", ["--tau", "--q", "--sigma"])
+    def test_non_finite_setting_exit_2(self, noisy_csv, tmp_path, capsys, flag):
+        assert main(["fit", str(noisy_csv), flag, "nan"]) == 2
+        assert not (tmp_path / "data.report.json").exists()
+
     def test_seed_flag_removed(self, noisy_csv, capsys):
         assert main(["fit", str(noisy_csv), "--seed", "1"]) == 2
 

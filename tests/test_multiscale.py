@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptspline import (
+    IntervalFamily,
     RegionSpec,
     Sample,
     all_w_stats,
@@ -48,6 +49,25 @@ class TestDyadicFamily:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dyadic_family(0)
+
+
+class TestIntervalSums:
+    @pytest.mark.parametrize("n", [1, 6, 7, 1000])
+    def test_equals_explicit_sum_per_interval(self, n, rng):
+        # n = 6 and 7 repeat a trailing block; n = 1000 has many
+        fam = dyadic_family(n)
+        x = rng.normal(size=n)
+        expected = [np.sum(x[lo - 1 : hi]) for lo, hi in fam]
+        np.testing.assert_allclose(fam.sums(x), expected, rtol=1e-12, atol=1e-12)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            dyadic_family(8).sums(np.ones(7))
+        with pytest.raises(ValueError):
+            dyadic_family(8).sums(np.ones(9))
+        s = Sample(np.arange(1, 9) / 8, np.zeros(8))
+        with pytest.raises(ValueError):
+            all_w_stats(s, np.zeros(8), dyadic_family(7))
 
 
 class TestWStat:
@@ -124,6 +144,14 @@ class TestRegionSpec:
         with pytest.raises(ValueError):
             RegionSpec(sigma=1.0, tau=3.0, n=0)
 
+    @pytest.mark.parametrize("field", ["sigma", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(sigma=1.0, tau=3.0, n=10)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            RegionSpec(**kwargs)
+
 
 class TestInRegion:
     def test_exact_fit_passes(self, rng):
@@ -174,7 +202,8 @@ class TestCalibrateTau:
         assert a == b
 
     def test_equals_row_at_a_time_recomputation(self):
-        # n = 3000 splits the 1000 replicates over several batches
+        # the reference recomputes each replicate on its own, at an n where
+        # the family has thousands of intervals
         n, alpha, replicates, seed = 3000, 0.9, 1000, 17
         fam = dyadic_family(n)
         inv_sqrt = 1.0 / np.sqrt(fam.sizes)
@@ -184,6 +213,17 @@ class TestCalibrateTau:
             maxima.append(float(np.max(np.abs(c[fam.hi] - c[fam.lo - 1]) * inv_sqrt)))
         q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
         assert calibrate_tau(n, alpha, replicates=replicates, seed=seed) == q * q / math.log(n)
+
+    def test_custom_family_equals_row_at_a_time_recomputation(self):
+        # all length-4 windows at n = 50: not a dyadic family
+        n, alpha, replicates, seed = 50, 0.9, 1200, 5
+        fam = IntervalFamily(np.arange(1, n - 2), np.arange(4, n + 1), n)
+        maxima = []
+        for j in range(replicates):
+            c = np.concatenate(([0.0], np.cumsum(np.random.default_rng([seed, j]).standard_normal(n))))
+            maxima.append(float(np.max(np.abs(c[fam.hi] - c[fam.lo - 1]) * 0.5)))
+        q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
+        assert calibrate_tau(n, alpha, family=fam, replicates=replicates, seed=seed) == q * q / math.log(n)
 
     def test_monotone_in_alpha(self):
         taus = [calibrate_tau(128, alpha, replicates=3000, seed=3) for alpha in (0.8, 0.9, 0.95, 0.99)]
