@@ -209,6 +209,8 @@ def calibrate_tau(
     Replicate j draws from an independent generator seeded by (seed, j), so
     the result does not depend on execution order.
     """
+    if n < 2:
+        raise ValueError("need n >= 2 (tau divides by log n)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if replicates < 1000:

@@ -5,29 +5,27 @@ The central object is the minimizer of the per-point weighted criterion
     sum_i  lambda_i * (y_i - g(t_i))**2  +  integral_0^1 g''(t)**2 dt
 
 over twice continuously differentiable functions on [0, 1].  The minimizer
-is a natural cubic spline with knots at all design points; it is computed
-exactly with the classic Reinsch scheme, generalized to a weight per
-observation: with ``R`` and ``Q`` the usual consistency matrices relating
-knot values to interior second derivatives, the second derivatives solve
-the pentadiagonal SPD system
+is a natural cubic spline with knots at all design points.  With ``R`` and
+``Q`` the usual consistency matrices relating knot values to interior
+second derivatives (Reinsch's scheme, generalized to a weight per
+observation), the knot values g and second derivatives gamma solve the
+augmented system
 
-    (R + Q^T diag(1/lambda) Q) gamma = Q^T y
+    g + diag(1/lambda) Q gamma = y,    Q^T g - R gamma = 0,
 
-and the fitted values are ``g = y - diag(1/lambda) Q gamma``.  Everything
-runs in O(n) time and memory via banded Cholesky factorization; the system
-is symmetrically scaled to unit diagonal first.  Wide weight spreads still
-cost accuracy; ``solve_weighted`` states the limit measured so far.
+the augmented-system approach to least squares (Bjorck 1967).  Unlike
+Reinsch's normal equations (R + Q^T diag(1/lambda) Q) gamma = Q^T y it does
+not square the conditioning, so the fit stays accurate for small weights
+at large n and for weights spread over many decades.  Interleaving g and
+gamma makes the matrix banded with three diagonals on either side, and
+LAPACK ``dgbtrf`` / ``dgbtrs`` (partial pivoting) solve it in O(n) time
+and memory.
 
-Only the ``diag(1/lambda)`` term changes with the weights.  The rest (the
-spacings, the coefficients of Q, the bands of R and ``Q^T y``) is built
-once by ``prepare_system``, and ``solve_weighted`` takes that system in
-place of the sample, so the many solves of one adaptive fit share it.
-A solve factors the scaled bands with LAPACK ``dpbtrf`` and solves with
-``dpbtrs``, called directly from ``scipy.linalg.lapack`` (the routines
-behind ``cholesky_banded`` / ``cho_solve_banded``, without their
-per-call wrapper work).  It keeps their guards: a system or fit that is
-not finite (weights beyond the range of double precision) raises
-``ValueError``, and a failed factorization raises ``RuntimeError``.
+Only the entries Q/lambda change with the weights.  ``prepare_system``
+builds the rest once, and ``solve_weighted`` takes that system in place of
+the sample, so the many solves of one adaptive fit share it.  A system
+that is not finite raises ``ValueError``, a singular factorization
+``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "Sample",
@@ -276,47 +274,73 @@ def build_penalty(sample: Sample) -> PenaltyMatrix:
     return PenaltyMatrix(sample.t.copy())
 
 
-def _r_apply(r_main: np.ndarray, r_off: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = r_main * u
-    if r_off.size:
-        out[:-1] += r_off * u[1:]
-        out[1:] += r_off * u[:-1]
-    return out
-
-
 @dataclass(frozen=True)
 class SplineSystem:
-    """The weight-free part of the weighted spline system of one sample.
+    """The weight-free part of the augmented spline system of one sample.
 
-    Holds the spacings h, the coefficients a, b, c of Q, the two bands of
-    R and Q^T y.  ``solve_weighted`` accepts it in place of the sample, so
-    that a run of solves on one sample with changing weights builds this
-    geometry once; each solve then only assembles and factors the weighted
-    bands.  Build it with ``prepare_system`` and keep it for one fit.
+    Holds the design points t, the spacings h, the coefficients (a, b, c)
+    of Q as rows of ``q``, the LAPACK band storage of the matrix (flattened
+    in column order) with every weight-free entry filled in, the flat
+    positions ``q_at`` of the entries Q/lambda, and the right-hand side.
+    ``solve_weighted`` accepts it in place of the sample, so that the
+    solves of one fit build this once.  Build it with ``prepare_system``
+    and keep it for one fit.
     """
 
     t: np.ndarray
-    y: np.ndarray
     h: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    r_main: np.ndarray
-    r_off: np.ndarray
-    qty: np.ndarray
+    q: np.ndarray
+    band: np.ndarray
+    q_at: np.ndarray
+    rhs: np.ndarray
 
     @property
     def n(self) -> int:
         return self.t.size
 
 
+# Half-bandwidths of the augmented matrix in the interleaved order, and the
+# rows of its LAPACK band storage (kl more for the fill of partial pivoting).
+_KL = _KU = 3
+_LDAB = 2 * _KL + _KU + 1
+
+
 def prepare_system(sample: Sample) -> SplineSystem:
-    """The weight-free geometry of the spline system for ``sample``."""
+    """The weight-free part of the augmented spline system for ``sample``.
+
+    The unknowns are ordered g_1, g_2, gamma_1, g_3, gamma_2, ...,
+    gamma_{n-2}, g_n, so that no row reaches more than three places from
+    its diagonal.
+
+    Raises
+    ------
+    ValueError
+        If the spacings are so small that the system is not finite.
+    """
     t, y = sample.t, sample.y
+    n = t.size
     h = np.diff(t)
-    a, b, c = _q_coeffs(h)
+    q = np.array(_q_coeffs(h))
     r_main, r_off = _r_bands(h)
-    return SplineSystem(t, y, h, a, b, c, r_main, r_off, _apply_qt(h, b, y))
+    gp = np.concatenate(([0], np.arange(1, 2 * n - 2, 2)))  # where g_i sits
+    cp = np.arange(2, 2 * n - 2, 2)  # where gamma_j sits
+
+    def at(row, col):
+        return (_KL + _KU + row - col) + _LDAB * col
+
+    band = np.zeros(_LDAB * (2 * n - 2))
+    band[at(gp, gp)] = 1.0
+    for k in range(3):
+        band[at(cp, gp[k:k + n - 2])] = q[k]
+    band[at(cp, cp)] = -r_main
+    band[at(cp[:-1], cp[1:])] = -r_off
+    band[at(cp[1:], cp[:-1])] = -r_off
+    if not np.isfinite(band).all():
+        raise ValueError("spline system is not finite; the design points are too close")
+    q_at = np.array([at(gp[k:k + n - 2], cp) for k in range(3)])
+    rhs = np.zeros(2 * n - 2)
+    rhs[gp] = y
+    return SplineSystem(t, h, q, band, q_at, rhs)
 
 
 def _singular() -> RuntimeError:
@@ -325,6 +349,10 @@ def _singular() -> RuntimeError:
 
 def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     """Minimize the weighted smoothing criterion exactly.
+
+    Solves the augmented system of the module docstring: one copy of the
+    band of ``sample`` takes the entries Q/lambda, ``dgbtrf`` factors it
+    and ``dgbtrs`` solves.
 
     Parameters
     ----------
@@ -344,70 +372,28 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     Raises
     ------
     ValueError
-        If the weights are invalid, or so extreme that the system or the
-        fit is not finite in double precision.
+        If the weights are invalid, or so small that the entries Q/lambda
+        are not finite in double precision.
     RuntimeError
-        If LAPACK finds the scaled system not positive definite.
+        If LAPACK finds the augmented system exactly singular.
     """
     system = sample if isinstance(sample, SplineSystem) else prepare_system(sample)
-    lam = check_weights(weights, system.n)
-    t, y, h = system.t, system.y, system.h
-    a, b, c = system.a, system.b, system.c
-    r_main, r_off = system.r_main, system.r_off
     n = system.n
-    d = 1.0 / lam
-
-    # Pentadiagonal M = R + Q^T diag(d) Q, assembled band by band.
-    diag = r_main + d[:-2] * a * a + d[1:-1] * b * b + d[2:] * c * c
-    sup1 = d[1:-2] * b[:-1] * a[1:] + d[2:-1] * c[:-1] * b[1:]
-    if sup1.size:
-        sup1 = sup1 + r_off
-    sup2 = d[2:-2] * c[:-2] * a[2:]
-
-    # Symmetric scaling to unit diagonal keeps the factorization stable
-    # over moderate weight spreads (see the limit stated below).
-    s = 1.0 / np.sqrt(diag)
-    m = n - 2
-    rows = min(3, m)
-    ab = np.zeros((rows, m), order="F")
-    ab[-1] = 1.0
-    if sup1.size:
-        ab[-2, 1:] = sup1 * s[:-1] * s[1:]
-    if sup2.size:
-        ab[-3, 2:] = sup2 * s[:-2] * s[2:]
-    if not np.isfinite(ab).all():
+    d = 1.0 / check_weights(weights, n)
+    qd = system.q * (d[:-2], d[1:-1], d[2:])
+    if not np.isfinite(qd).all():
         raise ValueError("weighted spline system is not finite; the weights are out of range")
-
-    factor, info = dpbtrf(ab, lower=0, overwrite_ab=1)
+    ab = system.band.copy()
+    ab[system.q_at] = qd
+    lu, piv, info = dgbtrf(ab.reshape((_LDAB, -1), order="F"), _KL, _KU, overwrite_ab=1)
     if info != 0:
         raise _singular()
-
-    def msolve(rhs):
-        x, info = dpbtrs(factor, s * rhs, lower=0, overwrite_b=1)
-        if info != 0:
-            raise _singular()
-        return s * x
-
-    gamma = msolve(system.qty)
-    g = y - d * _apply_q(a, b, c, gamma)
-    # Two refinement sweeps on the consistency defect R gamma = Q^T g, each
-    # reusing the factorization at O(n) cost.  Against a 60-digit dense
-    # solve (n = 48, random weights) the refined fit is within ~1e-10 of the
-    # data spread for weights spanning up to nine decades and ~1e-8 at
-    # twelve; past thirteen it can be off by more than the spread itself,
-    # or the factorization fails (ROADMAP item 2).
-    for _ in range(2):
-        rho = _apply_qt(h, b, g) - _r_apply(r_main, r_off, gamma)
-        dgamma = msolve(rho)
-        gamma = gamma + dgamma
-        g = g - d * _apply_q(a, b, c, dgamma)
-    if not np.isfinite(g).all():
-        raise ValueError("weighted spline fit is not finite; the weights are out of range")
-
-    c_full = np.zeros(n)
-    c_full[1:-1] = gamma
-    rough = float(gamma @ _r_apply(r_main, r_off, gamma))
-    return SplineFit(t.copy(), g, c_full, max(rough, 0.0))
+    x, info = dgbtrs(lu, _KL, _KU, system.rhs, piv)
+    if info != 0:
+        raise _singular()
+    c = np.zeros(n)
+    c[1:-1] = x[2::2]
+    return SplineFit(system.t.copy(), np.concatenate((x[:1], x[1::2])), c, _roughness(system.h, c))
 
 
 def evaluate(fit: SplineFit, x, order: int = 0):
@@ -466,6 +452,9 @@ def roughness_of(fit: SplineFit) -> float:
     The second derivative is piecewise linear between knots, so each cell
     contributes h * (c_i^2 + c_i c_{i+1} + c_{i+1}^2) / 3 exactly.
     """
-    h = np.diff(fit.knots)
-    c = fit.second_derivs
-    return float(np.sum(h * (c[:-1] ** 2 + c[:-1] * c[1:] + c[1:] ** 2)) / 3.0)
+    return _roughness(np.diff(fit.knots), fit.second_derivs)
+
+
+def _roughness(h: np.ndarray, c: np.ndarray) -> float:
+    c0, c1 = c[:-1], c[1:]
+    return float(h @ (c0 * c0 + c0 * c1 + c1 * c1)) / 3.0

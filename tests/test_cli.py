@@ -212,6 +212,12 @@ class TestCalibrateCommand:
     def test_too_few_replicates_exit_2(self, capsys):
         assert main(["calibrate", "--n", "64", "--replicates", "0"]) == 2
 
+    def test_single_point_exit_2_without_json(self, capsys):
+        assert main(["calibrate", "--n", "1", "--replicates", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n >= 2" in captured.err
+
 
 class TestSimulateCommand:
     def test_preset_writes_schema_csv(self, tmp_path, capsys):

@@ -225,6 +225,11 @@ class TestCalibrateTau:
         q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
         assert calibrate_tau(n, alpha, family=fam, replicates=replicates, seed=seed) == q * q / math.log(n)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_fewer_than_two_points(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            calibrate_tau(n, replicates=1000)
+
     def test_monotone_in_alpha(self):
         taus = [calibrate_tau(128, alpha, replicates=3000, seed=3) for alpha in (0.8, 0.9, 0.95, 0.99)]
         assert taus == sorted(taus)

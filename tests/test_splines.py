@@ -1,11 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import adaptspline.splines
 from adaptspline import (
+    SIGMA_PRESETS,
     AdaptConfig,
     PenaltyMatrix,
     Sample,
     affine_fit,
+    bumps,
     build_penalty,
     evaluate,
     fit_local,
@@ -18,6 +23,158 @@ from adaptspline import (
 )
 
 from conftest import dense_penalty, dense_weighted_fit, jittered_design
+
+
+def mp_fit(t, y, lam, dps=60):
+    """Knot values of the weighted spline in ``dps`` digits.
+
+    Solves Reinsch's normal equations (R + Q^T diag(1/lam) Q) gamma = Q^T y
+    densely with mpmath, then g = y - diag(1/lam) Q gamma.  Their squared
+    conditioning costs digits, not the answer, at this precision.
+    """
+    with mpmath.workdps(dps):
+        tt, yy = [mpmath.mpf(v) for v in t], [mpmath.mpf(v) for v in y]
+        d = [1 / mpmath.mpf(v) for v in lam]
+        n, m = len(tt), len(tt) - 2
+        h = [tt[i + 1] - tt[i] for i in range(n - 1)]
+        q = [{j: 1 / h[j], j + 1: -1 / h[j] - 1 / h[j + 1], j + 2: 1 / h[j + 1]} for j in range(m)]
+        mat = mpmath.matrix(m, m)
+        for j in range(m):
+            mat[j, j] = (h[j] + h[j + 1]) / 3
+            if j + 1 < m:
+                mat[j, j + 1] = mat[j + 1, j] = h[j + 1] / 6
+            for k in range(max(0, j - 2), min(m, j + 3)):
+                mat[j, k] += sum(q[j][i] * q[k][i] * d[i] for i in q[j] if i in q[k])
+        gamma = mpmath.lu_solve(mat, mpmath.matrix([sum(c * yy[i] for i, c in qj.items()) for qj in q]))
+        g = list(yy)
+        for j in range(m):
+            for i, c in q[j].items():
+                g[i] -= d[i] * c * gamma[j]
+        return np.array([float(v) for v in g])
+
+
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    p = a * b
+    x = _SPLIT * a
+    ah = x - (x - a)
+    x = _SPLIT * b
+    bh = x - (x - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class DoubleDouble:
+    """Unevaluated sums hi + lo of doubles, elementwise over arrays.
+
+    Error-free sums and products (Ogita, Rump & Oishi 2005) give about 32
+    significant digits; used for the reference residual where long double
+    is plain double.
+    """
+
+    def __init__(self, hi, lo=None):
+        self.hi = np.asarray(hi, dtype=float)
+        self.lo = np.zeros_like(self.hi) if lo is None else lo
+
+    def __getitem__(self, k):
+        return DoubleDouble(self.hi[k], self.lo[k])
+
+    def __neg__(self):
+        return DoubleDouble(-self.hi, -self.lo)
+
+    def __add__(self, o):
+        o = o if isinstance(o, DoubleDouble) else DoubleDouble(o)
+        s, e = _two_sum(self.hi, o.hi)
+        return DoubleDouble(*_two_sum(s, e + self.lo + o.lo))
+
+    def __sub__(self, o):
+        return self + -(o if isinstance(o, DoubleDouble) else DoubleDouble(o))
+
+    def __mul__(self, o):
+        o = o if isinstance(o, DoubleDouble) else DoubleDouble(o)
+        p, e = _two_prod(self.hi, o.hi)
+        return DoubleDouble(*_two_sum(p, e + self.hi * o.lo + self.lo * o.hi))
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __rtruediv__(self, num):
+        r = DoubleDouble(num / self.hi)  # one Newton step from the double quotient
+        return r + r * (num - self * r)
+
+    def pad(self, before, after):
+        return DoubleDouble(np.pad(self.hi, (before, after)), np.pad(self.lo, (before, after)))
+
+    def astype(self, dtype):
+        return (self.hi + self.lo).astype(dtype)
+
+
+def _long_double(x):
+    return np.asarray(x, dtype=np.longdouble)
+
+
+WIDE = _long_double if np.finfo(np.longdouble).nmant > 52 else DoubleDouble
+
+
+def _pad(x, before, after):
+    return x.pad(before, after) if isinstance(x, DoubleDouble) else np.pad(x, (before, after))
+
+
+def augmented_band(t, y, lam):
+    """The system g + diag(1/lam) Q gamma = y, Q^T g - R gamma = 0 in the
+    order g_1, g_2, gamma_1, g_3, ..., gamma_{n-2}, g_n, as ``solve_banded``
+    storage with three diagonals on either side, and its right-hand side."""
+    n = t.size
+    h = np.diff(t)
+    a, c = 1.0 / h[:-1], 1.0 / h[1:]
+    b = -(a + c)
+    d = 1.0 / lam
+    gp = np.r_[0, 1:2 * n - 2:2]
+    cp = np.arange(2, 2 * n - 2, 2)
+    ab = np.zeros((7, 2 * n - 2))
+    for rows, cols, vals in [
+        (gp, gp, 1.0),
+        (gp[:-2], cp, d[:-2] * a), (gp[1:-1], cp, d[1:-1] * b), (gp[2:], cp, d[2:] * c),
+        (cp, gp[:-2], a), (cp, gp[1:-1], b), (cp, gp[2:], c),
+        (cp, cp, -(h[:-1] + h[1:]) / 3.0),
+        (cp[:-1], cp[1:], -h[1:-1] / 6.0), (cp[1:], cp[:-1], -h[1:-1] / 6.0),
+    ]:
+        ab[3 + rows - cols, cols] = vals
+    rhs = np.zeros(2 * n - 2)
+    rhs[gp] = y
+    return ab, rhs
+
+
+def augmented_residual(t, y, lam, g, gamma, wide):
+    """Right-hand side minus the augmented system applied to (g, gamma),
+    with every coefficient and sum formed in the precision of ``wide``."""
+    h = wide(t[1:]) - wide(t[:-1])
+    a, c = 1 / h[:-1], 1 / h[1:]
+    b = -(a + c)
+    gw, cw = wide(g), wide(gamma)
+    q_gamma = _pad(a * cw, 0, 2) + _pad(b * cw, 1, 1) + _pad(c * cw, 2, 0)
+    r_gamma6 = (h[:-1] + h[1:]) * cw * 2 + _pad(h[1:-1] * cw[1:], 0, 1) + _pad(h[1:-1] * cw[:-1], 1, 0)
+    rg = (wide(y) - gw - q_gamma * (1 / wide(lam))).astype(float)
+    rc = (r_gamma6 * (1 / wide(6.0)) - (a * gw[:-2] + b * gw[1:-1] + c * gw[2:])).astype(float)
+    return np.concatenate((rg[:1], np.column_stack((rg[1:-1], rc)).ravel(), rg[-1:]))
+
+
+def refined_fit(t, y, lam, wide=WIDE, sweeps=3):
+    """Knot values from ``solve_banded`` on the augmented system, refined
+    ``sweeps`` times with the residual in extended precision."""
+    ab, rhs = augmented_band(t, y, lam)
+    x = solve_banded((3, 3), ab, rhs)
+    for _ in range(sweeps):
+        x = x + solve_banded((3, 3), ab, augmented_residual(t, y, lam, x[np.r_[0, 1:x.size:2]], x[2::2], wide))
+    return x[np.r_[0, 1:x.size:2]]
 
 
 class TestSample:
@@ -205,33 +362,47 @@ class TestPreparedSystem:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
             solve_weighted(s, np.full(50, 1e-310))
 
-    def test_indefinite_factorization_raises(self):
-        # a spacing of 1e-12 next to a tiny weight loses positive
-        # definiteness in double precision
+    def test_spacing_beyond_double_range_raises(self):
+        # 1/5e-324 overflows, so the weight-free part of the system is not finite
+        s = Sample([0.0, 5e-324, 0.5, 1.0], [0.0, 1.0, 0.0, 1.0])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"), pytest.raises(ValueError):
+            prepare_system(s)
+
+    def test_close_spacing_next_to_tiny_weight(self):
+        # a spacing of 1e-12 next to a weight of 1e-12 puts entries of size
+        # 1e12 beside ones of size 1; the fit was measured within 3.6e-6 of
+        # the spread of the 60-digit solution
         t = np.array([0.0, 0.25, 0.5, 0.5 + 1e-12, 0.75, 1.0])
         y = np.array([0.0, 1.0, -1.0, 1.0, 0.0, 1.0])
         lam = np.ones(6)
         lam[3] = 1e-12
+        fit = solve_weighted(Sample(t, y), lam)
+        assert np.max(np.abs(fit.values - mp_fit(t, y, lam))) <= 1e-5 * np.ptp(y)
+
+    def test_singular_factorization_raises(self, monkeypatch):
+        def singular(ab, kl, ku, **kwargs):
+            return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
+
+        monkeypatch.setattr(adaptspline.splines, "dgbtrf", singular)
+        s = Sample(np.linspace(0.0, 1.0, 8), np.sin(np.arange(8.0)))
         with pytest.raises(RuntimeError, match="numerically singular"):
-            solve_weighted(Sample(t, y), lam)
+            solve_weighted(s, np.ones(8))
 
 
 class TestWideWeightSpread:
-    """Fits from a start search that ran to its cap of 60 halvings.
+    """Weights spread over many decades.
 
-    Their weights come to span about 13 decades, and the solve then fails
-    (ROADMAP item 2).  The marks are strict, so a solver that copes makes
-    these tests fail until the marks are dropped.
+    The fits come from a start search that ran to its cap of 60 halvings,
+    so their weights span about 13 decades; the solves are checked against
+    60-digit ones on a grid of weights spanning up to 20 decades.
     """
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="ROADMAP item 2")
     def test_local_fit(self):
         s = make_dataset(rupcar(6), 64, 0.05, seed=[804, 0])
         r = fit_local(s, AdaptConfig(init_tolerance=1e-300))
         assert r.start_capped
         assert np.isfinite(r.final_fit.values).all()
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="ROADMAP item 2")
     def test_scale_fit(self):
         n = 256
         t = np.arange(1, n + 1) / n
@@ -240,6 +411,50 @@ class TestWideWeightSpread:
                       config=AdaptConfig(init_tolerance=1e-300, max_iterations=400))
         assert r.start_capped
         assert np.isfinite(r.s.values).all()
+
+    def test_matches_60_digit_solves(self):
+        # weights 10**U(-d, 0), four draws per d; measured within 6e-15 of
+        # the spread
+        n = 48
+        t = np.arange(1, n + 1) / n
+        rng = np.random.default_rng(5)
+        for d in (12, 16, 20):
+            for _ in range(4):
+                y = rng.standard_normal(n)
+                lam = 10.0 ** rng.uniform(-d, 0, n)
+                fit = solve_weighted(Sample(t, y), lam)
+                err = np.max(np.abs(fit.values - mp_fit(t, y, lam)))
+                assert err <= 1e-10 * np.ptp(y), (d, err)
+
+
+class TestLargeN:
+    """Solves at n = 10**5, where the weights are tiny against the n**3
+    growth of the penalty, against the refined augmented solution."""
+
+    @pytest.mark.parametrize("name", ["bumps", "rupcar"])
+    def test_matches_refined_reference(self, name):
+        n = 100_000
+        s = make_dataset(bumps() if name == "bumps" else rupcar(6), n,
+                         SIGMA_PRESETS[f"{name}-hi"], seed=[7, n])
+        system = prepare_system(s)
+        for e in (0, -10, -20, -60):
+            lam = np.full(n, 2.0**e)
+            err = np.max(np.abs(solve_weighted(system, lam).values - refined_fit(s.t, s.y, lam)))
+            # measured at most 1.05e-9 of the spread (rupcar, 2**-20); all
+            # but ~5e-11 of it comes from rounding 1/h in the coefficients
+            # of Q, which no solve of the double-precision system can undo
+            assert err <= 2e-9 * np.ptp(s.y), (e, err)
+
+    def test_double_double_residual_agrees_with_long_double(self, rng):
+        if np.finfo(np.longdouble).nmant <= 52:
+            pytest.skip("long double is plain double here")
+        t = jittered_design(200, rng)
+        y = rng.normal(size=200)
+        lam = 10.0 ** rng.uniform(-8, 0, 200)
+        args = (t, y, lam, y, rng.normal(size=198))
+        wide = augmented_residual(*args, _long_double)
+        dd = augmented_residual(*args, DoubleDouble)
+        assert np.max(np.abs(dd - wide)) <= 1e-15 * np.max(np.abs(wide))
 
 
 class TestEvaluate:
