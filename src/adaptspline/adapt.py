@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 60
+# The start search stops once the equal-weight fit is this close to the
+# least squares line, relative to the data spread, in sup norm.
+_INIT_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -58,15 +61,14 @@ class AdaptConfig:
     ``sigma`` fixes the noise scale.  With ``sigma=None`` the fit uses the
     scale the sample carries (``Sample.sigma``, set by ``clean_outliers``)
     and, failing that, estimates it once, up front, with ``sigma_hat``.
-    ``init_tolerance`` controls how close (relative to the data spread, in
-    sup norm) the initial equal-weight fit must be to the least squares
-    line; the initial weight is found by halving from 1.
+    The initial weight is found by halving from 1 until the equal-weight
+    fit is within ``_INIT_TOLERANCE`` times the data spread of the least
+    squares line, in sup norm.
     """
 
     q: float = 2.0
     tau: float = 3.0
     max_iterations: int = 200
-    init_tolerance: float = 1e-3
     sigma: float | None = None
 
     def __post_init__(self):
@@ -76,8 +78,6 @@ class AdaptConfig:
             raise ValueError("tau must be a positive finite number")
         if not (math.isfinite(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a finite number of at least 1")
-        if not (math.isfinite(self.init_tolerance) and self.init_tolerance > 0.0):
-            raise ValueError("init_tolerance must be a positive finite number")
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be a nonnegative finite number")
 
@@ -104,7 +104,7 @@ class FitReport:
     ``passed`` is False.  The start weight is 2**-``start_halvings``;
     ``start_capped`` is True when its search stopped at the cap of 60
     halvings with the fit still farther from the least squares line than
-    ``init_tolerance`` allows.  Both stay 0 / False when the line itself
+    ``_INIT_TOLERANCE`` allows.  Both stay 0 / False when the line itself
     was accepted.
     """
 
@@ -289,7 +289,7 @@ def _adapt(target: Sample, test, sweep, config: AdaptConfig, branches=("local", 
             return passed, record
 
         system = prepare_system(target)
-        tol_abs = config.init_tolerance * target.spread()
+        tol_abs = _INIT_TOLERANCE * target.spread()
         ladder = _initial_lambda(system, line, tol_abs, judge if "global" in branches else None, config.q)
         halvings, capped = ladder.halvings, ladder.capped
         done = {}

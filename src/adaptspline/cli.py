@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .adapt import AdaptConfig, FitReport, fit
-from .bench import mrise_study, study_preset, study_rows_to_csv, study_rows_to_json
+from .adapt import AdaptConfig, fit
+from .bench import StudyConfig, bumps, mrise_study, rupcar, sine, study_preset
+from .bench import study_rows_to_csv, study_rows_to_json
 from .multiscale import calibrate_tau, sigma_hat
 from .splines import PenaltyMatrix, Sample
 from .variants import ScaleRegionSpec, clean_outliers, scale_fit
@@ -61,7 +63,7 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _prepare_sample(t_raw: np.ndarray, y: np.ndarray, rescale: bool):
     """Validate the abscissae, optionally mapping them affinely onto [0, 1].
 
-    Returns the sample plus the transform (offset, scale) with
+    Returns the sample plus the transform {"offset", "scale"} with
     t_internal = (t_raw - offset) / scale, or None without rescaling.
     """
     if np.any(np.diff(t_raw) <= 0):
@@ -73,25 +75,54 @@ def _prepare_sample(t_raw: np.ndarray, y: np.ndarray, rescale: bool):
             raise CliError("cannot rescale: t range is empty")
         t = (t_raw - offset) / scale
         t[0], t[-1] = 0.0, 1.0
-        return Sample(t, y), (offset, scale)
+        return Sample(t, y), {"offset": offset, "scale": scale}
     if t_raw[0] < 0.0 or t_raw[-1] > 1.0:
         raise CliError("t values fall outside [0, 1]; pass --rescale to map them affinely")
     return Sample(t_raw, y), None
 
 
-def _adapt_config(args) -> AdaptConfig:
-    return AdaptConfig(
-        q=args.q,
-        tau=args.tau,
-        max_iterations=args.max_iter,
-        sigma=args.sigma,
-    )
+def _write_outputs(args, kind: str, json_suffix: str, columns: dict, doc: dict) -> None:
+    """Write the table <base>.<kind>.csv and the report <base><json_suffix>.
+
+    The base is --output, else the input path without its suffix.  The
+    report names the table under "<kind>_csv".
+    """
+    base = Path(args.output) if args.output else Path(args.input).with_suffix("")
+    csv_path = base.with_suffix(f".{kind}.csv")
+    json_path = base.with_suffix(json_suffix)
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in zip(*columns.values()):
+            writer.writerow([repr(float(v)) for v in row])
+    doc[f"{kind}_csv"] = str(csv_path)
+    with open(json_path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {csv_path} and {json_path}")
 
 
-def _report_json(report: FitReport, extra: dict) -> dict:
+def _cmd_fit(args) -> int:
+    """fit, and robust: the same fit after clean_outliers at the raw-data sigma."""
+    t_raw, y = _read_xy_csv(args.input)
+    sample, rescale = _prepare_sample(t_raw, y, args.rescale)
+    config = AdaptConfig(q=args.q, tau=args.tau, max_iterations=args.max_iter, sigma=args.sigma)
+    extra = {}
+    if args.command == "robust":
+        sigma = config.sigma if config.sigma is not None else sigma_hat(sample)
+        sample, mask = clean_outliers(sample, sigma)
+        extra["replaced_indices"] = np.flatnonzero(mask).tolist()
+    report = fit(sample, config)
+    fit_ = report.final_fit
+    d1 = fit_(sample.t, 1)
+    d2 = fit_(sample.t, 2)
+    if rescale is not None:
+        scale = rescale["scale"]
+        d1 = d1 / scale          # derivatives with respect to the raw abscissa
+        d2 = d2 / (scale * scale)
     weights = report.final_weights
     doc = {
-        "n": report.final_fit.knots.size,
+        "n": fit_.knots.size,
         "sigma_used": report.sigma_used,
         "tau": report.tau,
         "threshold_used": report.threshold_used,
@@ -106,103 +137,28 @@ def _report_json(report: FitReport, extra: dict) -> dict:
         "start_capped": report.start_capped,
         "lambda_min": float(weights.min()) if weights is not None else None,
         "lambda_max": float(weights.max()) if weights is not None else None,
-        "trace": [
-            {
-                "max_abs_w": e.max_abs_w,
-                "violations": e.violations,
-                "lambda_min": e.lambda_min,
-                "lambda_max": e.lambda_max,
-                "roughness": e.roughness,
-            }
-            for e in report.trace
-        ],
+        "trace": [dataclasses.asdict(e) for e in report.trace],
+        "input": str(args.input),
+        "rescale": rescale,
+        "derivative_units": "raw abscissa" if rescale is not None else "unit interval",
+        **extra,
     }
-    doc.update(extra)
-    return doc
-
-
-def _write_fit_outputs(args, sample: Sample, report: FitReport, transform, extra: dict) -> None:
-    base = Path(args.output) if args.output else Path(args.input).with_suffix("")
-    fit_ = report.final_fit
-    t_internal = sample.t
-    d1 = fit_(t_internal, 1)
-    d2 = fit_(t_internal, 2)
-    if transform is not None:
-        offset, scale = transform
-        t_out = offset + scale * t_internal
-        d1 = d1 / scale          # derivatives with respect to the raw abscissa
-        d2 = d2 / (scale * scale)
-    else:
-        t_out = t_internal
-    lam = report.final_weights if report.final_weights is not None else np.zeros(sample.n)
-
-    csv_path = base.with_suffix(".fit.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "fit", "d1", "d2", "lambda"])
-        for row in zip(t_out, fit_.values, d1, d2, lam):
-            writer.writerow([repr(float(v)) for v in row])
-
-    doc = _report_json(
-        report,
-        {
-            "input": str(args.input),
-            "rescale": None if transform is None else {"offset": transform[0], "scale": transform[1]},
-            "derivative_units": "raw abscissa" if transform is not None else "unit interval",
-            "fit_csv": str(csv_path),
-            **extra,
-        },
-    )
-    json_path = base.with_suffix(".report.json")
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
+    lam = weights if weights is not None else np.zeros(sample.n)
+    columns = {"t": t_raw, "fit": fit_.values, "d1": d1, "d2": d2, "lambda": lam}
+    _write_outputs(args, "fit", ".report.json", columns, doc)
     if args.plot_data:
         with open(args.plot_data, "w") as fh:
             fh.write("# t y fit d1 d2\n")
-            for row in zip(t_out, sample.y, fit_.values, d1, d2):
+            for row in zip(t_raw, sample.y, fit_.values, d1, d2):
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-    print(f"wrote {csv_path} and {json_path}")
-
-
-def _cmd_fit(args) -> int:
-    t_raw, y = _read_xy_csv(args.input)
-    sample, transform = _prepare_sample(t_raw, y, args.rescale)
-    config = _adapt_config(args)
-    extra = {}
-    if args.robust:
-        sigma = config.sigma if config.sigma is not None else sigma_hat(sample)
-        sample, mask = clean_outliers(sample, sigma)
-        extra["replaced_indices"] = np.flatnonzero(mask).tolist()
-    report = fit(sample, config)
-    _write_fit_outputs(args, sample, report, transform, extra)
     return EXIT_TRUNCATED if report.truncated else EXIT_OK
-
-
-def _cmd_robust(args) -> int:
-    args.robust = True
-    return _cmd_fit(args)
 
 
 def _cmd_scale(args) -> int:
     t_raw, y = _read_xy_csv(args.input)
-    sample, transform = _prepare_sample(t_raw, y, args.rescale)
+    sample, rescale = _prepare_sample(t_raw, y, args.rescale)
     spec = ScaleRegionSpec.for_size(sample.n, args.alpha_n)
-    config = AdaptConfig(q=args.q, max_iterations=args.max_iter)
-    result = scale_fit(sample, spec, config)
-
-    base = Path(args.output) if args.output else Path(args.input).with_suffix("")
-    sv = result.scale_values()
-    t_out = t_raw
-    lam = result.weights if result.weights is not None else np.zeros(sample.n)
-    csv_path = base.with_suffix(".scale.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "scale", "lambda"])
-        for row in zip(t_out, sv, lam):
-            writer.writerow([repr(float(v)) for v in row])
+    result = scale_fit(sample, spec, AdaptConfig(q=args.q, max_iterations=args.max_iter))
     doc = {
         "input": str(args.input),
         "n": sample.n,
@@ -217,14 +173,11 @@ def _cmd_scale(args) -> int:
         "start_halvings": result.start_halvings,
         "start_capped": result.start_capped,
         "roughness": result.s.roughness,
-        "scale_csv": str(csv_path),
-        "rescale": None if transform is None else {"offset": transform[0], "scale": transform[1]},
+        "rescale": rescale,
     }
-    json_path = base.with_suffix(".scale.json")
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {csv_path} and {json_path}")
+    lam = result.weights if result.weights is not None else np.zeros(sample.n)
+    columns = {"t": t_raw, "scale": result.scale_values(), "lambda": lam}
+    _write_outputs(args, "scale", ".scale.json", columns, doc)
     return EXIT_TRUNCATED if (result.truncated or result.degenerate) else EXIT_OK
 
 
@@ -254,15 +207,11 @@ def _cmd_simulate(args) -> int:
             estimator=args.estimator,
         )
     else:
-        from .bench import bumps, rupcar, sine
-
         functions = {"rupcar": rupcar(6), "bumps": bumps(), "sine": sine()}
         if args.function not in functions:
             raise CliError(f"unknown function {args.function!r}; choose from {sorted(functions)}")
         if args.sigma is None:
             raise CliError("--sigma is required when no --preset is given")
-        from .bench import StudyConfig
-
         config = StudyConfig(
             function=functions[args.function],
             sigma=args.sigma,
@@ -297,15 +246,12 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+def _add_data_flags(p: argparse.ArgumentParser, max_iter: int) -> None:
     p.add_argument("input", help="CSV file with two numeric columns t,y")
     p.add_argument("--output", "-o", help="output base path (default: input stem)")
-    p.add_argument("--tau", type=float, default=3.0, help="threshold constant (default 3)")
     p.add_argument("--q", type=float, default=2.0, help="weight growth factor (default 2)")
-    p.add_argument("--max-iter", type=int, default=200, help="iteration budget (default 200)")
-    p.add_argument("--sigma", type=float, default=None, help="fixed noise scale (default: estimated)")
+    p.add_argument("--max-iter", type=int, default=max_iter, help=f"iteration budget (default {max_iter})")
     p.add_argument("--rescale", action="store_true", help="map [min t, max t] affinely onto [0, 1]")
-    p.add_argument("--plot-data", metavar="PATH", help="also write a gnuplot-ready whitespace table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,22 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="fit a CSV dataset")
-    _add_fit_flags(p)
-    p.add_argument("--robust", action="store_true", help="replace running-median outliers first")
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("robust", help="outlier-cleaned fit (fit --robust)")
-    _add_fit_flags(p)
-    p.set_defaults(handler=_cmd_robust)
+    for name, help_ in (("fit", "fit a CSV dataset"), ("robust", "replace running-median outliers, then fit")):
+        p = sub.add_parser(name, help=help_)
+        _add_data_flags(p, max_iter=200)
+        p.add_argument("--tau", type=float, default=3.0, help="threshold constant (default 3)")
+        p.add_argument("--sigma", type=float, default=None, help="fixed noise scale (default: estimated)")
+        p.add_argument("--plot-data", metavar="PATH", help="also write a gnuplot-ready whitespace table")
+        p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("scale", help="heteroscedastic scale fit for mean-zero data")
-    p.add_argument("input", help="CSV file with two numeric columns t,y")
-    p.add_argument("--output", "-o", help="output base path (default: input stem)")
+    _add_data_flags(p, max_iter=400)
     p.add_argument("--alpha-n", type=float, default=None, help="per-interval coverage (default 1-n^-1.5)")
-    p.add_argument("--q", type=float, default=2.0, help="weight growth factor (default 2)")
-    p.add_argument("--max-iter", type=int, default=400, help="iteration budget (default 400)")
-    p.add_argument("--rescale", action="store_true", help="map [min t, max t] affinely onto [0, 1]")
     p.set_defaults(handler=_cmd_scale)
 
     p = sub.add_parser("calibrate", help="calibrate the threshold constant tau by simulation")

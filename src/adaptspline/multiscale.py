@@ -173,8 +173,11 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
     """Test whether fitted values lie in the residual confidence region.
 
     Passes iff |w| <= threshold on every interval of the family; the report
-    lists the violating intervals sorted by |w| descending.
+    lists the violating intervals sorted by |w| descending.  The threshold
+    depends on n, so ``spec.n`` must be the size of the sample.
     """
+    if spec.n != sample.n:
+        raise ValueError(f"spec is for n = {spec.n}, the sample has n = {sample.n}")
     w = all_w_stats(sample, fit_values, family)
     thr = spec.threshold
     aw = np.abs(w)

@@ -21,6 +21,7 @@ provides a smoother fallback exactly as in the mean procedure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,16 @@ def clean_outliers(sample: Sample, sigma: float) -> tuple[Sample, np.ndarray]:
     a fixed point of both, so cleaning is idempotent.  Samples shorter
     than seven points get the five-point sweep only.
 
-    ``sigma`` should be the noise scale of the raw data; the cleaned
-    sample carries it as ``Sample.sigma`` so that ``fit`` uses it too.
+    ``sigma`` should be the noise scale of the raw data and must be
+    positive and finite (at sigma = 0 every point would count as an
+    outlier); the cleaned sample carries it as ``Sample.sigma`` so that
+    ``fit`` uses it too.
     """
     n = sample.n
     if n < 5:
         raise ValueError("need at least 5 data points")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError("sigma must be a positive finite number")
     sweeps = [_running_median5]
     if n >= CLUSTER_WINDOW:
         sweeps.append(_running_median_cluster)

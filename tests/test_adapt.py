@@ -42,10 +42,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(q=1.0), dict(max_iterations=0), dict(init_tolerance=0.0), dict(sigma=-1.0), dict(tau=0.0)]
+        [dict(q=1.0), dict(max_iterations=0), dict(sigma=-1.0), dict(tau=0.0)]
         + [
             {field: value}
-            for field in ("q", "tau", "max_iterations", "init_tolerance", "sigma")
+            for field in ("q", "tau", "max_iterations", "sigma")
             for value in (math.nan, math.inf)
         ],
     )
@@ -297,12 +297,13 @@ class TestSharedStart:
 
 
 class TestStartWeightReport:
-    def test_cap_is_reported(self):
+    def test_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(adapt_module, "_INIT_TOLERANCE", 1e-300)
         s = make_dataset(sine(2), 64, 0.1, seed=[804, 0])
-        r = fit(s, AdaptConfig(init_tolerance=1e-300))
+        r = fit(s)
         assert r.start_capped is True
         assert r.start_halvings == 60
-        assert fit_local(s, AdaptConfig(init_tolerance=1e-300)).start_capped is True
+        assert fit_local(s).start_capped is True
 
     def test_default_fit_converges(self):
         r = fit(bumps_hi(400))

@@ -16,6 +16,14 @@ def write_csv(path, t, y, header=None):
             fh.write(f"{float(a)!r},{float(b)!r}\n")
 
 
+FIT_REPORT_KEYS = {
+    "n", "sigma_used", "tau", "threshold_used", "passed", "truncated", "iterations",
+    "chosen_branch", "roughness", "roughness_local", "roughness_global", "start_halvings",
+    "start_capped", "lambda_min", "lambda_max", "trace", "input", "rescale",
+    "derivative_units", "fit_csv",
+}
+
+
 @pytest.fixture
 def noisy_csv(tmp_path):
     n = 200
@@ -55,6 +63,18 @@ class TestFitCommand:
 
     def test_seed_flag_removed(self, noisy_csv, capsys):
         assert main(["fit", str(noisy_csv), "--seed", "1"]) == 2
+
+    def test_robust_flag_removed(self, noisy_csv, tmp_path, capsys):
+        # the robust fit has one entry point: the robust subcommand
+        assert main(["fit", str(noisy_csv), "--robust"]) == 2
+        assert not (tmp_path / "data.report.json").exists()
+
+    def test_report_keys(self, noisy_csv, tmp_path):
+        assert main(["fit", str(noisy_csv)]) == 0
+        doc = json.loads((tmp_path / "data.report.json").read_text())
+        assert set(doc) == FIT_REPORT_KEYS
+        assert list(doc["trace"][0]) == ["max_abs_w", "violations", "lambda_min", "lambda_max", "roughness"]
+        assert doc["fit_csv"] == str(tmp_path / "data.fit.csv")
 
     def test_roughness_round_trip(self, noisy_csv, tmp_path):
         assert main(["fit", str(noisy_csv)]) == 0
@@ -100,6 +120,15 @@ class TestFitCommand:
         t_out = np.array([float(r[0]) for r in rows])
         np.testing.assert_allclose(t_out, t, atol=1e-12)  # original units preserved
 
+    def test_rescaled_table_carries_input_t(self, tmp_path):
+        # mapping back through offset + scale * t would miss some of these by 1 ulp
+        t = np.sort(np.random.default_rng(7).uniform(0.3, 7.7, 500))
+        path = tmp_path / "wide.csv"
+        write_csv(path, t, np.sin(t))
+        assert main(["fit", str(path), "--rescale"]) == 0
+        rows = list(csv.reader((tmp_path / "wide.fit.csv").open()))[1:]
+        assert [float(r[0]) for r in rows] == t.tolist()
+
     def test_truncation_exit_3(self, tmp_path):
         n = 100
         t = np.arange(1, n + 1) / n
@@ -129,19 +158,27 @@ class TestRobustCommand:
         assert len(doc["replaced_indices"]) > 0
         assert (tmp_path / "cauchy.fit.csv").exists()
 
-    def test_fit_robust_flag_equivalent(self, tmp_path):
+    def test_report_keys(self, tmp_path):
         n = 400
         t = np.arange(1, n + 1) / n
-        rng = np.random.default_rng(33)
-        y = np.sin(2 * np.pi * t) + 0.3 * rng.standard_cauchy(n)
+        y = np.sin(2 * np.pi * t) + 0.3 * np.random.default_rng(33).standard_cauchy(n)
         write_csv(tmp_path / "a.csv", t, y)
-        write_csv(tmp_path / "b.csv", t, y)
         assert main(["robust", str(tmp_path / "a.csv")]) == 0
-        assert main(["fit", str(tmp_path / "b.csv"), "--robust"]) == 0
-        a = json.loads((tmp_path / "a.report.json").read_text())
-        b = json.loads((tmp_path / "b.report.json").read_text())
-        assert a["roughness"] == b["roughness"]
-        assert a["replaced_indices"] == b["replaced_indices"]
+        doc = json.loads((tmp_path / "a.report.json").read_text())
+        assert set(doc) == FIT_REPORT_KEYS | {"replaced_indices"}
+
+    def test_zero_sigma_exit_2_without_outputs(self, tmp_path, capsys):
+        n = 400
+        t = np.arange(1, n + 1) / n
+        y = 2.0 * np.sin(2 * np.pi * t) + 0.1 * np.random.default_rng(3).standard_normal(n)
+        write_csv(tmp_path / "a.csv", t, y)
+        assert main(["robust", str(tmp_path / "a.csv"), "--sigma", "0"]) == 2
+        assert "sigma" in capsys.readouterr().err
+        # integer responses: most consecutive differences are 0, so sigma_hat is 0
+        write_csv(tmp_path / "b.csv", t, np.round(y))
+        assert sigma_hat(Sample(t, np.round(y))) == 0.0
+        assert main(["robust", str(tmp_path / "b.csv")]) == 2
+        assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.fit.csv"))
 
     def test_fit_uses_the_raw_data_sigma(self, tmp_path):
         n = 400
@@ -184,6 +221,20 @@ class TestScaleCommand:
         assert doc["start_capped"] is False
         assert isinstance(doc["start_halvings"], int) and 0 < doc["start_halvings"] < 60
         assert doc["start_halvings"] == scale_fit(Sample(t, y)).start_halvings
+
+    def test_report_keys(self, tmp_path):
+        n = 256
+        t = np.arange(1, n + 1) / n
+        path = tmp_path / "vol.csv"
+        write_csv(path, t, np.random.default_rng(23).standard_normal(n))
+        assert main(["scale", str(path)]) == 0
+        doc = json.loads((tmp_path / "vol.scale.json").read_text())
+        assert set(doc) == {
+            "input", "n", "passed", "truncated", "degenerate", "iterations", "chosen_branch",
+            "coverage", "floor", "pinned_intervals", "start_halvings", "start_capped",
+            "roughness", "scale_csv", "rescale",
+        }
+        assert doc["scale_csv"] == str(tmp_path / "vol.scale.csv")
 
     def test_degenerate_zero_input_exit_3(self, tmp_path):
         n = 64

@@ -194,6 +194,13 @@ class TestInRegion:
             assert rep.passed == (brute <= spec.threshold)
             assert rep.max_abs_w == pytest.approx(brute, rel=1e-12)
 
+    def test_spec_for_another_n_rejected(self, rng):
+        # RegionSpec(1, 3, 5) would judge n = 400 at threshold 2.197, not 4.240
+        n = 400
+        s = Sample(np.arange(1, n + 1) / n, rng.normal(size=n))
+        with pytest.raises(ValueError, match="n = 5"):
+            in_region(s, np.zeros(n), dyadic_family(n), RegionSpec(1.0, 3.0, 5))
+
 
 class TestCalibrateTau:
     def test_deterministic_given_seed(self):

@@ -397,18 +397,20 @@ class TestWideWeightSpread:
     60-digit ones on a grid of weights spanning up to 20 decades.
     """
 
-    def test_local_fit(self):
+    def test_local_fit(self, monkeypatch):
+        monkeypatch.setattr(adaptspline.adapt, "_INIT_TOLERANCE", 1e-300)
         s = make_dataset(rupcar(6), 64, 0.05, seed=[804, 0])
-        r = fit_local(s, AdaptConfig(init_tolerance=1e-300))
+        r = fit_local(s)
         assert r.start_capped
         assert np.isfinite(r.final_fit.values).all()
 
-    def test_scale_fit(self):
+    def test_scale_fit(self, monkeypatch):
+        monkeypatch.setattr(adaptspline.adapt, "_INIT_TOLERANCE", 1e-300)
         n = 256
         t = np.arange(1, n + 1) / n
         z = np.random.default_rng([904, 0]).standard_normal(n)
         r = scale_fit(Sample(t, np.sin(4 * np.pi * t) ** 2 * z),
-                      config=AdaptConfig(init_tolerance=1e-300, max_iterations=400))
+                      config=AdaptConfig(max_iterations=400))
         assert r.start_capped
         assert np.isfinite(r.s.values).all()
 

@@ -92,6 +92,12 @@ class TestCleanOutliers:
         with pytest.raises(ValueError):
             clean_outliers(Sample([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]), 1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_needs_positive_finite_sigma(self, sigma):
+        # at sigma = 0 every point would be an outlier and all n sweeps would run
+        with pytest.raises(ValueError, match="sigma"):
+            clean_outliers(grid_sample(400, np.sin(np.linspace(0, 3, 400))), sigma)
+
 
 class TestChisqQuantile:
     def test_two_degrees_closed_form(self):
