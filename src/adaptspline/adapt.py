@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiscale import RegionSpec, dyadic_family, in_region, sigma_hat
+from .multiscale import RegionSpec, _w_test, dyadic_family, sigma_hat
 from .splines import Sample, SplineFit, SplineSystem, affine_fit, prepare_system, solve_weighted
 
 __all__ = [
@@ -78,8 +78,8 @@ class AdaptConfig:
             raise ValueError("tau must be a positive finite number")
         if not (math.isfinite(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a finite number of at least 1")
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("sigma must be a nonnegative finite number")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("sigma must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,11 @@ def _adapt(target: Sample, test, sweep, config: AdaptConfig, branches=("local", 
 
 
 def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
-    """The mean fit: the w-test over the dyadic family, one sweep group."""
+    """The mean fit: the w-test over the dyadic family, one sweep group.
+
+    Raises ``ValueError`` when the noise scale is 0: at threshold 0 no
+    noisy fit passes, and the loop would only spend its budget.
+    """
     config = config or AdaptConfig()
     if config.sigma is not None:
         sigma = float(config.sigma)
@@ -312,15 +316,19 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
         sigma = sample.sigma
     else:
         sigma = sigma_hat(sample)
+    if sigma == 0.0:
+        source = "the sample's sigma" if sample.sigma is not None else "sigma_hat of the sample"
+        raise ValueError(f"noise scale is 0 ({source}); pass a positive sigma")
     spec = RegionSpec(sigma=sigma, tau=config.tau, n=sample.n)
     family = dyadic_family(sample.n)
+    root_sizes = np.sqrt(family.sizes)
+    threshold = spec.threshold
 
     def test(fit_: SplineFit, weights):
-        report = in_region(sample, fit_.values, family, spec)
+        passed, max_abs, _, bad = _w_test(sample.y - fit_.values, family, root_sizes, threshold)
         w = np.asarray(weights)
-        record = TraceEntry(report.max_abs_w, len(report.violation_w), float(w.min()), float(w.max()),
-                            fit_.roughness)
-        return report.passed, report.violation_lo, report.violation_hi, record
+        record = TraceEntry(max_abs, bad.size, float(w.min()), float(w.max()), fit_.roughness)
+        return passed, family.lo[bad], family.hi[bad], record
 
     run = _adapt(sample, test, (None,), config, branches)
     both = {}

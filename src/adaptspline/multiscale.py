@@ -108,12 +108,26 @@ def w_stat(sample: Sample, fit_values, interval) -> float:
     return float(np.sum(r) / math.sqrt(hi - lo + 1))
 
 
+def _w_test(residual: np.ndarray, family: IntervalFamily, root_sizes: np.ndarray, threshold: float):
+    """The w statistics of a residual vector and their verdict at ``threshold``.
+
+    The one formula for w.  ``root_sizes`` is ``np.sqrt(family.sizes)``,
+    computed once per family or per fit by the caller.  Returns
+    ``(passed, max_abs_w, w, bad)``: ``bad`` indexes the violating
+    intervals in family order, unsorted.
+    """
+    w = family.sums(residual) / root_sizes
+    aw = np.abs(w)
+    max_abs = float(aw.max())
+    return max_abs <= threshold, max_abs, w, np.flatnonzero(aw > threshold)
+
+
 def all_w_stats(sample: Sample, fit_values, family: IntervalFamily) -> np.ndarray:
     """Vector of w statistics, one per interval of the family."""
     g = np.asarray(fit_values, dtype=float)
     if g.shape != (sample.n,):
         raise ValueError("fit values must match the sample size")
-    return family.sums(sample.y - g) / np.sqrt(family.sizes)
+    return _w_test(sample.y - g, family, np.sqrt(family.sizes), math.inf)[2]
 
 
 def sigma_hat(sample: Sample) -> float:
@@ -153,7 +167,13 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Outcome of a membership test, violations sorted by |w| descending."""
+    """Outcome of a membership test, violations sorted by |w| descending.
+
+    ``in_region`` builds it for callers that want the violations listed.
+    The adaptive fits of ``adapt`` do not: their test reads the verdict,
+    max |w| and the violating intervals from the same computation without
+    sorting or copying them into a report.
+    """
 
     passed: bool
     threshold: float
@@ -174,23 +194,24 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
 
     Passes iff |w| <= threshold on every interval of the family; the report
     lists the violating intervals sorted by |w| descending.  The threshold
-    depends on n, so ``spec.n`` must be the size of the sample.
+    depends on n, so ``spec.n`` must be the size of the sample.  The
+    adaptive fits run the same test without building this report.
     """
     if spec.n != sample.n:
         raise ValueError(f"spec is for n = {spec.n}, the sample has n = {sample.n}")
-    w = all_w_stats(sample, fit_values, family)
+    g = np.asarray(fit_values, dtype=float)
+    if g.shape != (sample.n,):
+        raise ValueError("fit values must match the sample size")
     thr = spec.threshold
-    aw = np.abs(w)
-    max_abs = float(aw.max())
-    bad = np.flatnonzero(aw > thr)
-    order = bad[np.argsort(-aw[bad], kind="stable")]
+    passed, max_abs, w, bad = _w_test(sample.y - g, family, np.sqrt(family.sizes), thr)
+    order = bad[np.argsort(-np.abs(w[bad]), kind="stable")]
     return RegionReport(
-        passed=max_abs <= thr,
+        passed=passed,
         threshold=thr,
         max_abs_w=max_abs,
-        violation_lo=family.lo[order].copy(),
-        violation_hi=family.hi[order].copy(),
-        violation_w=w[order].copy(),
+        violation_lo=family.lo[order],
+        violation_hi=family.hi[order],
+        violation_w=w[order],
     )
 
 

@@ -22,9 +22,11 @@ LAPACK ``dgbtrf`` / ``dgbtrs`` (partial pivoting) solve it in O(n) time
 and memory.
 
 Only the entries Q/lambda change with the weights.  ``prepare_system``
-builds the rest once, and ``solve_weighted`` takes that system in place of
-the sample, so the many solves of one adaptive fit share it.  A system
-that is not finite raises ``ValueError``, a singular factorization
+builds the rest once, as the 2-D LAPACK band array, and ``solve_weighted``
+takes that system in place of the sample, so the many solves of one
+adaptive fit share it.  Each solve copies the band and writes Q/lambda onto
+three of its rows (plus one entry for g_1), then factors the copy in place.
+A system that is not finite raises ``ValueError``, a singular factorization
 ``RuntimeError``.
 """
 
@@ -279,19 +281,20 @@ class SplineSystem:
     """The weight-free part of the augmented spline system of one sample.
 
     Holds the design points t, the spacings h, the coefficients (a, b, c)
-    of Q as rows of ``q``, the LAPACK band storage of the matrix (flattened
-    in column order) with every weight-free entry filled in, the flat
-    positions ``q_at`` of the entries Q/lambda, and the right-hand side.
-    ``solve_weighted`` accepts it in place of the sample, so that the
-    solves of one fit build this once.  Build it with ``prepare_system``
-    and keep it for one fit.
+    of Q as rows of ``q``, the LAPACK band storage of the matrix (a
+    Fortran-ordered ``_LDAB`` x (2n - 2) array) with every weight-free
+    entry filled in and zeros where Q/lambda goes, and the right-hand side.
+    Column j of Q sits in band column 2j + 2 (the unknown gamma_j), its
+    entries a, b, c on band rows 3, 5 and 7, except that the entry of g_1
+    sits on row 4.  ``solve_weighted`` accepts the system in place of the
+    sample, so that the solves of one fit build this once.  Build it with
+    ``prepare_system`` and keep it for one fit.
     """
 
     t: np.ndarray
     h: np.ndarray
     q: np.ndarray
     band: np.ndarray
-    q_at: np.ndarray
     rhs: np.ndarray
 
     @property
@@ -325,22 +328,22 @@ def prepare_system(sample: Sample) -> SplineSystem:
     gp = np.concatenate(([0], np.arange(1, 2 * n - 2, 2)))  # where g_i sits
     cp = np.arange(2, 2 * n - 2, 2)  # where gamma_j sits
 
-    def at(row, col):
-        return (_KL + _KU + row - col) + _LDAB * col
+    band = np.zeros((_LDAB, 2 * n - 2), order="F")
 
-    band = np.zeros(_LDAB * (2 * n - 2))
-    band[at(gp, gp)] = 1.0
+    def put(row, col, value):
+        band[_KL + _KU + row - col, col] = value
+
+    put(gp, gp, 1.0)
     for k in range(3):
-        band[at(cp, gp[k:k + n - 2])] = q[k]
-    band[at(cp, cp)] = -r_main
-    band[at(cp[:-1], cp[1:])] = -r_off
-    band[at(cp[1:], cp[:-1])] = -r_off
+        put(cp, gp[k:k + n - 2], q[k])
+    put(cp, cp, -r_main)
+    put(cp[:-1], cp[1:], -r_off)
+    put(cp[1:], cp[:-1], -r_off)
     if not np.isfinite(band).all():
         raise ValueError("spline system is not finite; the design points are too close")
-    q_at = np.array([at(gp[k:k + n - 2], cp) for k in range(3)])
     rhs = np.zeros(2 * n - 2)
     rhs[gp] = y
-    return SplineSystem(t, h, q, band, q_at, rhs)
+    return SplineSystem(t, h, q, band, rhs)
 
 
 def _singular() -> RuntimeError:
@@ -351,8 +354,8 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     """Minimize the weighted smoothing criterion exactly.
 
     Solves the augmented system of the module docstring: one copy of the
-    band of ``sample`` takes the entries Q/lambda, ``dgbtrf`` factors it
-    and ``dgbtrs`` solves.
+    band of ``sample`` takes the entries Q/lambda on its rows, ``dgbtrf``
+    factors it in place and ``dgbtrs`` solves.
 
     Parameters
     ----------
@@ -379,21 +382,33 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     """
     system = sample if isinstance(sample, SplineSystem) else prepare_system(sample)
     n = system.n
-    d = 1.0 / check_weights(weights, n)
-    qd = system.q * (d[:-2], d[1:-1], d[2:])
-    if not np.isfinite(qd).all():
+    lam = np.asarray(weights, dtype=float)
+    # fast path for valid weights (NaN fails min() > 0); check_weights
+    # raises with the exact message otherwise
+    if lam.shape != (n,) or not (lam.min() > 0.0 and lam.max() < math.inf):
+        lam = check_weights(lam, n)
+    d = 1.0 / lam
+    q = system.q
+    ab = system.band.copy(order="F")
+    # Q/lambda in place of the zeros prepare_system left (see SplineSystem)
+    np.multiply(q[0, 1:], d[1:-2], out=ab[3, 4::2])
+    ab[4, 2] = q[0, 0] * d[0]
+    np.multiply(q[1], d[1:-1], out=ab[5, 2::2])
+    np.multiply(q[2], d[2:], out=ab[7, 2::2])
+    if not (np.isfinite(ab[3:8:2, 2::2]).all() and math.isfinite(ab[4, 2])):
         raise ValueError("weighted spline system is not finite; the weights are out of range")
-    ab = system.band.copy()
-    ab[system.q_at] = qd
-    lu, piv, info = dgbtrf(ab.reshape((_LDAB, -1), order="F"), _KL, _KU, overwrite_ab=1)
+    lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
         raise _singular()
     x, info = dgbtrs(lu, _KL, _KU, system.rhs, piv)
     if info != 0:
         raise _singular()
+    g = np.empty(n)
+    g[0] = x[0]
+    g[1:] = x[1::2]
     c = np.zeros(n)
     c[1:-1] = x[2::2]
-    return SplineFit(system.t.copy(), np.concatenate((x[:1], x[1::2])), c, _roughness(system.h, c))
+    return SplineFit(system.t.copy(), g, c, _roughness(system.h, c))
 
 
 def evaluate(fit: SplineFit, x, order: int = 0):

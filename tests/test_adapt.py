@@ -17,6 +17,7 @@ from adaptspline import (
     in_region,
     make_dataset,
     rupcar,
+    sigma_hat,
     sine,
     solve_weighted,
     RegionSpec,
@@ -47,7 +48,8 @@ class TestConfig:
             {field: value}
             for field in ("q", "tau", "max_iterations", "sigma")
             for value in (math.nan, math.inf)
-        ],
+        ]
+        + [dict(sigma=0.0)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -294,6 +296,64 @@ class TestSharedStart:
             "_initial_lambda": 1,
             "solve_weighted": (k + 1) + local.iterations + glob.iterations,
         }
+
+
+class TestTraceViolations:
+    @pytest.mark.parametrize("max_iterations", [2, 200])
+    @pytest.mark.parametrize("run", [fit_local, fit_global])
+    @pytest.mark.parametrize("make", [bumps_hi, rupcar_hi])
+    def test_last_entry_counts_the_region_report(self, make, run, max_iterations):
+        s = make(400)
+        r = run(s, AdaptConfig(max_iterations=max_iterations))
+        rep = in_region(s, r.final_fit.values, dyadic_family(s.n), RegionSpec(r.sigma_used, r.tau, s.n))
+        last = r.trace[-1]
+        assert last.violations == len(rep.violations)
+        assert last.max_abs_w == rep.max_abs_w
+        assert r.passed == rep.passed
+
+    def test_accepted_line(self):
+        t = np.linspace(0.0, 1.0, 50)
+        s = Sample(t, 2.0 - t + 1e-3 * np.sin(7.0 * t))
+        r = fit(s)
+        rep = in_region(s, r.final_fit.values, dyadic_family(s.n), RegionSpec(r.sigma_used, r.tau, s.n))
+        assert len(r.trace) == 1 and r.trace[0].violations == len(rep.violations) == 0
+
+
+class TestZeroSigma:
+    """A noise scale of 0 is rejected before any solve, whatever its source."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_weighted(*args, **kwargs)
+
+        monkeypatch.setattr(adapt_module, "solve_weighted", counting)
+        return calls
+
+    @pytest.mark.parametrize("run", [fit, fit_local, fit_global])
+    def test_sample_sigma_zero(self, run, solves):
+        s = make_dataset(sine(), 500, 0.1, seed=[807, 0])
+        with pytest.raises(ValueError, match="noise scale is 0"):
+            run(Sample(s.t, s.y, sigma=0.0))
+        assert solves == []
+
+    @pytest.mark.parametrize("run", [fit, fit_local, fit_global])
+    def test_sigma_hat_zero(self, run, solves):
+        # integer responses and a constant: most consecutive differences are 0
+        s = make_dataset(sine(), 500, 0.1, seed=[807, 0])
+        for y in (np.round(s.y), np.full(s.n, 3.0)):
+            flat = Sample(s.t, y)
+            assert sigma_hat(flat) == 0.0
+            with pytest.raises(ValueError, match="sigma_hat"):
+                run(flat)
+        assert solves == []
+
+    def test_config_sigma_zero(self):
+        with pytest.raises(ValueError, match="positive"):
+            AdaptConfig(sigma=0.0)
 
 
 class TestStartWeightReport:

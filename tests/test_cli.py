@@ -138,6 +138,20 @@ class TestFitCommand:
         # an unreachable region: tiny fixed sigma and a budget of one round
         assert main(["fit", str(path), "--sigma", "1e-9", "--max-iter", "1"]) == 3
 
+    def test_zero_sigma_exit_2_without_outputs(self, tmp_path, capsys):
+        n = 500
+        t = np.arange(1, n + 1) / n
+        y = 2.0 * np.sin(2 * np.pi * t) + 0.3 * np.random.default_rng(4).standard_normal(n)
+        write_csv(tmp_path / "a.csv", t, y)
+        assert main(["fit", str(tmp_path / "a.csv"), "--sigma", "0"]) == 2
+        assert "sigma" in capsys.readouterr().err
+        # integer responses: sigma_hat is 0
+        write_csv(tmp_path / "b.csv", t, np.round(y))
+        assert sigma_hat(Sample(t, np.round(y))) == 0.0
+        assert main(["fit", str(tmp_path / "b.csv")]) == 2
+        assert "noise scale is 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.fit.csv"))
+
     def test_deterministic_outputs(self, noisy_csv, tmp_path):
         assert main(["fit", str(noisy_csv)]) == 0
         first = (tmp_path / "data.fit.csv").read_bytes()

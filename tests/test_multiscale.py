@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from adaptspline import (
+    SIGMA_PRESETS,
+    AdaptConfig,
     IntervalFamily,
     RegionSpec,
     Sample,
     all_w_stats,
+    bumps,
     calibrate_tau,
     dyadic_family,
+    fit_global,
+    fit_local,
     in_region,
+    make_dataset,
     min_detectable_delta,
+    rupcar,
     sigma_hat,
     w_stat,
 )
+from adaptspline.multiscale import _w_test
 
 
 class TestDyadicFamily:
@@ -200,6 +208,49 @@ class TestInRegion:
         s = Sample(np.arange(1, n + 1) / n, rng.normal(size=n))
         with pytest.raises(ValueError, match="n = 5"):
             in_region(s, np.zeros(n), dyadic_family(n), RegionSpec(1.0, 3.0, 5))
+
+
+def assert_core_matches_in_region(sample, values, spec):
+    fam = dyadic_family(sample.n)
+    passed, max_abs, w, bad = _w_test(sample.y - values, fam, np.sqrt(fam.sizes), spec.threshold)
+    rep = in_region(sample, values, fam, spec)
+    assert passed == rep.passed
+    assert max_abs == rep.max_abs_w
+    assert np.array_equal(w, all_w_stats(sample, values, fam))
+    assert bad.size == len(rep.violations)
+    assert set(zip(fam.lo[bad].tolist(), fam.hi[bad].tolist())) == {(lo, hi) for lo, hi, _ in rep.violations}
+    return rep
+
+
+class TestWTestCore:
+    """The engine's test reads the same verdict, max |w| and violations as ``in_region``."""
+
+    @pytest.mark.parametrize("max_iterations", [2, 200])
+    @pytest.mark.parametrize("run", [fit_local, fit_global])
+    @pytest.mark.parametrize("name", ["bumps", "rupcar"])
+    def test_fits_from_real_runs(self, name, run, max_iterations):
+        fn = bumps() if name == "bumps" else rupcar(6)
+        s = make_dataset(fn, 400, SIGMA_PRESETS[f"{name}-hi"], seed=[56, 400])
+        report = run(s, AdaptConfig(max_iterations=max_iterations))
+        spec = RegionSpec(report.sigma_used, report.tau, s.n)
+        rep = assert_core_matches_in_region(s, report.final_fit.values, spec)
+        assert rep.passed == report.passed
+        # a cut-off run ends on a fit with violations to compare
+        assert report.passed or len(rep.violations) > 0
+
+    def test_max_equal_to_threshold(self):
+        # one residual of exactly the threshold: the singleton [1, 1] has
+        # |w| = threshold, which passes; one ulp more fails on that interval alone
+        n = 64
+        spec = RegionSpec(0.7, 3.0, n)
+        y = np.zeros(n)
+        y[0] = spec.threshold
+        s = Sample(np.arange(1, n + 1) / n, y)
+        rep = assert_core_matches_in_region(s, np.zeros(n), spec)
+        assert rep.passed and rep.max_abs_w == spec.threshold and rep.violations == []
+        y[0] = np.nextafter(spec.threshold, np.inf)
+        rep = assert_core_matches_in_region(Sample(s.t, y), np.zeros(n), spec)
+        assert not rep.passed and [(lo, hi) for lo, hi, _ in rep.violations] == [(1, 1)]
 
 
 class TestCalibrateTau:

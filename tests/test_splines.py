@@ -323,17 +323,46 @@ class TestSolveWeighted:
         np.testing.assert_allclose(shifted.values, base.values + 4.0 - 2.5 * t, atol=1e-9)
         assert shifted.roughness == pytest.approx(base.roughness, abs=1e-9, rel=1e-9)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_rejects_bad_weights(self, bad):
         s = Sample([0.1, 0.5, 0.9], [1.0, 2.0, 3.0])
         weights = np.array([1.0, bad, 1.0])
-        with pytest.raises(ValueError):
+        message = "strictly positive" if np.isfinite(bad) else "must be finite"
+        with pytest.raises(ValueError, match=message):
             solve_weighted(s, weights)
+        with pytest.raises(ValueError, match=message):
+            solve_weighted(prepare_system(s), weights)
 
     def test_weight_shape_checked(self):
         s = Sample([0.1, 0.5, 0.9], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
             solve_weighted(s, np.ones(4))
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            solve_weighted(prepare_system(s), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_matches_dense_augmented_solve(self, n, rng):
+        # the system of the module docstring, assembled densely here:
+        # g + diag(1/lam) Q gamma = y and Q^T g - R gamma = 0.  At n = 3 the
+        # only column of Q is the one whose g_1 entry sits on its own band row
+        t = jittered_design(n, rng)
+        y = rng.normal(size=n)
+        lam = 10.0 ** rng.uniform(-3, 3, n)
+        h = np.diff(t)
+        q = np.zeros((n, n - 2))
+        r = np.zeros((n - 2, n - 2))
+        for j in range(n - 2):
+            q[j, j], q[j + 1, j], q[j + 2, j] = 1 / h[j], -1 / h[j] - 1 / h[j + 1], 1 / h[j + 1]
+            r[j, j] = (h[j] + h[j + 1]) / 3
+            if j + 1 < n - 2:
+                r[j, j + 1] = r[j + 1, j] = h[j + 1] / 6
+        a = np.block([[np.eye(n), q / lam[:, None]], [q.T, -r]])
+        x = np.linalg.solve(a, np.concatenate((y, np.zeros(n - 2))))
+        fit = solve_weighted(Sample(t, y), lam)
+        np.testing.assert_allclose(fit.values, x[:n], rtol=0, atol=1e-12 * np.ptp(y))
+        scale = np.max(np.abs(x[n:]))
+        np.testing.assert_allclose(fit.second_derivs[1:-1], x[n:], rtol=0, atol=1e-11 * scale)
+        assert fit.second_derivs[0] == fit.second_derivs[-1] == 0.0
 
 
 class TestPreparedSystem:
@@ -359,7 +388,7 @@ class TestPreparedSystem:
     def test_weights_beyond_double_range_raise(self):
         # 1/1e-310 overflows, so the system has infinite entries
         s = Sample(np.linspace(0.0, 1.0, 50), np.sin(np.arange(50.0)))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             solve_weighted(s, np.full(50, 1e-310))
 
     def test_spacing_beyond_double_range_raises(self):
