@@ -185,10 +185,8 @@ def _initial_lambda(
 
 def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Boolean mask of points lying in at least one of the intervals."""
-    steps = np.zeros(n + 1)
-    np.add.at(steps, lo - 1, 1.0)
-    np.add.at(steps, hi, -1.0)
-    return np.cumsum(steps[:-1]) > 0.0
+    steps = np.bincount(lo - 1, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
+    return np.cumsum(steps[:-1]) > 0
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,21 @@ adaptive fit share it.  Each solve copies the band and writes Q/lambda onto
 three of its rows (plus one entry for g_1), then factors the copy in place.
 A system that is not finite raises ``ValueError``, a singular factorization
 ``RuntimeError``.
+
+An equal-weight system depends only on t and the weight, so the replicates
+of a simulation study on one grid factor the same matrices again and again.
+Inside the private scope ``_shared_design`` (entered by
+``bench.mrise_study`` once per sample size) every sample on the scope's grid
+shares one design, which keeps the LU factors of each equal weight it has
+solved; a later equal-weight solve at that weight runs ``dgbtrs`` only.
+Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,6 +299,13 @@ class SplineSystem:
     sits on row 4.  ``solve_weighted`` accepts the system in place of the
     sample, so that the solves of one fit build this once.  Build it with
     ``prepare_system`` and keep it for one fit.
+
+    ``factors`` maps an equal weight to the ``(lu, piv)`` that ``dgbtrf``
+    returned for it.  It is ``None`` unless the system was prepared inside
+    a ``_shared_design`` scope; there, every system on the scope's grid
+    shares h, q, band and this table with the scope's first system, and
+    holds its own t and right-hand side.  Each entry takes 168 (n - 1)
+    bytes and lives until the scope ends.
     """
 
     t: np.ndarray
@@ -296,6 +313,7 @@ class SplineSystem:
     q: np.ndarray
     band: np.ndarray
     rhs: np.ndarray
+    factors: dict | None = None
 
     @property
     def n(self) -> int:
@@ -307,13 +325,37 @@ class SplineSystem:
 _KL = _KU = 3
 _LDAB = 2 * _KL + _KU + 1
 
+# The design of the innermost _shared_design scope: a one-slot list that
+# holds the first system prepared in the scope, or None before that.
+_DESIGN: ContextVar[list | None] = ContextVar("adaptspline_design", default=None)
+
+
+@contextmanager
+def _shared_design():
+    """Share one spline design, and its equal-weight LU factors, between the
+    samples on one grid prepared inside this scope.
+
+    The first system prepared in the scope becomes its design; a later
+    sample whose t equals the design's reuses its h, q, band and factor
+    table.  The factors are dropped when the scope ends, however it ends.
+    A reused factor is the output of the same ``dgbtrf`` on the same bytes,
+    so the fits are bit-identical to those made outside a scope.
+    """
+    token = _DESIGN.set([None])
+    try:
+        yield
+    finally:
+        _DESIGN.reset(token)
+
 
 def prepare_system(sample: Sample) -> SplineSystem:
     """The weight-free part of the augmented spline system for ``sample``.
 
     The unknowns are ordered g_1, g_2, gamma_1, g_3, gamma_2, ...,
     gamma_{n-2}, g_n, so that no row reaches more than three places from
-    its diagonal.
+    its diagonal.  Inside a ``_shared_design`` scope, a sample on the
+    scope's grid gets a system that shares the design's band and factor
+    table (see ``SplineSystem``).
 
     Raises
     ------
@@ -322,10 +364,18 @@ def prepare_system(sample: Sample) -> SplineSystem:
     """
     t, y = sample.t, sample.y
     n = t.size
+    gp = np.concatenate(([0], np.arange(1, 2 * n - 2, 2)))  # where g_i sits
+    rhs = np.zeros(2 * n - 2)
+    rhs[gp] = y
+    scope = _DESIGN.get()
+    design = None if scope is None else scope[0]
+    if design is not None:
+        if np.array_equal(design.t, t):
+            return SplineSystem(t, design.h, design.q, design.band, rhs, design.factors)
+        scope = None  # another grid: a system of its own that keeps nothing
     h = np.diff(t)
     q = np.array(_q_coeffs(h))
     r_main, r_off = _r_bands(h)
-    gp = np.concatenate(([0], np.arange(1, 2 * n - 2, 2)))  # where g_i sits
     cp = np.arange(2, 2 * n - 2, 2)  # where gamma_j sits
 
     band = np.zeros((_LDAB, 2 * n - 2), order="F")
@@ -341,13 +391,31 @@ def prepare_system(sample: Sample) -> SplineSystem:
     put(cp[1:], cp[:-1], -r_off)
     if not np.isfinite(band).all():
         raise ValueError("spline system is not finite; the design points are too close")
-    rhs = np.zeros(2 * n - 2)
-    rhs[gp] = y
-    return SplineSystem(t, h, q, band, rhs)
+    if scope is None:
+        return SplineSystem(t, h, q, band, rhs)
+    scope[0] = SplineSystem(t, h, q, band, rhs, {})
+    return scope[0]
 
 
 def _singular() -> RuntimeError:
     return RuntimeError("weighted spline system is numerically singular")
+
+
+def _factor(system: SplineSystem, d: np.ndarray):
+    """``dgbtrf`` of the system with the entries Q/lambda for d = 1/lambda."""
+    q = system.q
+    ab = system.band.copy(order="F")
+    # Q/lambda in place of the zeros prepare_system left (see SplineSystem)
+    np.multiply(q[0, 1:], d[1:-2], out=ab[3, 4::2])
+    ab[4, 2] = q[0, 0] * d[0]
+    np.multiply(q[1], d[1:-1], out=ab[5, 2::2])
+    np.multiply(q[2], d[2:], out=ab[7, 2::2])
+    if not (np.isfinite(ab[3:8:2, 2::2]).all() and math.isfinite(ab[4, 2])):
+        raise ValueError("weighted spline system is not finite; the weights are out of range")
+    lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
+    if info != 0:
+        raise _singular()
+    return lu, piv
 
 
 def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
@@ -355,7 +423,10 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
 
     Solves the augmented system of the module docstring: one copy of the
     band of ``sample`` takes the entries Q/lambda on its rows, ``dgbtrf``
-    factors it in place and ``dgbtrs`` solves.
+    factors it in place and ``dgbtrs`` solves.  When the system has a
+    factor table (see ``SplineSystem``) and all weights are equal, a weight
+    already in the table runs ``dgbtrs`` only, and a new one is stored once
+    it has factored without error.
 
     Parameters
     ----------
@@ -385,21 +456,19 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     lam = np.asarray(weights, dtype=float)
     # fast path for valid weights (NaN fails min() > 0); check_weights
     # raises with the exact message otherwise
-    if lam.shape != (n,) or not (lam.min() > 0.0 and lam.max() < math.inf):
-        lam = check_weights(lam, n)
-    d = 1.0 / lam
-    q = system.q
-    ab = system.band.copy(order="F")
-    # Q/lambda in place of the zeros prepare_system left (see SplineSystem)
-    np.multiply(q[0, 1:], d[1:-2], out=ab[3, 4::2])
-    ab[4, 2] = q[0, 0] * d[0]
-    np.multiply(q[1], d[1:-1], out=ab[5, 2::2])
-    np.multiply(q[2], d[2:], out=ab[7, 2::2])
-    if not (np.isfinite(ab[3:8:2, 2::2]).all() and math.isfinite(ab[4, 2])):
-        raise ValueError("weighted spline system is not finite; the weights are out of range")
-    lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
-    if info != 0:
-        raise _singular()
+    if lam.shape != (n,):
+        check_weights(lam, n)
+    low, high = lam.min(), lam.max()
+    if not (low > 0.0 and high < math.inf):
+        check_weights(lam, n)
+    table = system.factors
+    if table is not None and low == high:
+        key = float(low)
+        if key not in table:
+            table[key] = _factor(system, 1.0 / lam)
+        lu, piv = table[key]
+    else:
+        lu, piv = _factor(system, 1.0 / lam)
     x, info = dgbtrs(lu, _KL, _KU, system.rhs, piv)
     if info != 0:
         raise _singular()

@@ -1,7 +1,12 @@
-"""Shared test oracles, kept independent of the library internals."""
+"""Shared test oracles, kept independent of the library internals, and
+fixtures that count the library's LAPACK calls."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
+
+import adaptspline.splines
 
 
 def dense_penalty(t):
@@ -41,3 +46,27 @@ def jittered_design(n, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def count_lapack(monkeypatch):
+    """Count the band factorizations and solves the spline solver runs.
+
+    Replaces ``splines.dgbtrf`` and ``splines.dgbtrs`` with wrappers that
+    count their calls; the fixture's value is a ``Counter`` keyed by those
+    two names.
+    """
+    counts = Counter()
+
+    def counting(name):
+        real = getattr(adaptspline.splines, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("dgbtrf", "dgbtrs"):
+        monkeypatch.setattr(adaptspline.splines, name, counting(name))
+    return counts

@@ -375,3 +375,19 @@ class TestStartWeightReport:
         t = np.linspace(0.0, 1.0, 50)
         r = fit(Sample(t, 1.0 + t))
         assert (r.start_halvings, r.start_capped) == (0, False)
+
+
+class TestCoveredMask:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_union(self, seed):
+        rng = np.random.default_rng([805, seed])
+        n = int(rng.integers(1, 40))
+        lo = rng.integers(1, n + 1, size=int(rng.integers(1, 12)))
+        hi = np.array([rng.integers(a, n + 1) for a in lo])
+        # duplicates, and an interval that ends at the last point
+        lo = np.concatenate((lo, lo[:2], [n]))
+        hi = np.concatenate((hi, hi[:2], [n]))
+        expected = np.zeros(n, dtype=bool)
+        for a, b in zip(lo, hi):
+            expected[a - 1:b] = True
+        assert np.array_equal(adapt_module._covered_mask(n, lo, hi), expected)

@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
+import adaptspline.adapt as adapt_module
 from adaptspline import (
     SIGMA_PRESETS,
+    Sample,
     StudyConfig,
     affine_fit,
     bumps,
+    clean_outliers,
     custom_function,
+    fit,
     make_dataset,
     mrise_study,
+    prepare_system,
     rise,
     rupcar,
+    scale_fit,
+    sigma_hat,
     sine,
     solve_weighted,
     study_preset,
@@ -209,3 +216,60 @@ class TestStudy:
             StudyConfig(function=sine(), sigma=1.0, estimator="pspl")
         with pytest.raises(ValueError):
             StudyConfig(function=sine(), sigma=math.nan)
+
+    @pytest.mark.parametrize(
+        "n_grid", [(), (400.0,), (400, 2), (True, 400), 400, (np.float64(64),), ("64",)]
+    )
+    def test_rejects_grids_it_cannot_run(self, n_grid):
+        with pytest.raises(ValueError, match="n_grid must be a non-empty sequence of integers >= 3"):
+            StudyConfig(function=sine(), sigma=1.0, n_grid=n_grid)
+
+    @pytest.mark.parametrize("replicates", [0, 2.5, True, np.float64(3), "3"])
+    def test_rejects_replicates_it_cannot_run(self, replicates):
+        with pytest.raises(ValueError, match="replicates must be an integer >= 1"):
+            StudyConfig(function=sine(), sigma=1.0, replicates=replicates)
+
+    def test_accepts_integer_grids(self, tmp_path):
+        config = StudyConfig(function=sine(), sigma=1.0, n_grid=[3, np.int64(64)], replicates=np.int64(2))
+        assert config.n_grid == (3, 64) and config.replicates == 2
+        rows = mrise_study(config)
+        assert [row["n"] for row in rows] == [3, 3, 3, 64, 64, 64]
+        study_rows_to_json(rows, tmp_path / "study.json")
+
+
+class TestSharedDesignInStudies:
+    """``mrise_study`` factors each equal-weight system once per sample size."""
+
+    def test_fewer_factorizations_than_solves(self, count_lapack):
+        mrise_study(study_preset("bumps-hi", n_grid=(400,), replicates=8, seed=5))
+        assert 0 < count_lapack["dgbtrf"] < count_lapack["dgbtrs"]
+
+    def test_global_only_factors_each_weight_once_per_size(self, count_lapack, monkeypatch):
+        solved = []
+
+        def recording(system, weights):
+            solved.append((system.n, float(weights[0])))
+            assert np.all(weights == weights[0])
+            return solve_weighted(system, weights)
+
+        monkeypatch.setattr(adapt_module, "solve_weighted", recording)
+        config = study_preset("rupcar-hi", n_grid=(64, 128), replicates=4, seed=5, estimator="global-only")
+        mrise_study(config)
+        assert count_lapack["dgbtrs"] == len(solved)
+        assert count_lapack["dgbtrf"] == len(set(solved)) < len(solved)
+
+    def test_fits_outside_a_study_keep_nothing(self, monkeypatch):
+        systems = []
+
+        def recording(sample):
+            systems.append(prepare_system(sample))
+            return systems[-1]
+
+        monkeypatch.setattr(adapt_module, "prepare_system", recording)
+        data = make_dataset(sine(), 200, 0.3, noise="cauchy", seed=[6, 0])
+        fit(data)
+        fit(clean_outliers(data, sigma_hat(data))[0])
+        t = np.arange(1, 257) / 256
+        scale_fit(Sample(t, np.sin(4 * np.pi * t) ** 2 * np.random.default_rng(6).standard_normal(256)))
+        assert len(systems) == 3
+        assert all(system.factors is None for system in systems)

@@ -21,6 +21,7 @@ from adaptspline import (
     scale_fit,
     solve_weighted,
 )
+from adaptspline.splines import _shared_design as shared_design
 
 from conftest import dense_penalty, dense_weighted_fit, jittered_design
 
@@ -416,6 +417,74 @@ class TestPreparedSystem:
         s = Sample(np.linspace(0.0, 1.0, 8), np.sin(np.arange(8.0)))
         with pytest.raises(RuntimeError, match="numerically singular"):
             solve_weighted(s, np.ones(8))
+
+
+class TestSharedDesign:
+    """Samples on one grid inside a ``_shared_design`` scope share the
+    equal-weight LU factors; the fits stay bit-equal to fresh solves."""
+
+    @staticmethod
+    def samples(n, count=2):
+        t = np.arange(1, n + 1) / n
+        return [Sample(t, np.random.default_rng([41, n, k]).standard_normal(n)) for k in range(count)]
+
+    @pytest.mark.parametrize("n", [3, 4, 400])
+    def test_hit_equals_fresh_solve(self, n, count_lapack):
+        first, second = self.samples(n)
+        lam = np.full(n, 0.37)
+        with shared_design():
+            solve_weighted(prepare_system(first), lam)
+            system = prepare_system(second)
+            assert system.factors is not None and list(system.factors) == [0.37]
+            hit = solve_weighted(system, lam)
+        assert count_lapack == {"dgbtrf": 1, "dgbtrs": 2}
+        fresh = solve_weighted(second, lam)
+        assert np.array_equal(hit.values, fresh.values)
+        assert np.array_equal(hit.second_derivs, fresh.second_derivs)
+        assert hit.roughness == fresh.roughness
+        assert np.array_equal(hit.knots, second.t)
+
+    def test_other_grid_shares_nothing(self):
+        a, b = self.samples(50)
+        other = Sample(jittered_design(50, np.random.default_rng(3)), b.y)
+        with shared_design():
+            design = prepare_system(a)
+            apart = prepare_system(other)
+            again = prepare_system(b)
+        assert apart.factors is None and apart.band is not design.band
+        assert again.factors is design.factors and again.band is design.band
+        assert again.t is b.t and not np.array_equal(again.rhs, design.rhs)
+
+    def test_nothing_kept_after_the_scope(self):
+        (sample,) = self.samples(20, 1)
+        assert prepare_system(sample).factors is None
+        with shared_design():
+            assert prepare_system(sample).factors == {}
+        assert prepare_system(sample).factors is None
+        with pytest.raises(KeyError), shared_design():
+            solve_weighted(prepare_system(sample), np.ones(20))
+            raise KeyError("leave the scope by an exception")
+        assert prepare_system(sample).factors is None
+
+    def test_unequal_weights_leave_the_table_alone(self, count_lapack):
+        a, b = self.samples(30)
+        lam = np.linspace(0.5, 2.0, 30)
+        with shared_design():
+            solve_weighted(prepare_system(a), np.full(30, 2.0))
+            system = prepare_system(b)
+            entry = system.factors[2.0]
+            solve_weighted(system, lam)
+            solve_weighted(system, lam)
+            assert list(system.factors) == [2.0] and system.factors[2.0] is entry
+        assert count_lapack["dgbtrf"] == 3
+
+    def test_overflowing_equal_weight_stores_nothing(self):
+        (sample,) = self.samples(50, 1)
+        with shared_design():
+            system = prepare_system(sample)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+                solve_weighted(system, np.full(50, 1e-310))
+            assert system.factors == {}
 
 
 class TestWideWeightSpread:
