@@ -32,6 +32,7 @@ compute on their own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ _MAX_HALVINGS = 60
 # The start search stops once the equal-weight fit is this close to the
 # least squares line, relative to the data spread, in sup norm.
 _INIT_TOLERANCE = 1e-3
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,8 @@ class AdaptConfig:
             raise ValueError("q must be a finite number above 1")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError("tau must be a positive finite number")
-        if not (math.isfinite(self.max_iterations) and self.max_iterations >= 1):
-            raise ValueError("max_iterations must be a finite number of at least 1")
+        if not _is_count(self.max_iterations, 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be a positive finite number")
 
@@ -100,8 +106,9 @@ class FitReport:
     ``iterations`` counts weight bumps; the trace has one entry per
     examined fit starting with the least squares line (recorded with
     lambda 0).  ``final_weights`` is None when the line itself was
-    accepted.  On truncation the final fit is the last one examined and
-    ``passed`` is False.  The start weight is 2**-``start_halvings``;
+    accepted.  On truncation the final fit is the last one examined,
+    ``passed`` is False and ``truncated``, which is always ``not passed``,
+    is True.  The start weight is 2**-``start_halvings``;
     ``start_capped`` is True when its search stopped at the cap of 60
     halvings with the fit still farther from the least squares line than
     ``_INIT_TOLERANCE`` allows.  Both stay 0 / False when the line itself
@@ -116,7 +123,6 @@ class FitReport:
     threshold_used: float
     tau: float
     passed: bool
-    truncated: bool
     chosen_branch: str
     roughness_local: float | None = None
     roughness_global: float | None = None
@@ -128,6 +134,10 @@ class FitReport:
     @property
     def roughness(self) -> float:
         return self.final_fit.roughness
+
+    @property
+    def truncated(self) -> bool:
+        return not self.passed
 
 
 def _ls_line(sample: Sample) -> SplineFit:
@@ -348,7 +358,6 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
         threshold_used=spec.threshold,
         tau=config.tau,
         passed=chosen.passed,
-        truncated=not chosen.passed,
         chosen_branch=chosen.name,
         start_halvings=run.halvings,
         start_capped=run.capped,

@@ -14,13 +14,12 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .adapt import fit, fit_global
+from .adapt import _is_count, fit, fit_global
 from .splines import Sample, SplineFit, _shared_design, evaluate
 
 __all__ = [
@@ -202,11 +201,6 @@ def _rise_against(truth: np.ndarray, x: np.ndarray, fit_: SplineFit, order: int)
     return float(np.sqrt(np.trapezoid(diff * diff, x)))
 
 
-def _is_count(value, least: int) -> bool:
-    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """Configuration of one simulation study run."""
@@ -248,8 +242,9 @@ def mrise_study(config: StudyConfig) -> list[dict]:
     (``splines._shared_design``): each equal-weight system is factored
     once per sample size, and later replicates reuse its LU factors.  The
     fits are bit-identical to fits made one at a time.  The factors are
-    dropped before the next sample size; they take 168 (n - 1) bytes per
-    distinct equal weight the replicates solve.
+    dropped before the next sample size, and a sample size keeps at most
+    ``splines._FACTOR_BUDGET`` (32 MiB) of them; past that, an equal weight
+    not yet kept is factored at each solve, as outside a study.
     """
     runner = fit if config.estimator == "wss" else fit_global
     # the truth on the RISE grid is the same for every replicate

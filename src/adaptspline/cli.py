@@ -198,28 +198,20 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    shared = dict(n_grid=tuple(args.n_grid), replicates=args.replicates, seed=args.seed, estimator=args.estimator)
     if args.preset:
-        config = study_preset(
-            args.preset,
-            n_grid=tuple(args.n_grid),
-            replicates=args.replicates,
-            seed=args.seed,
-            estimator=args.estimator,
-        )
+        for flag, value in (("--sigma", args.sigma), ("--function", args.function)):
+            if value is not None:
+                raise CliError(f"{flag} cannot be combined with --preset, which sets it")
+        config = study_preset(args.preset, **shared)
     else:
         functions = {"rupcar": rupcar(6), "bumps": bumps(), "sine": sine()}
-        if args.function not in functions:
-            raise CliError(f"unknown function {args.function!r}; choose from {sorted(functions)}")
+        name = args.function or "rupcar"
+        if name not in functions:
+            raise CliError(f"unknown function {name!r}; choose from {sorted(functions)}")
         if args.sigma is None:
             raise CliError("--sigma is required when no --preset is given")
-        config = StudyConfig(
-            function=functions[args.function],
-            sigma=args.sigma,
-            n_grid=tuple(args.n_grid),
-            replicates=args.replicates,
-            seed=args.seed,
-            estimator=args.estimator,
-        )
+        config = StudyConfig(function=functions[name], sigma=args.sigma, **shared)
     rows = mrise_study(config)
     out = Path(args.output) if args.output else Path("mrise_study.csv")
     study_rows_to_csv(rows, out)
@@ -283,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the median-RISE simulation study")
     p.add_argument("--preset", choices=["rupcar-lo", "rupcar-hi", "bumps-lo", "bumps-hi"])
-    p.add_argument("--function", default="rupcar", help="signal when no preset: rupcar|bumps|sine")
+    p.add_argument("--function", help="signal when no preset: rupcar|bumps|sine (default rupcar)")
     p.add_argument("--sigma", type=float, default=None, help="noise level when no preset")
     p.add_argument("--n-grid", type=int, nargs="+", default=[400, 800, 1600, 3200])
     p.add_argument("--replicates", type=int, default=100)

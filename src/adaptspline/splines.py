@@ -22,10 +22,10 @@ LAPACK ``dgbtrf`` / ``dgbtrs`` (partial pivoting) solve it in O(n) time
 and memory.
 
 Only the entries Q/lambda change with the weights.  ``prepare_system``
-builds the rest once, as the 2-D LAPACK band array, and ``solve_weighted``
-takes that system in place of the sample, so the many solves of one
-adaptive fit share it.  Each solve copies the band and writes Q/lambda onto
-three of its rows (plus one entry for g_1), then factors the copy in place.
+builds the matrix once at unit weight, as the 2-D LAPACK band array, and
+``solve_weighted`` takes that system in place of the sample, so the many
+solves of one adaptive fit share it.  Each solve copies the band, scales
+the three rows that hold Q by 1/lambda, then factors the copy in place.
 A system that is not finite raises ``ValueError``, a singular factorization
 ``RuntimeError``.
 
@@ -34,8 +34,8 @@ of a simulation study on one grid factor the same matrices again and again.
 Inside the private scope ``_shared_design`` (entered by
 ``bench.mrise_study`` once per sample size) every sample on the scope's grid
 shares one design, which keeps the LU factors of each equal weight it has
-solved; a later equal-weight solve at that weight runs ``dgbtrs`` only.
-Outside a scope nothing is kept.
+solved, up to a fixed memory budget; a later equal-weight solve at a kept
+weight runs ``dgbtrs`` only.  Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -288,29 +288,28 @@ def build_penalty(sample: Sample) -> PenaltyMatrix:
 
 @dataclass(frozen=True)
 class SplineSystem:
-    """The weight-free part of the augmented spline system of one sample.
+    """The augmented spline system of one sample, at unit weight.
 
-    Holds the design points t, the spacings h, the coefficients (a, b, c)
-    of Q as rows of ``q``, the LAPACK band storage of the matrix (a
-    Fortran-ordered ``_LDAB`` x (2n - 2) array) with every weight-free
-    entry filled in and zeros where Q/lambda goes, and the right-hand side.
-    Column j of Q sits in band column 2j + 2 (the unknown gamma_j), its
-    entries a, b, c on band rows 3, 5 and 7, except that the entry of g_1
-    sits on row 4.  ``solve_weighted`` accepts the system in place of the
-    sample, so that the solves of one fit build this once.  Build it with
-    ``prepare_system`` and keep it for one fit.
+    Holds the design points t, the spacings h, the LAPACK band storage of
+    the matrix with all weights 1 (a Fortran-ordered ``_LDAB`` x 2n array)
+    and the right-hand side, in the order of ``prepare_system``.  The
+    column of an interior gamma_j holds the column of Q for knot j, its
+    entries a, b, c on band rows 3, 5 and 7; ``solve_weighted`` scales them
+    by 1/lambda of g_{j-1}, g_j and g_{j+1}.  It accepts the system in
+    place of the sample, so that the solves of one fit build this once.
+    Build it with ``prepare_system`` and keep it for one fit.
 
     ``factors`` maps an equal weight to the ``(lu, piv)`` that ``dgbtrf``
     returned for it.  It is ``None`` unless the system was prepared inside
     a ``_shared_design`` scope; there, every system on the scope's grid
-    shares h, q, band and this table with the scope's first system, and
-    holds its own t and right-hand side.  Each entry takes 168 (n - 1)
-    bytes and lives until the scope ends.
+    shares h, band and this table with the scope's first system, and holds
+    its own t and right-hand side.  Each entry takes 168 n bytes and lives
+    until the scope ends; the table stops taking entries at
+    ``_FACTOR_BUDGET`` bytes.
     """
 
     t: np.ndarray
     h: np.ndarray
-    q: np.ndarray
     band: np.ndarray
     rhs: np.ndarray
     factors: dict | None = None
@@ -325,6 +324,9 @@ class SplineSystem:
 _KL = _KU = 3
 _LDAB = 2 * _KL + _KU + 1
 
+# Bytes of LU factors one _shared_design scope keeps at most.
+_FACTOR_BUDGET = 32 << 20
+
 # The design of the innermost _shared_design scope: a one-slot list that
 # holds the first system prepared in the scope, or None before that.
 _DESIGN: ContextVar[list | None] = ContextVar("adaptspline_design", default=None)
@@ -336,7 +338,7 @@ def _shared_design():
     samples on one grid prepared inside this scope.
 
     The first system prepared in the scope becomes its design; a later
-    sample whose t equals the design's reuses its h, q, band and factor
+    sample whose t equals the design's reuses its h, band and factor
     table.  The factors are dropped when the scope ends, however it ends.
     A reused factor is the output of the same ``dgbtrf`` on the same bytes,
     so the fits are bit-identical to those made outside a scope.
@@ -349,13 +351,15 @@ def _shared_design():
 
 
 def prepare_system(sample: Sample) -> SplineSystem:
-    """The weight-free part of the augmented spline system for ``sample``.
+    """The augmented spline system for ``sample``, at unit weight.
 
-    The unknowns are ordered g_1, g_2, gamma_1, g_3, gamma_2, ...,
-    gamma_{n-2}, g_n, so that no row reaches more than three places from
-    its diagonal.  Inside a ``_shared_design`` scope, a sample on the
-    scope's grid gets a system that shares the design's band and factor
-    table (see ``SplineSystem``).
+    The unknowns are ordered g_1, gamma_1, g_2, gamma_2, ..., g_n, gamma_n.
+    The natural boundary values gamma_1 = gamma_n = 0 are two identity rows
+    with nothing else in their rows and columns, so they solve to exactly 0;
+    no row reaches more than three places from its diagonal, and a solution
+    x reads g = x[::2], gamma = x[1::2].  Inside a ``_shared_design`` scope,
+    a sample on the scope's grid gets a system that shares the design's
+    band and factor table (see ``SplineSystem``).
 
     Raises
     ------
@@ -364,37 +368,37 @@ def prepare_system(sample: Sample) -> SplineSystem:
     """
     t, y = sample.t, sample.y
     n = t.size
-    gp = np.concatenate(([0], np.arange(1, 2 * n - 2, 2)))  # where g_i sits
-    rhs = np.zeros(2 * n - 2)
-    rhs[gp] = y
+    rhs = np.zeros(2 * n)
+    rhs[::2] = y
     scope = _DESIGN.get()
     design = None if scope is None else scope[0]
     if design is not None:
         if np.array_equal(design.t, t):
-            return SplineSystem(t, design.h, design.q, design.band, rhs, design.factors)
+            return SplineSystem(t, design.h, design.band, rhs, design.factors)
         scope = None  # another grid: a system of its own that keeps nothing
     h = np.diff(t)
-    q = np.array(_q_coeffs(h))
     r_main, r_off = _r_bands(h)
-    cp = np.arange(2, 2 * n - 2, 2)  # where gamma_j sits
+    gp = np.arange(0, 2 * n, 2)  # where g_i sits
+    cp = np.arange(3, 2 * n - 2, 2)  # where the interior gamma_j sit
 
-    band = np.zeros((_LDAB, 2 * n - 2), order="F")
+    band = np.zeros((_LDAB, 2 * n), order="F")
 
     def put(row, col, value):
         band[_KL + _KU + row - col, col] = value
 
-    put(gp, gp, 1.0)
-    for k in range(3):
-        put(cp, gp[k:k + n - 2], q[k])
+    band[_KL + _KU] = 1.0  # the diagonal of g and of the pinned gamma_1, gamma_n
+    for k, qk in enumerate(_q_coeffs(h)):
+        put(gp[k:k + n - 2], cp, qk)
+        put(cp, gp[k:k + n - 2], qk)
     put(cp, cp, -r_main)
     put(cp[:-1], cp[1:], -r_off)
     put(cp[1:], cp[:-1], -r_off)
     if not np.isfinite(band).all():
         raise ValueError("spline system is not finite; the design points are too close")
-    if scope is None:
-        return SplineSystem(t, h, q, band, rhs)
-    scope[0] = SplineSystem(t, h, q, band, rhs, {})
-    return scope[0]
+    system = SplineSystem(t, h, band, rhs, None if scope is None else {})
+    if scope is not None:
+        scope[0] = system
+    return system
 
 
 def _singular() -> RuntimeError:
@@ -402,15 +406,13 @@ def _singular() -> RuntimeError:
 
 
 def _factor(system: SplineSystem, d: np.ndarray):
-    """``dgbtrf`` of the system with the entries Q/lambda for d = 1/lambda."""
-    q = system.q
+    """``dgbtrf`` of the system with Q scaled by d = 1/lambda."""
     ab = system.band.copy(order="F")
-    # Q/lambda in place of the zeros prepare_system left (see SplineSystem)
-    np.multiply(q[0, 1:], d[1:-2], out=ab[3, 4::2])
-    ab[4, 2] = q[0, 0] * d[0]
-    np.multiply(q[1], d[1:-1], out=ab[5, 2::2])
-    np.multiply(q[2], d[2:], out=ab[7, 2::2])
-    if not (np.isfinite(ab[3:8:2, 2::2]).all() and math.isfinite(ab[4, 2])):
+    q = ab[3:8:2, 3:-2:2]  # the columns of Q (see SplineSystem)
+    q[0] *= d[:-2]
+    q[1] *= d[1:-1]
+    q[2] *= d[2:]
+    if not np.isfinite(q).all():
         raise ValueError("weighted spline system is not finite; the weights are out of range")
     lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
@@ -422,11 +424,11 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     """Minimize the weighted smoothing criterion exactly.
 
     Solves the augmented system of the module docstring: one copy of the
-    band of ``sample`` takes the entries Q/lambda on its rows, ``dgbtrf``
+    band of ``sample`` has its entries of Q scaled by 1/lambda, ``dgbtrf``
     factors it in place and ``dgbtrs`` solves.  When the system has a
     factor table (see ``SplineSystem``) and all weights are equal, a weight
     already in the table runs ``dgbtrs`` only, and a new one is stored once
-    it has factored without error.
+    it has factored without error, if the table stays within its budget.
 
     Parameters
     ----------
@@ -461,23 +463,19 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     low, high = lam.min(), lam.max()
     if not (low > 0.0 and high < math.inf):
         check_weights(lam, n)
-    table = system.factors
-    if table is not None and low == high:
-        key = float(low)
-        if key not in table:
-            table[key] = _factor(system, 1.0 / lam)
+    table = system.factors if low == high else None
+    key = float(low)
+    if table is not None and key in table:
         lu, piv = table[key]
     else:
         lu, piv = _factor(system, 1.0 / lam)
+        if table is not None and (len(table) + 1) * (lu.nbytes + piv.nbytes) <= _FACTOR_BUDGET:
+            table[key] = lu, piv
     x, info = dgbtrs(lu, _KL, _KU, system.rhs, piv)
     if info != 0:
         raise _singular()
-    g = np.empty(n)
-    g[0] = x[0]
-    g[1:] = x[1::2]
-    c = np.zeros(n)
-    c[1:-1] = x[2::2]
-    return SplineFit(system.t.copy(), g, c, _roughness(system.h, c))
+    c = x[1::2]
+    return SplineFit(system.t.copy(), x[::2], c, _roughness(system.h, c))
 
 
 def evaluate(fit: SplineFit, x, order: int = 0):

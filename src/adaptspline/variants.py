@@ -188,7 +188,8 @@ class ScaleFit:
     it is used as a divisor.  ``pinned_intervals`` counts family intervals
     whose lower band cannot be met even at the floor (the data there are
     essentially zero); these are exempt from enforcement, and an input
-    that pins everything is flagged ``degenerate``.  ``start_halvings``
+    that pins everything is flagged ``degenerate``.  ``truncated`` is True
+    when a fit that is not degenerate did not pass.  ``start_halvings``
     and ``start_capped`` report the start-weight search as ``FitReport``
     does; both stay 0 / False when no search ran.
     """
@@ -197,13 +198,16 @@ class ScaleFit:
     weights: np.ndarray | None
     passed: bool
     iterations: int
-    truncated: bool
     degenerate: bool
     floor: float
     chosen_branch: str = "local"
     pinned_intervals: int = 0
     start_halvings: int = 0
     start_capped: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return not (self.passed or self.degenerate)
 
     def scale_values(self) -> np.ndarray:
         """The fitted scale at the design points."""
@@ -268,12 +272,12 @@ def scale_fit(
     test, pinned = _band_test(y2, floor, spec) if floor > 0.0 else (None, np.zeros(0, dtype=bool))
     if pinned.all():
         zero = SplineFit(sample.t.copy(), np.zeros(sample.n), np.zeros(sample.n), 0.0)
-        return ScaleFit(zero, None, False, 0, False, True, floor, pinned_intervals=int(pinned.sum()))
+        return ScaleFit(zero, None, False, 0, True, floor, pinned_intervals=int(pinned.sum()))
 
     run = _adapt(Sample(sample.t, y2), test, np.unique(spec.family.sizes), config)
     chosen = run.chosen
     return ScaleFit(
-        chosen.fit, chosen.weights, chosen.passed, chosen.iterations, not chosen.passed, False, floor,
+        chosen.fit, chosen.weights, chosen.passed, chosen.iterations, False, floor,
         chosen_branch=chosen.name, pinned_intervals=int(pinned.sum()),
         start_halvings=run.halvings, start_capped=run.capped,
     )

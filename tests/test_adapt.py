@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -49,7 +50,8 @@ class TestConfig:
             for field in ("q", "tau", "max_iterations", "sigma")
             for value in (math.nan, math.inf)
         ]
-        + [dict(sigma=0.0)],
+        + [dict(sigma=0.0)]
+        + [dict(max_iterations=2.5), dict(max_iterations=True)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -169,6 +171,10 @@ class TestDeterminismAndEquivariance:
         r = fit_local(s, config)
         assert r.truncated and not r.passed
         assert r.iterations == 5
+        # truncated is derived from passed, never stored
+        assert not dataclasses.replace(r, passed=True).truncated
+        with pytest.raises(TypeError):
+            dataclasses.replace(r, truncated=False)
 
 
 def bumps_hi(n, seed=0):

@@ -1,9 +1,12 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 import adaptspline.adapt as adapt_module
+import adaptspline.bench as bench_module
+import adaptspline.splines as splines_module
 from adaptspline import (
     SIGMA_PRESETS,
     Sample,
@@ -273,3 +276,33 @@ class TestSharedDesignInStudies:
         scale_fit(Sample(t, np.sin(4 * np.pi * t) ** 2 * np.random.default_rng(6).standard_normal(256)))
         assert len(systems) == 3
         assert all(system.factors is None for system in systems)
+
+    @pytest.mark.parametrize("estimator", ["wss", "global-only"])
+    def test_factor_budget_bounds_the_table(self, estimator, count_lapack, monkeypatch):
+        # room for three factors: the table keeps the first three equal
+        # weights, a solve at any other one factors again, and the rows equal
+        # those of a study whose fits run outside any scope
+        config = study_preset("rupcar-hi", n_grid=(64,), replicates=3, seed=5, estimator=estimator)
+        lu, piv = splines_module._factor(prepare_system(Sample(np.arange(1, 65) / 64, np.zeros(64))), np.ones(64))
+        monkeypatch.setattr(splines_module, "_FACTOR_BUDGET", 3 * (lu.nbytes + piv.nbytes))
+        systems, equal, unequal = [], [], []
+
+        def recording(sample):
+            systems.append(prepare_system(sample))
+            return systems[-1]
+
+        def solving(system, weights):
+            (equal if np.all(weights == weights[0]) else unequal).append(float(weights[0]))
+            return solve_weighted(system, weights)
+
+        monkeypatch.setattr(adapt_module, "prepare_system", recording)
+        monkeypatch.setattr(adapt_module, "solve_weighted", solving)
+        count_lapack.clear()
+        rows = mrise_study(config)
+        assert len(systems) == 3 and all(system.factors is systems[0].factors for system in systems)
+        kept = set(systems[0].factors)
+        assert len(kept) == 3 < len(set(equal))
+        assert count_lapack["dgbtrf"] == len(unequal) + len(kept) + sum(w not in kept for w in equal)
+        monkeypatch.setattr(bench_module, "_shared_design", contextlib.nullcontext)
+        assert mrise_study(config) == rows
+        assert all(system.factors is None for system in systems[3:])

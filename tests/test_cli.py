@@ -300,6 +300,17 @@ class TestSimulateCommand:
     def test_requires_sigma_without_preset(self, capsys):
         assert main(["simulate", "--function", "sine", "--n-grid", "64", "--replicates", "1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--sigma", "5.0"), ("--function", "sine")])
+    def test_preset_rejects_the_flags_it_sets(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        rc = main([
+            "simulate", "--preset", "bumps-hi", flag, value, "--n-grid", "64",
+            "--replicates", "1", "-o", str(out),
+        ])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_two_zeros_then_increasing_tail(self, capsys):

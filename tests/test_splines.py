@@ -344,8 +344,9 @@ class TestSolveWeighted:
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_matches_dense_augmented_solve(self, n, rng):
         # the system of the module docstring, assembled densely here:
-        # g + diag(1/lam) Q gamma = y and Q^T g - R gamma = 0.  At n = 3 the
-        # only column of Q is the one whose g_1 entry sits on its own band row
+        # g + diag(1/lam) Q gamma = y and Q^T g - R gamma = 0.  At n = 3 Q has
+        # one column, and the band holds just that column between the two
+        # pinned boundary values of gamma
         t = jittered_design(n, rng)
         y = rng.normal(size=n)
         lam = 10.0 ** rng.uniform(-3, 3, n)
@@ -486,6 +487,27 @@ class TestSharedDesign:
                 solve_weighted(system, np.full(50, 1e-310))
             assert system.factors == {}
 
+    def test_table_stops_at_the_budget(self, count_lapack, monkeypatch):
+        first, second = self.samples(20)
+        weights = (0.5, 1.0, 2.0, 4.0)
+        with shared_design():
+            system = prepare_system(first)
+            solve_weighted(system, np.full(20, weights[0]))
+            lu, piv = system.factors[weights[0]]
+            monkeypatch.setattr(adaptspline.splines, "_FACTOR_BUDGET", 2 * (lu.nbytes + piv.nbytes))
+            for w in weights[1:]:
+                solve_weighted(system, np.full(20, w))
+            assert list(system.factors) == list(weights[:2])
+            other = prepare_system(second)
+            fits = [solve_weighted(other, np.full(20, w)) for w in weights]
+            assert list(other.factors) == list(weights[:2])
+        # a kept weight runs dgbtrs only; every other solve factors again
+        assert count_lapack == {"dgbtrf": 6, "dgbtrs": 8}
+        for w, hit in zip(weights, fits):
+            fresh = solve_weighted(second, np.full(20, w))
+            assert np.array_equal(hit.values, fresh.values)
+            assert np.array_equal(hit.second_derivs, fresh.second_derivs)
+
 
 class TestWideWeightSpread:
     """Weights spread over many decades.
@@ -501,6 +523,7 @@ class TestWideWeightSpread:
         r = fit_local(s)
         assert r.start_capped
         assert np.isfinite(r.final_fit.values).all()
+        assert r.final_fit.second_derivs[0] == r.final_fit.second_derivs[-1] == 0.0
 
     def test_scale_fit(self, monkeypatch):
         monkeypatch.setattr(adaptspline.adapt, "_INIT_TOLERANCE", 1e-300)
@@ -511,6 +534,7 @@ class TestWideWeightSpread:
                       config=AdaptConfig(max_iterations=400))
         assert r.start_capped
         assert np.isfinite(r.s.values).all()
+        assert r.s.second_derivs[0] == r.s.second_derivs[-1] == 0.0
 
     def test_matches_60_digit_solves(self):
         # weights 10**U(-d, 0), four draws per d; measured within 6e-15 of
@@ -525,6 +549,7 @@ class TestWideWeightSpread:
                 fit = solve_weighted(Sample(t, y), lam)
                 err = np.max(np.abs(fit.values - mp_fit(t, y, lam)))
                 assert err <= 1e-10 * np.ptp(y), (d, err)
+                assert fit.second_derivs[0] == fit.second_derivs[-1] == 0.0
 
 
 class TestLargeN:
@@ -539,7 +564,9 @@ class TestLargeN:
         system = prepare_system(s)
         for e in (0, -10, -20, -60):
             lam = np.full(n, 2.0**e)
-            err = np.max(np.abs(solve_weighted(system, lam).values - refined_fit(s.t, s.y, lam)))
+            fit = solve_weighted(system, lam)
+            assert fit.second_derivs[0] == fit.second_derivs[-1] == 0.0
+            err = np.max(np.abs(fit.values - refined_fit(s.t, s.y, lam)))
             # measured at most 1.05e-9 of the spread (rupcar, 2**-20); all
             # but ~5e-11 of it comes from rounding 1/h in the coefficients
             # of Q, which no solve of the double-precision system can undo

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -205,7 +206,7 @@ class TestScaleFit:
 
     def test_all_zero_input_flags_degenerate(self):
         result = scale_fit(grid_sample(64, np.zeros(64)))
-        assert result.degenerate and not result.passed
+        assert result.degenerate and not result.passed and not result.truncated
 
     def test_pass_verified_by_independent_recomputation(self):
         n = 512
@@ -241,6 +242,9 @@ class TestScaleFit:
         )
         assert result.truncated and not result.passed
         assert result.iterations == 1
+        # truncated is derived from passed and degenerate, never stored
+        with pytest.raises(TypeError):
+            dataclasses.replace(result, truncated=False)
 
 
 def scale_sample(n, shape, seed):
