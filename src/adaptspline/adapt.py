@@ -19,14 +19,17 @@ halving an equal weight from 1 until the fit hugs the line, at most 60
 times; the report says how many halvings it took and whether it stopped
 at that cap.
 
-At q = 2 the equal-weight branch climbs back up the rungs 2**-j of that
-search, so the search judges each rung as it goes and keeps a record per
-rung (passed and the test's trace record) plus the fit of the smallest
-passing rung.  The branch reads each rung it reaches from that record
-instead of solving it again, and solves only the weights above the top
-rung (and a rung it is cut off on by the iteration budget).  Other q
-solve every weight.  Either way the fits are the ones the branches would
-compute on their own.
+Both branches climb the same equal weights for a while: the global
+branch always, and the local branch as long as the violations it takes
+next cover every point, since its bump then multiplies every weight by
+q.  One record per call (``_Equal``) solves and tests each equal weight
+the first time a branch asks for it and keeps the verdict, so that this
+shared climb runs once.  At q = 2 the climb meets the rungs 2**-j of the
+start search, which judges each rung as it goes.  The record keeps
+scalars per weight and two fits: the last one solved and that of the
+smallest passing weight; any other equal-weight fit a branch ends on is
+solved again.  The fits are the ones the branches would compute on their
+own.
 """
 
 from __future__ import annotations
@@ -145,58 +148,82 @@ def _ls_line(sample: Sample) -> SplineFit:
     return affine_fit(sample.t, float(intercept), float(slope))
 
 
-@dataclass(frozen=True)
-class _Ladder:
-    """Outcome of the start-weight search.
-
-    ``lam`` = 2**-halvings is the start weight and ``fit`` its equal-weight
-    fit; ``capped`` says the search stopped at its cap with the fit still
-    off the line.  ``rungs`` maps each rung weight to its judge's
-    ``(passed, record)`` and ``passing`` is the fit of the smallest passing
-    rung; both stay empty unless the search was given a judge.
-    """
-
-    lam: float
-    fit: SplineFit
-    halvings: int
-    capped: bool
-    rungs: dict
-    passing: SplineFit | None
-
-
-def _initial_lambda(
-    system: SplineSystem, line: SplineFit, tol_abs: float, judge=None, q: float = 2.0
-) -> _Ladder:
-    """Halve an equal weight from 1 until the fit hugs the least squares line.
-
-    ``judge`` is the test of the equal-weight climb that will follow at
-    factor ``q``.  At q = 2 that climb meets exactly the rungs of this
-    search, so each rung's fit is judged as soon as it is solved:
-    ``judge(lam, fit)`` returns ``(passed, record)``.  The ladder keeps
-    that pair per rung and the fit of the smallest passing rung, and drops
-    the other fits.  At other q, or without a judge, nothing is judged.
-    """
-    judge = judge if q == 2.0 else None
-    lam, halvings = 1.0, 0
-    rungs: dict = {}
-    passing = None
-    while True:
-        fit_ = solve_weighted(system, np.full(system.n, lam))
-        if judge is not None:
-            rungs[lam] = judge(lam, fit_)
-            if rungs[lam][0]:
-                passing = fit_
-        close = np.max(np.abs(fit_.values - line.values)) <= tol_abs
-        if close or halvings == _MAX_HALVINGS:
-            return _Ladder(lam, fit_, halvings, not close, rungs, passing)
-        lam *= 0.5
-        halvings += 1
+def _group(size, lo: np.ndarray, hi: np.ndarray):
+    """Selects the violations of one sweep group (``None``: all of them)."""
+    return slice(None) if size is None else hi - lo + 1 == size
 
 
 def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Boolean mask of points lying in at least one of the intervals."""
     steps = np.bincount(lo - 1, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
     return np.cumsum(steps[:-1]) > 0
+
+
+class _Equal:
+    """Per-call record of the equal-weight fits, keyed by the weight.
+
+    ``judge(lam)`` solves and tests ``lam`` the first time it is asked,
+    then reads the stored verdict ``(passed, record, group, covers)``: the
+    test's verdict and trace record, the index of the first sweep group
+    with a violation (None for a passing fit) and whether that group's
+    violations cover every point.  Of the fits it keeps two, ``last``
+    (the last one solved) and ``passing`` (that of the smallest passing
+    weight), each as a ``(lam, fit)`` pair; ``fit(lam)`` solves any other
+    again.
+    """
+
+    def __init__(self, system: SplineSystem, test, sweep):
+        self.system, self.test, self.sweep = system, test, sweep
+        self.verdicts: dict = {}
+        self.last = self.passing = None
+
+    def judge(self, lam: float, fit_: SplineFit | None = None) -> tuple:
+        """The verdict on ``lam``; ``fit_`` is its fit if already solved."""
+        if lam not in self.verdicts:
+            fit_ = self.fit(lam) if fit_ is None else fit_
+            self.last = (lam, fit_)
+            passed, lo, hi, record = self.test(fit_, lam)
+            group, covers = None, False
+            for index, size in enumerate(self.sweep):
+                keep = _group(size, lo, hi)
+                if lo[keep].size:
+                    group, covers = index, bool(_covered_mask(self.system.n, lo[keep], hi[keep]).all())
+                    break
+            self.verdicts[lam] = (passed, record, group, covers)
+            if passed and (self.passing is None or lam < self.passing[0]):
+                self.passing = (lam, fit_)
+        return self.verdicts[lam]
+
+    def fit(self, lam: float) -> SplineFit:
+        """The fit of ``lam``, solved again unless the record keeps it."""
+        for kept in (self.last, self.passing):
+            if kept is not None and kept[0] == lam:
+                return kept[1]
+        self.last = (lam, solve_weighted(self.system, np.full(self.system.n, lam)))
+        return self.last[1]
+
+
+def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) -> tuple[float, int, bool]:
+    """Halve an equal weight from 1 until the fit hugs the least squares line.
+
+    Returns the start weight 2**-halvings, the halvings and whether the
+    search stopped at its cap with the fit still off the line.  The
+    search solves each rung itself and hands its fit to ``equal``.  At
+    q = 2 the equal-weight climb that follows meets every rung, so each
+    rung is judged as soon as it is solved; at other q only the start
+    weight is.  Either way the start fit is the record's last fit.
+    """
+    lam, halvings = 1.0, 0
+    while True:
+        fit_ = solve_weighted(equal.system, np.full(equal.system.n, lam))
+        close = np.max(np.abs(fit_.values - line.values)) <= tol_abs
+        done = close or halvings == _MAX_HALVINGS
+        if done or q == 2.0:
+            equal.judge(lam, fit_)
+        if done:
+            return lam, halvings, not close
+        lam *= 0.5
+        halvings += 1
 
 
 @dataclass(frozen=True)
@@ -222,26 +249,50 @@ class _Run:
     capped: bool
 
 
-def _local(system: SplineSystem, ladder: _Ladder, test, sweep, config: AdaptConfig, first) -> _Branch:
+def _climb(equal: _Equal, lam: float, config: AdaptConfig, first, local: bool):
+    """Multiply one shared weight by q from ``lam``, reading each verdict
+    from ``equal``, until the test accepts or the budget is spent.
+
+    The local branch (``local``) also stops where its next bump would not
+    multiply every weight: where the first violating group does not cover
+    every point, or lies before the sweep pointer (the group last bumped),
+    where the record cannot tell which group the sweep takes next.
+    Returns the last weight, the pointer, the bumps made, the verdict and
+    the records.
+    """
+    records = [first]
+    group = iterations = 0
+    while True:
+        passed, record, bad, covers = equal.judge(lam)
+        records.append(record)
+        if passed or iterations >= config.max_iterations or local and not (covers and bad >= group):
+            return lam, group, iterations, passed, records
+        lam *= config.q
+        group = bad
+        iterations += 1
+
+
+def _local(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
     """Bump the points in one sweep group's violating intervals by q until
     the group is clean, then take the next group, wrapping around; stop
-    once every group is clean at one fit."""
-    weights = np.full(system.n, ladder.lam)
-    current = ladder.fit
-    passed, lo, hi, record = test(current, weights)
-    records = [first, record]
-    iterations = clean = group = 0
+    once every group is clean at one fit.  The bumps that keep every
+    weight equal come from the shared climb."""
+    n, test, sweep = equal.system.n, equal.test, equal.sweep
+    lam, group, iterations, _, records = _climb(equal, start, config, first, local=True)
+    weights = np.full(n, lam)
+    current = equal.fit(lam)
+    passed, lo, hi, _ = test(current, weights)
+    clean = 0
     while clean < len(sweep):
-        size = sweep[group]
-        keep = slice(None) if size is None else hi - lo + 1 == size
+        keep = _group(sweep[group], lo, hi)
         if lo[keep].size == 0:
             clean += 1
             group = (group + 1) % len(sweep)
             continue
         if iterations >= config.max_iterations:
             break
-        weights = np.where(_covered_mask(system.n, lo[keep], hi[keep]), weights * config.q, weights)
-        current = solve_weighted(system, weights)
+        weights = np.where(_covered_mask(n, lo[keep], hi[keep]), weights * config.q, weights)
+        current = solve_weighted(equal.system, weights)
         iterations += 1
         passed, lo, hi, record = test(current, weights)
         records.append(record)
@@ -249,31 +300,10 @@ def _local(system: SplineSystem, ladder: _Ladder, test, sweep, config: AdaptConf
     return _Branch("local", current, weights, iterations, passed, tuple(records))
 
 
-def _global(system: SplineSystem, ladder: _Ladder, judge, config: AdaptConfig, first) -> _Branch:
-    """Multiply one shared weight by q from the start weight until the test accepts.
-
-    A weight the ladder holds a verdict for (every rung, when the ladder
-    was judged for this q) is read from it, not solved again.
-    """
-    lam, current = ladder.lam, ladder.fit
-    records = [first]
-    iterations = 0
-    while True:
-        verdict = ladder.rungs.get(lam)
-        if verdict is None:
-            verdict = judge(lam, current)
-        records.append(verdict[1])
-        if verdict[0] or iterations >= config.max_iterations:
-            break
-        lam *= config.q
-        iterations += 1
-        if lam not in ladder.rungs:
-            current = solve_weighted(system, np.full(system.n, lam))
-    if lam != ladder.lam and lam in ladder.rungs:
-        # ended on a rung read from the ladder, which kept its fit only
-        # if it was the smallest passing one
-        current = ladder.passing if verdict[0] else solve_weighted(system, np.full(system.n, lam))
-    return _Branch("global", current, np.full(system.n, lam), iterations, verdict[0], tuple(records))
+def _global(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
+    """Multiply one shared weight by q from the start weight until the test accepts."""
+    lam, _, iterations, passed, records = _climb(equal, start, config, first, local=False)
+    return _Branch("global", equal.fit(lam), np.full(equal.system.n, lam), iterations, passed, tuple(records))
 
 
 def _adapt(target: Sample, test, sweep, config: AdaptConfig, branches=("local", "global")) -> _Run:
@@ -292,19 +322,13 @@ def _adapt(target: Sample, test, sweep, config: AdaptConfig, branches=("local", 
     if passed:
         done = {name: _Branch(name, line, None, 0, True, (first,)) for name in branches}
     else:
-        def judge(lam, fit_):
-            passed, _, _, record = test(fit_, lam)
-            return passed, record
-
-        system = prepare_system(target)
-        tol_abs = _INIT_TOLERANCE * target.spread()
-        ladder = _initial_lambda(system, line, tol_abs, judge if "global" in branches else None, config.q)
-        halvings, capped = ladder.halvings, ladder.capped
+        equal = _Equal(prepare_system(target), test, sweep)
+        start, halvings, capped = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
         done = {}
         if "local" in branches:
-            done["local"] = _local(system, ladder, test, sweep, config, first)
+            done["local"] = _local(equal, start, config, first)
         if "global" in branches:
-            done["global"] = _global(system, ladder, judge, config, first)
+            done["global"] = _global(equal, start, config, first)
     # an accepted branch beats a rejected one, then the smaller final
     # roughness wins; min keeps the first of equals, so ties go to local
     chosen = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))

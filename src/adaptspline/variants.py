@@ -83,7 +83,9 @@ def clean_outliers(sample: Sample, sigma: float) -> tuple[Sample, np.ndarray]:
     first and last three points use the first and last full window); the
     two sweeps alternate until neither replaces anything.  The result is
     a fixed point of both, so cleaning is idempotent.  Samples shorter
-    than seven points get the five-point sweep only.
+    than seven points get the five-point sweep only.  A sample that still
+    changes after n sweeps raises ``RuntimeError`` rather than returning
+    half cleaned; no input is known to come near that cap.
 
     ``sigma`` should be the noise scale of the raw data and must be
     positive and finite (at sigma = 0 every point would count as an
@@ -112,6 +114,8 @@ def clean_outliers(sample: Sample, sigma: float) -> tuple[Sample, np.ndarray]:
             break
         cur = np.where(bad, med, cur)
         mask |= bad
+    else:
+        raise RuntimeError(f"outlier cleaning still replaced points after {n} sweeps")
     return Sample(sample.t, cur, sigma), mask
 
 

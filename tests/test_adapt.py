@@ -22,6 +22,7 @@ from adaptspline import (
     sine,
     solve_weighted,
     RegionSpec,
+    SplineFit,
 )
 
 
@@ -212,6 +213,16 @@ def assert_final_fit_from_its_weights(report, sample):
     assert (last.lambda_min, last.lambda_max) == (report.final_weights.min(), report.final_weights.max())
 
 
+def shared_climb(report):
+    """Bumps of a local run that kept every weight equal, from its trace."""
+    m = 0
+    for entry in report.trace[2:]:
+        if entry.lambda_min != entry.lambda_max:
+            break
+        m += 1
+    return m
+
+
 class TestSharedStart:
     """``fit`` shares one start between its branches; the fits must not notice."""
 
@@ -234,7 +245,7 @@ class TestSharedStart:
         assert r.truncated_global == glob.truncated
 
     @pytest.mark.parametrize("max_iterations", [3, 200])
-    def test_climb_ending_inside_the_ladder(self, max_iterations):
+    def test_climb_ending_inside_the_ladder(self, counts, max_iterations):
         # smooth data and a loose threshold: the equal-weight branch passes
         # at a weight below 1, on a rung of the start search (or, with a
         # budget of 3, is cut off on one)
@@ -242,8 +253,11 @@ class TestSharedStart:
         t = np.arange(1, n + 1) / n
         s = Sample(t, np.sin(2 * np.pi * t) + 0.3 * np.random.default_rng([806, n]).standard_normal(n))
         config = AdaptConfig(tau=100.0, max_iterations=max_iterations)
-        r = fit(s, config)
         glob = fit_global(s, config)
+        # the search solved every rung; the record keeps the fit of the
+        # smallest passing one, and a rung the budget cuts off is solved again
+        assert counts["solve_weighted"] == glob.start_halvings + 1 + (not glob.passed)
+        r = fit(s, config)
         assert glob.iterations < glob.start_halvings
         assert glob.passed == (max_iterations == 200)
         assert_final_fit_from_its_weights(glob, s)
@@ -279,9 +293,12 @@ class TestSharedStart:
         made = dict(counts)
         local, glob = fit_local(s), fit_global(s)
         k = r.start_halvings
-        # the equal-weight climb passes every rung of the start search,
-        # so all of them are read rather than solved again
+        # the start search solves and judges the rungs 2**-k ... 1, and the
+        # shared equal-weight climb reads each of them, so only its weights
+        # above 1 are solved; the local branch leaves that climb at once,
+        # so each of its bumps is a solve
         assert glob.iterations >= k > 0
+        assert shared_climb(local) == 0
         assert made == {
             "sigma_hat": 1,
             "dyadic_family": 1,
@@ -302,6 +319,144 @@ class TestSharedStart:
             "_initial_lambda": 1,
             "solve_weighted": (k + 1) + local.iterations + glob.iterations,
         }
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_work_counts_along_the_shared_climb(self, counts, q):
+        s = rupcar_hi(400)
+        config = AdaptConfig(q=q)
+        r = fit(s, config)
+        made = dict(counts)
+        local, glob = fit_local(s, config), fit_global(s, config)
+        k, m = r.start_halvings, shared_climb(local)
+        # the local branch climbs m equal-weight bumps before its violations
+        # leave a point uncovered; the global branch reads those m and climbs
+        # on.  Each equal weight is solved once: at q = 2 the rungs of the
+        # start search are the climb's weights up to 1, at q = 3 only its
+        # start.  The fork lies above the rungs, where the climb solved it,
+        # so the local branch takes its fit from the record.
+        assert m > k > 0
+        assert glob.trace[: m + 2] == local.trace[: m + 2]
+        climbed = max(m, glob.iterations)
+        equal = (k + 1) + (climbed - k if q == 2.0 else climbed)
+        assert made == {
+            "sigma_hat": 1,
+            "dyadic_family": 1,
+            "_initial_lambda": 1,
+            "solve_weighted": equal + (local.iterations - m),
+        }
+
+    @pytest.mark.parametrize(
+        "preset, seed, solves",
+        [("rupcar-hi", 0, 50), ("rupcar-hi", 1, 54), ("rupcar-hi", 2, 48),
+         ("bumps-hi", 0, 72), ("bumps-hi", 1, 81), ("bumps-hi", 2, 69)],
+    )
+    def test_exact_solve_counts(self, counts, preset, seed, solves):
+        # rupcar-hi solved 66 / 70 / 64 when each branch solved the shared
+        # climb on its own; bumps-hi shares no climb at these seeds
+        fn = rupcar(6) if preset == "rupcar-hi" else bumps()
+        fit(make_dataset(fn, 400, SIGMA_PRESETS[preset], seed=[12, 400, seed]))
+        assert counts["solve_weighted"] == solves
+
+
+class TestEqualWeightRecord:
+    """The record of equal-weight fits that both branches read."""
+
+    N = 8
+    ONES = np.arange(1, N + 1)
+    PAIRS = np.arange(1, N, 2)
+
+    @classmethod
+    def violations(cls, w):
+        """A scripted test on a two-group sweep (sizes 1 and 2), by weight."""
+        ones, pairs, none = cls.ONES, cls.PAIRS, np.zeros(0, dtype=int)
+        if np.all(w == 0.0):
+            return ones, ones
+        if np.all(w == w[0]):
+            lam = w[0]
+            if lam == 2.0:
+                # group 0 is clean and group 1 covers every point: an equal
+                # bump that leaves the sweep pointer on group 1
+                return pairs, pairs + 1
+            if lam == 4.0:
+                # group 0 covers every point but lies before the pointer,
+                # so the sweep bumps group 1, points 1 and 2 only
+                return np.append(ones, 1), np.append(ones, 2)
+            return (ones, ones) if lam < 64.0 else (none, none)
+        low = np.flatnonzero(w < 32.0) + 1
+        return low, low
+
+    @classmethod
+    def scripted(cls, fit_, weights):
+        w = np.broadcast_to(np.asarray(weights, dtype=float), (cls.N,))
+        lo, hi = cls.violations(w)
+        return lo.size == 0, lo, hi, (float(w.min()), float(w.max()), lo.size)
+
+    @classmethod
+    def reference_local(cls, target, budget):
+        """The local sweep from the start weight 1, solving every step."""
+        sweep = (1, 2)
+        records = [cls.scripted(None, 0.0)[3]]
+        weights = np.ones(cls.N)
+        current = solve_weighted(target, weights)
+        passed, lo, hi, record = cls.scripted(current, weights)
+        records.append(record)
+        iterations = clean = group = 0
+        while clean < len(sweep):
+            keep = hi - lo + 1 == sweep[group]
+            if not keep.any():
+                clean += 1
+                group = (group + 1) % len(sweep)
+                continue
+            if iterations >= budget:
+                break
+            covered = np.zeros(cls.N, dtype=bool)
+            for a, b in zip(lo[keep], hi[keep]):
+                covered[a - 1 : b] = True
+            weights = np.where(covered, weights * 2.0, weights)
+            current = solve_weighted(target, weights)
+            iterations += 1
+            passed, lo, hi, record = cls.scripted(current, weights)
+            records.append(record)
+            clean = 0
+        return current, weights, iterations, passed, tuple(records)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 200])
+    def test_local_branch_equals_a_sweep_that_solves_every_step(self, budget):
+        # on a line every equal-weight fit hugs the line, so the start weight is 1
+        t = np.arange(1, self.N + 1) / self.N
+        target = Sample(t, 2.0 - t)
+        run = adapt_module._adapt(target, self.scripted, (1, 2), AdaptConfig(max_iterations=budget))
+        assert run.halvings == 0
+        local = run.branches["local"]
+        current, weights, iterations, passed, records = self.reference_local(target, budget)
+        assert np.array_equal(local.weights, weights)
+        assert local.iterations == iterations
+        assert local.passed == passed
+        assert local.records == records
+        assert np.array_equal(local.fit.values, current.values)
+        glob = run.branches["global"]
+        assert glob.passed == (budget == 200) and glob.iterations == min(budget, 6)
+
+    def test_keeps_two_fits_at_most(self, monkeypatch):
+        made = []
+
+        class Recording(adapt_module._Equal):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(adapt_module, "_Equal", Recording)
+        s = make_dataset(rupcar(6), 25600, SIGMA_PRESETS["rupcar-hi"], seed=[12, 25600, 0])
+        r = fit(s)
+        (equal,) = made
+        assert set(vars(equal)) == {"system", "test", "sweep", "verdicts", "last", "passing"}
+        assert len(equal.verdicts) > r.start_halvings + 2
+        for passed, record, group, covers in equal.verdicts.values():
+            assert isinstance(passed, (bool, np.bool_)) and isinstance(record, adapt_module.TraceEntry)
+            assert group in (None, 0) and isinstance(covers, bool)
+        kept = [pair for pair in (equal.last, equal.passing) if pair is not None]
+        assert all(len(pair) == 2 and isinstance(pair[1], SplineFit) for pair in kept)
+        assert len(kept) <= 2
 
 
 class TestTraceViolations:

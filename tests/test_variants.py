@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import adaptspline.adapt as adapt_module
+import adaptspline.variants as variants_module
 from adaptspline import (
     AdaptConfig,
     Sample,
@@ -95,9 +96,25 @@ class TestCleanOutliers:
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_needs_positive_finite_sigma(self, sigma):
-        # at sigma = 0 every point would be an outlier and all n sweeps would run
+        # at sigma = 0 every point would be an outlier and the sweeps would
+        # run into their cap
         with pytest.raises(ValueError, match="sigma"):
             clean_outliers(grid_sample(400, np.sin(np.linspace(0, 3, 400))), sigma)
+
+    def test_raises_at_the_sweep_cap(self, monkeypatch):
+        # a five-point median that always flags the first point never settles
+        calls = Counter()
+
+        def restless(y):
+            calls["sweeps"] += 1
+            med = y.copy()
+            med[0] += 10.0
+            return med
+
+        monkeypatch.setattr(variants_module, "_running_median5", restless)
+        with pytest.raises(RuntimeError, match="after 20 sweeps"):
+            clean_outliers(grid_sample(20, np.zeros(20)), 1.0)
+        assert calls["sweeps"] == 20
 
 
 class TestChisqQuantile:
