@@ -26,9 +26,10 @@ q.  One record per call (``_Equal``) solves and tests each equal weight
 the first time a branch asks for it and keeps the verdict, so that this
 shared climb runs once.  At q = 2 the climb meets the rungs 2**-j of the
 start search, which judges each rung as it goes.  The record keeps
-scalars per weight and two fits: the last one solved and that of the
-smallest passing weight; any other equal-weight fit a branch ends on is
-solved again.  The fits are the ones the branches would compute on their
+scalars per weight, two fits (the last one solved and that of the
+smallest passing weight) and the violating intervals of its last test;
+any other equal-weight fit a branch ends on is solved again, and tested
+again only if it was not the last one tested.  The fits are the ones the branches would compute on their
 own.
 """
 
@@ -159,6 +160,12 @@ def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.cumsum(steps[:-1]) > 0
 
 
+def _covers(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the intervals cover every point.  Intervals of total
+    length below n cannot, and then no mask is built."""
+    return int((hi - lo + 1).sum()) >= n and bool(_covered_mask(n, lo, hi).all())
+
+
 class _Equal:
     """Per-call record of the equal-weight fits, keyed by the weight.
 
@@ -169,13 +176,14 @@ class _Equal:
     violations cover every point.  Of the fits it keeps two, ``last``
     (the last one solved) and ``passing`` (that of the smallest passing
     weight), each as a ``(lam, fit)`` pair; ``fit(lam)`` solves any other
-    again.
+    again.  Of the tests it keeps the violating intervals of the last
+    one, as ``tested = (lam, lo, hi)``.
     """
 
     def __init__(self, system: SplineSystem, test, sweep):
         self.system, self.test, self.sweep = system, test, sweep
         self.verdicts: dict = {}
-        self.last = self.passing = None
+        self.last = self.passing = self.tested = None
 
     def judge(self, lam: float, fit_: SplineFit | None = None) -> tuple:
         """The verdict on ``lam``; ``fit_`` is its fit if already solved."""
@@ -183,11 +191,12 @@ class _Equal:
             fit_ = self.fit(lam) if fit_ is None else fit_
             self.last = (lam, fit_)
             passed, lo, hi, record = self.test(fit_, lam)
+            self.tested = (lam, lo, hi)
             group, covers = None, False
             for index, size in enumerate(self.sweep):
                 keep = _group(size, lo, hi)
                 if lo[keep].size:
-                    group, covers = index, bool(_covered_mask(self.system.n, lo[keep], hi[keep]).all())
+                    group, covers = index, _covers(self.system.n, lo[keep], hi[keep])
                     break
             self.verdicts[lam] = (passed, record, group, covers)
             if passed and (self.passing is None or lam < self.passing[0]):
@@ -278,10 +287,13 @@ def _local(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
     once every group is clean at one fit.  The bumps that keep every
     weight equal come from the shared climb."""
     n, test, sweep = equal.system.n, equal.test, equal.sweep
-    lam, group, iterations, _, records = _climb(equal, start, config, first, local=True)
+    lam, group, iterations, passed, records = _climb(equal, start, config, first, local=True)
     weights = np.full(n, lam)
     current = equal.fit(lam)
-    passed, lo, hi, _ = test(current, weights)
+    if equal.tested[0] == lam:  # the fork weight was tested last: reuse its intervals
+        lo, hi = equal.tested[1:]
+    else:
+        passed, lo, hi, _ = test(current, weights)
     clean = 0
     while clean < len(sweep):
         keep = _group(sweep[group], lo, hi)
@@ -291,7 +303,8 @@ def _local(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
             continue
         if iterations >= config.max_iterations:
             break
-        weights = np.where(_covered_mask(n, lo[keep], hi[keep]), weights * config.q, weights)
+        weights = weights.copy()
+        weights[_covered_mask(n, lo[keep], hi[keep])] *= config.q
         current = solve_weighted(equal.system, weights)
         iterations += 1
         passed, lo, hi, record = test(current, weights)
@@ -353,13 +366,15 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
         raise ValueError(f"noise scale is 0 ({source}); pass a positive sigma")
     spec = RegionSpec(sigma=sigma, tau=config.tau, n=sample.n)
     family = dyadic_family(sample.n)
-    root_sizes = np.sqrt(family.sizes)
     threshold = spec.threshold
 
     def test(fit_: SplineFit, weights):
-        passed, max_abs, _, bad = _w_test(sample.y - fit_.values, family, root_sizes, threshold)
-        w = np.asarray(weights)
-        record = TraceEntry(max_abs, bad.size, float(w.min()), float(w.max()), fit_.roughness)
+        passed, max_abs, _, bad = _w_test(sample.y - fit_.values, family, threshold)
+        if isinstance(weights, np.ndarray):
+            low, high = float(weights.min()), float(weights.max())
+        else:
+            low = high = float(weights)
+        record = TraceEntry(max_abs, bad.size, low, high, fit_.roughness)
         return passed, family.lo[bad], family.hi[bad], record
 
     run = _adapt(sample, test, (None,), config, branches)

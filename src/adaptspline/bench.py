@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .adapt import _is_count, fit, fit_global
-from .splines import Sample, SplineFit, _shared_design, evaluate
+from .splines import Sample, SplineFit, _combine, _locate, _shared_design
 
 __all__ = [
     "TestFunction",
@@ -172,10 +172,19 @@ def make_dataset(fn: TestFunction, n: int, sigma: float, noise: str = "gaussian"
         raise ValueError("need at least 3 data points")
     if noise not in ("gaussian", "cauchy"):
         raise ValueError("noise must be 'gaussian' or 'cauchy'")
-    t = np.arange(1, n + 1) / n
+    t = _design(n)
+    return _noisy(t, fn.f(t), sigma, noise, seed)
+
+
+def _design(n: int) -> np.ndarray:
+    return np.arange(1, n + 1) / n
+
+
+def _noisy(t: np.ndarray, signal: np.ndarray, sigma: float, noise: str, seed) -> Sample:
+    """The sample y = signal + sigma * noise on t, with the noise seeded by ``seed``."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n) if noise == "gaussian" else rng.standard_cauchy(n)
-    return Sample(t, fn.f(t) + sigma * z)
+    z = rng.standard_normal(t.size) if noise == "gaussian" else rng.standard_cauchy(t.size)
+    return Sample(t, signal + sigma * z)
 
 
 def rise(fn: TestFunction, fit_: SplineFit, order: int = 0, grid: int = _RISE_GRID) -> float:
@@ -188,17 +197,18 @@ def rise(fn: TestFunction, fit_: SplineFit, order: int = 0, grid: int = _RISE_GR
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     x = _rise_grid(grid)
-    return _rise_against((fn.f, fn.df, fn.d2f)[order](x), x, fit_, order)
+    return _rise_against((fn.f, fn.df, fn.d2f)[order](x), _locate(fit_.knots, x), fit_, order)
 
 
 def _rise_grid(grid: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid + 2)[1:-1]
 
 
-def _rise_against(truth: np.ndarray, x: np.ndarray, fit_: SplineFit, order: int) -> float:
-    """RISE of a fit against the truth already evaluated on the grid x."""
-    diff = truth - evaluate(fit_, x, order)
-    return float(np.sqrt(np.trapezoid(diff * diff, x)))
+def _rise_against(truth: np.ndarray, loc, fit_: SplineFit, order: int) -> float:
+    """RISE of a fit against the truth already evaluated on a grid that
+    ``loc`` (from ``splines._locate``) located among the fit's knots."""
+    diff = truth - _combine(loc, fit_.values, fit_.second_derivs, order)
+    return float(np.sqrt(np.trapezoid(diff * diff, loc.x)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +248,14 @@ def mrise_study(config: StudyConfig) -> list[dict]:
     of execution order.  Returns one row per (n, order) with the fixed
     column set function, n, sigma, order, mrise, replicates, seed.
 
-    The replicates of one sample size share their spline design
+    Each sample size builds what its replicates share once: the design
+    t, the signal f(t) on it (a replicate adds only its noise) and the
+    location of the RISE grid among the design points, which are the
+    knots of every fit at that size (``splines._locate``; a replicate's
+    three RISE values apply only the cubic formulas to its fit).  The
+    truth on the RISE grid is computed once per call.
+
+    The replicates of one sample size also share their spline design
     (``splines._shared_design``): each equal-weight system is factored
     once per sample size, and later replicates reuse its LU factors.  The
     fits are bit-identical to fits made one at a time.  The factors are
@@ -254,14 +271,15 @@ def mrise_study(config: StudyConfig) -> list[dict]:
     rows = []
     for n in config.n_grid:
         errors = {0: [], 1: [], 2: []}
+        t = _design(n)
+        signal = fn.f(t)
+        loc = _locate(t, x)
         with _shared_design():
             for rep in range(config.replicates):
-                data = make_dataset(
-                    config.function, n, config.sigma, "gaussian", seed=[config.seed, n, rep]
-                )
+                data = _noisy(t, signal, config.sigma, "gaussian", [config.seed, n, rep])
                 report = runner(data)
                 for order in (0, 1, 2):
-                    errors[order].append(_rise_against(truths[order], x, report.final_fit, order))
+                    errors[order].append(_rise_against(truths[order], loc, report.final_fit, order))
         for order in (0, 1, 2):
             rows.append(
                 {

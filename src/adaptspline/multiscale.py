@@ -15,8 +15,9 @@ pure Gaussian white noise is accepted with a prescribed probability.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +41,18 @@ SIGMA_SCALE = 1.4826 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class IntervalFamily:
-    """Index intervals [lo, hi], 1-based inclusive, over {1, ..., n}."""
+    """Index intervals [lo, hi], 1-based inclusive, over {1, ..., n}.
+
+    It also keeps the 0-based starts lo - 1, which ``sums`` reads, and
+    the roots of the sizes, sqrt(hi - lo + 1), which the w statistics
+    divide by.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
     n: int
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _root_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.int64)
@@ -57,6 +65,8 @@ class IntervalFamily:
             raise ValueError("intervals must satisfy 1 <= lo <= hi <= n")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_starts", lo - 1)
+        object.__setattr__(self, "_root_sizes", np.sqrt(self.sizes))
 
     @property
     def sizes(self) -> np.ndarray:
@@ -72,10 +82,13 @@ class IntervalFamily:
         """Sum of the length-n vector x over each interval, via prefix sums."""
         if len(x) != self.n:
             raise ValueError("vector length does not match the family's n")
-        c = np.concatenate(([0.0], np.cumsum(x)))
-        return c[self.hi] - c[self.lo - 1]
+        c = np.empty(self.n + 1)
+        c[0] = 0.0
+        np.cumsum(x, out=c[1:])
+        return c[self.hi] - c[self._starts]
 
 
+@functools.lru_cache(maxsize=8)
 def dyadic_family(n: int) -> IntervalFamily:
     """The dyadic multiscale family over n points.
 
@@ -83,6 +96,10 @@ def dyadic_family(n: int) -> IntervalFamily:
     [1, k], [k+1, 2k], ...; when k does not divide n the trailing shorter
     block is included as is.  The full interval [1, n] sits on top.  Blocks
     duplicated by the trailing rule are retained.
+
+    Every fit and test at one n uses the same family, so the last few
+    families built are kept and handed out again; their arrays are
+    read-only, so a caller cannot change a family that others share.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -95,7 +112,10 @@ def dyadic_family(n: int) -> IntervalFamily:
         k *= 2
     los.append(np.array([1], dtype=np.int64))
     his.append(np.array([n], dtype=np.int64))
-    return IntervalFamily(np.concatenate(los), np.concatenate(his), n)
+    family = IntervalFamily(np.concatenate(los), np.concatenate(his), n)
+    for array in (family.lo, family.hi, family._starts, family._root_sizes):
+        array.flags.writeable = False
+    return family
 
 
 def w_stat(sample: Sample, fit_values, interval) -> float:
@@ -108,15 +128,13 @@ def w_stat(sample: Sample, fit_values, interval) -> float:
     return float(np.sum(r) / math.sqrt(hi - lo + 1))
 
 
-def _w_test(residual: np.ndarray, family: IntervalFamily, root_sizes: np.ndarray, threshold: float):
+def _w_test(residual: np.ndarray, family: IntervalFamily, threshold: float):
     """The w statistics of a residual vector and their verdict at ``threshold``.
 
-    The one formula for w.  ``root_sizes`` is ``np.sqrt(family.sizes)``,
-    computed once per family or per fit by the caller.  Returns
-    ``(passed, max_abs_w, w, bad)``: ``bad`` indexes the violating
-    intervals in family order, unsorted.
+    The one formula for w.  Returns ``(passed, max_abs_w, w, bad)``:
+    ``bad`` indexes the violating intervals in family order, unsorted.
     """
-    w = family.sums(residual) / root_sizes
+    w = family.sums(residual) / family._root_sizes
     aw = np.abs(w)
     max_abs = float(aw.max())
     return max_abs <= threshold, max_abs, w, np.flatnonzero(aw > threshold)
@@ -127,7 +145,7 @@ def all_w_stats(sample: Sample, fit_values, family: IntervalFamily) -> np.ndarra
     g = np.asarray(fit_values, dtype=float)
     if g.shape != (sample.n,):
         raise ValueError("fit values must match the sample size")
-    return _w_test(sample.y - g, family, np.sqrt(family.sizes), math.inf)[2]
+    return _w_test(sample.y - g, family, math.inf)[2]
 
 
 def sigma_hat(sample: Sample) -> float:
@@ -203,7 +221,7 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
     if g.shape != (sample.n,):
         raise ValueError("fit values must match the sample size")
     thr = spec.threshold
-    passed, max_abs, w, bad = _w_test(sample.y - g, family, np.sqrt(family.sizes), thr)
+    passed, max_abs, w, bad = _w_test(sample.y - g, family, thr)
     order = bad[np.argsort(-np.abs(w[bad]), kind="stable")]
     return RegionReport(
         passed=passed,
@@ -241,7 +259,7 @@ def calibrate_tau(
         raise ValueError("need at least 1000 replicates")
     if family is None:
         family = dyadic_family(n)
-    inv_sqrt = 1.0 / np.sqrt(family.sizes)
+    inv_sqrt = 1.0 / family._root_sizes
     maxima = np.empty(replicates)
     for j in range(replicates):
         z = np.random.default_rng([seed, j]).standard_normal(n)

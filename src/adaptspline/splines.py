@@ -36,6 +36,13 @@ Inside the private scope ``_shared_design`` (entered by
 shares one design, which keeps the LU factors of each equal weight it has
 solved, up to a fixed memory budget; a later equal-weight solve at a kept
 weight runs ``dgbtrs`` only.  Outside a scope nothing is kept.
+
+Evaluating a spline at given points also splits into a part that depends
+on the knots only and a part that depends on the fit: ``_locate`` finds
+each point's knot interval and the interval's cubic coefficients, and
+``_combine`` applies them to the knot values and second derivatives.
+``evaluate`` runs both; ``bench.mrise_study`` locates its RISE grid once
+per sample size and combines it with the fit of every replicate.
 """
 
 from __future__ import annotations
@@ -484,35 +491,76 @@ def evaluate(fit: SplineFit, x, order: int = 0):
     ``x`` may be a scalar or an array; every point must lie in [0, 1].
     Between knots the piecewise cubic is evaluated exactly from the stored
     representation; beyond the first/last knot the continuation is linear.
-    ``order`` 0, 1, 2 selects f, f' or the piecewise linear f''.
+    ``order`` 0, 1, 2 selects f, f' or the piecewise linear f''.  It runs
+    ``_locate`` on the knots, then ``_combine`` on the fit's values and
+    second derivatives, the one copy of the cubic formulas.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
+    return _combine(_locate(fit.knots, x), fit.values, fit.second_derivs, order)
+
+
+@dataclass(frozen=True)
+class _Located:
+    """Points located among the knots: everything ``_combine`` needs that
+    does not depend on the spline's values."""
+
+    knots: np.ndarray
+    x: np.ndarray
+    scalar: bool
+    idx: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    alpha3: np.ndarray  # alpha**3 - alpha
+    beta3: np.ndarray  # beta**3 - beta
+    dalpha: np.ndarray  # 3 alpha**2 - 1
+    dbeta: np.ndarray  # 3 beta**2 - 1
+    h: np.ndarray
+    hh6: np.ndarray  # h**2 / 6
+    h6: np.ndarray  # h / 6
+    left: np.ndarray
+    right: np.ndarray
+    outside: bool
+
+
+def _locate(knots: np.ndarray, x) -> _Located:
+    """Check that every point of ``x`` lies in [0, 1] and locate it among
+    the knots (see ``evaluate``)."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(x_arr > 1.0) or not np.all(np.isfinite(x_arr)):
         raise ValueError("evaluation points must lie in [0, 1]")
 
-    t, g, c = fit.knots, fit.values, fit.second_derivs
+    t = knots
     xv = np.atleast_1d(x_arr)
     idx = np.clip(np.searchsorted(t, xv, side="right") - 1, 0, t.size - 2)
     h = t[idx + 1] - t[idx]
     alpha = (t[idx + 1] - xv) / h
     beta = (xv - t[idx]) / h
-
-    if order == 0:
-        out = alpha * g[idx] + beta * g[idx + 1] + (h * h / 6.0) * (
-            (alpha**3 - alpha) * c[idx] + (beta**3 - beta) * c[idx + 1]
-        )
-    elif order == 1:
-        out = (g[idx + 1] - g[idx]) / h + (h / 6.0) * (
-            (3.0 * beta * beta - 1.0) * c[idx + 1] - (3.0 * alpha * alpha - 1.0) * c[idx]
-        )
-    else:
-        out = alpha * c[idx] + beta * c[idx + 1]
-
     left = xv < t[0]
     right = xv > t[-1]
-    if np.any(left) or np.any(right):
+    return _Located(
+        t, xv, x_arr.ndim == 0, idx, alpha, beta,
+        alpha**3 - alpha, beta**3 - beta, 3.0 * alpha * alpha - 1.0, 3.0 * beta * beta - 1.0,
+        h, h * h / 6.0, h / 6.0, left, right, bool(np.any(left) or np.any(right)),
+    )
+
+
+def _combine(loc: _Located, values: np.ndarray, second_derivs: np.ndarray, order: int):
+    """The spline with knot values ``values`` and second derivatives
+    ``second_derivs``, or its derivative of ``order``, at the located points."""
+    t, xv, idx = loc.knots, loc.x, loc.idx
+    g, c = values, second_derivs
+    if order == 0:
+        out = loc.alpha * g[idx] + loc.beta * g[idx + 1] + loc.hh6 * (
+            loc.alpha3 * c[idx] + loc.beta3 * c[idx + 1]
+        )
+    elif order == 1:
+        out = (g[idx + 1] - g[idx]) / loc.h + loc.h6 * (loc.dbeta * c[idx + 1] - loc.dalpha * c[idx])
+    else:
+        out = loc.alpha * c[idx] + loc.beta * c[idx + 1]
+
+    if loc.outside:
+        left, right = loc.left, loc.right
         h0, h1 = t[1] - t[0], t[-1] - t[-2]
         slope0 = (g[1] - g[0]) / h0 - h0 * (2.0 * c[0] + c[1]) / 6.0
         slope1 = (g[-1] - g[-2]) / h1 + h1 * (c[-2] + 2.0 * c[-1]) / 6.0
@@ -525,7 +573,7 @@ def evaluate(fit: SplineFit, x, order: int = 0):
         else:
             out = np.where(left | right, 0.0, out)
 
-    return float(out[0]) if x_arr.ndim == 0 else out
+    return float(out[0]) if loc.scalar else out
 
 
 def roughness_of(fit: SplineFit) -> float:

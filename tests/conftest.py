@@ -1,5 +1,5 @@
 """Shared test oracles, kept independent of the library internals, and
-fixtures that count the library's LAPACK calls."""
+fixtures that count the library's calls."""
 
 from collections import Counter
 
@@ -49,24 +49,37 @@ def rng():
 
 
 @pytest.fixture
-def count_lapack(monkeypatch):
-    """Count the band factorizations and solves the spline solver runs.
+def count_calls(monkeypatch):
+    """Count the calls made to attributes of a module (or any object).
 
-    Replaces ``splines.dgbtrf`` and ``splines.dgbtrs`` with wrappers that
-    count their calls; the fixture's value is a ``Counter`` keyed by those
-    two names.
+    The fixture's value is a function: ``count_calls(module, *names)``
+    replaces each named attribute of ``module`` with a wrapper that counts
+    its calls, until the test ends, and returns the test's one ``Counter``,
+    keyed by attribute name.
     """
     counts = Counter()
 
-    def counting(name):
-        real = getattr(adaptspline.splines, name)
-
+    def counting(name, real):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
 
         return wrapper
 
-    for name in ("dgbtrf", "dgbtrs"):
-        monkeypatch.setattr(adaptspline.splines, name, counting(name))
-    return counts
+    def patch(module, *names):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    return patch
+
+
+@pytest.fixture
+def count_lapack(count_calls):
+    """Count the band factorizations and solves the spline solver runs.
+
+    Replaces ``splines.dgbtrf`` and ``splines.dgbtrs`` with wrappers that
+    count their calls; the fixture's value is a ``Counter`` keyed by those
+    two names.
+    """
+    return count_calls(adaptspline.splines, "dgbtrf", "dgbtrs")

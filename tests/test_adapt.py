@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -273,19 +272,8 @@ class TestSharedStart:
         assert_same_fit(r, fit_global(s))
 
     @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = Counter()
-
-        def counting(name, func):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return func(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("solve_weighted", "sigma_hat", "dyadic_family", "_initial_lambda"):
-            monkeypatch.setattr(adapt_module, name, counting(name, getattr(adapt_module, name)))
-        return counts
+    def counts(self, count_calls):
+        return count_calls(adapt_module, "solve_weighted", "sigma_hat", "dyadic_family", "_initial_lambda")
 
     def test_work_counts_at_q2(self, counts):
         s = bumps_hi(400)
@@ -305,6 +293,25 @@ class TestSharedStart:
             "_initial_lambda": 1,
             "solve_weighted": (k + 1) + local.iterations + (glob.iterations - k),
         }
+
+    def test_each_examined_fit_is_tested_once(self, count_calls):
+        # the local branch forks at the start weight, the one tested last,
+        # and reads that test's intervals; testing its fork fit again would
+        # make these 43 and 73
+        tests = count_calls(adapt_module, "_w_test")
+        s = bumps_hi(400)
+        local = fit_local(s)
+        assert tests["_w_test"] == 42
+        tests.clear()
+        r = fit(s)
+        assert tests["_w_test"] == 72
+        glob = fit_global(s)
+        k = r.start_halvings
+        # the line, the rungs of the start search, one test per bump of the
+        # local branch and of the global climb above the rungs
+        assert shared_climb(local) == 0
+        assert 42 == 1 + (k + 1) + local.iterations
+        assert 72 == 42 + (glob.iterations - k)
 
     def test_work_counts_at_q3(self, counts):
         s = bumps_hi(400)
@@ -449,7 +456,7 @@ class TestEqualWeightRecord:
         s = make_dataset(rupcar(6), 25600, SIGMA_PRESETS["rupcar-hi"], seed=[12, 25600, 0])
         r = fit(s)
         (equal,) = made
-        assert set(vars(equal)) == {"system", "test", "sweep", "verdicts", "last", "passing"}
+        assert set(vars(equal)) == {"system", "test", "sweep", "verdicts", "last", "passing", "tested"}
         assert len(equal.verdicts) > r.start_halvings + 2
         for passed, record, group, covers in equal.verdicts.values():
             assert isinstance(passed, (bool, np.bool_)) and isinstance(record, adapt_module.TraceEntry)
@@ -457,6 +464,9 @@ class TestEqualWeightRecord:
         kept = [pair for pair in (equal.last, equal.passing) if pair is not None]
         assert all(len(pair) == 2 and isinstance(pair[1], SplineFit) for pair in kept)
         assert len(kept) <= 2
+        # of the tests, only the intervals of the last one: one pair of arrays
+        lam, lo, hi = equal.tested
+        assert lam in equal.verdicts and lo.shape == hi.shape and lo.ndim == 1
 
 
 class TestTraceViolations:
@@ -484,22 +494,15 @@ class TestZeroSigma:
     """A noise scale of 0 is rejected before any solve, whatever its source."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_weighted(*args, **kwargs)
-
-        monkeypatch.setattr(adapt_module, "solve_weighted", counting)
-        return calls
+    def solves(self, count_calls):
+        return count_calls(adapt_module, "solve_weighted")
 
     @pytest.mark.parametrize("run", [fit, fit_local, fit_global])
     def test_sample_sigma_zero(self, run, solves):
         s = make_dataset(sine(), 500, 0.1, seed=[807, 0])
         with pytest.raises(ValueError, match="noise scale is 0"):
             run(Sample(s.t, s.y, sigma=0.0))
-        assert solves == []
+        assert solves["solve_weighted"] == 0
 
     @pytest.mark.parametrize("run", [fit, fit_local, fit_global])
     def test_sigma_hat_zero(self, run, solves):
@@ -510,7 +513,7 @@ class TestZeroSigma:
             assert sigma_hat(flat) == 0.0
             with pytest.raises(ValueError, match="sigma_hat"):
                 run(flat)
-        assert solves == []
+        assert solves["solve_weighted"] == 0
 
     def test_config_sigma_zero(self):
         with pytest.raises(ValueError, match="positive"):
@@ -539,6 +542,18 @@ class TestStartWeightReport:
 
 
 class TestCoveredMask:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cover_rule_equals_the_mask(self, seed):
+        # the length bound decides some sets without a mask; the verdict
+        # must be the mask's on every set
+        rng = np.random.default_rng([808, seed])
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            lo = rng.integers(1, n + 1, size=int(rng.integers(1, 8)))
+            hi = np.minimum(lo + rng.integers(0, n, size=lo.size), n)
+            expected = bool(adapt_module._covered_mask(n, lo, hi).all())
+            assert adapt_module._covers(n, lo, hi) is expected
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_union(self, seed):
         rng = np.random.default_rng([805, seed])

@@ -1,11 +1,13 @@
 import contextlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import adaptspline.adapt as adapt_module
 import adaptspline.bench as bench_module
+import adaptspline.multiscale as multiscale_module
 import adaptspline.splines as splines_module
 from adaptspline import (
     SIGMA_PRESETS,
@@ -180,6 +182,26 @@ class TestStudy:
     def test_bit_reproducible(self):
         config = StudyConfig(function=sine(), sigma=0.2, n_grid=(64,), replicates=3, seed=9)
         assert mrise_study(config) == mrise_study(config)
+        # the second run finds the families of the first one
+        config = study_preset("bumps-hi", n_grid=(64, 128), replicates=3, seed=9)
+        assert mrise_study(config) == mrise_study(config)
+
+    def test_grid_arrays_built_once_per_sample_size(self, count_calls):
+        # the signal on the design, the located RISE grid and the family
+        # depend on n only; the replicates add their noise
+        ns = SimpleNamespace(f=bumps().f)
+        fn = custom_function("counted", lambda x: ns.f(x))
+        counts = count_calls(ns, "f")
+        count_calls(bench_module, "_locate", "_noisy")
+        count_calls(multiscale_module, "IntervalFamily")
+        multiscale_module.dyadic_family.cache_clear()
+        config = StudyConfig(function=fn, sigma=0.3, n_grid=(64, 100), replicates=3, seed=2)
+        rows = mrise_study(config)
+        # f: the truth on the RISE grid, then the signal once per n (the
+        # derivatives are central differences of f, three calls each)
+        assert counts == {"f": 1 + 2 + 3 + 2, "_locate": 2, "_noisy": 6, "IntervalFamily": 2}
+        assert mrise_study(config) == rows
+        assert counts["IntervalFamily"] == 2
 
     def test_rows_schema_and_writers(self, tmp_path):
         config = StudyConfig(function=sine(), sigma=0.2, n_grid=(64, 128), replicates=2, seed=1)

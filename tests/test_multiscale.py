@@ -58,6 +58,15 @@ class TestDyadicFamily:
         with pytest.raises(ValueError):
             dyadic_family(0)
 
+    def test_shared_and_read_only(self):
+        fam = dyadic_family(37)
+        assert dyadic_family(37) is fam
+        for array in (fam.lo, fam.hi, fam._starts, fam._root_sizes):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            fam.lo[0] = 2
+        assert list(fam)[0] == (1, 1)
+
 
 class TestIntervalSums:
     @pytest.mark.parametrize("n", [1, 6, 7, 1000])
@@ -67,6 +76,17 @@ class TestIntervalSums:
         x = rng.normal(size=n)
         expected = [np.sum(x[lo - 1 : hi]) for lo, hi in fam]
         np.testing.assert_allclose(fam.sums(x), expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, n", [("dyadic", 1), ("dyadic", 7), ("dyadic", 1000), ("all", 7)])
+    def test_equals_the_concatenated_prefix_sums_bit_for_bit(self, kind, n, rng):
+        if kind == "dyadic":
+            family = dyadic_family(n)
+        else:
+            lo, hi = zip(*[(a, b) for a in range(1, n + 1) for b in range(a, n + 1)])
+            family = IntervalFamily(np.array(lo), np.array(hi), n)
+        for x in (rng.normal(size=family.n), rng.standard_cauchy(family.n) * 1e6):
+            c = np.concatenate(([0.0], np.cumsum(x)))
+            assert np.array_equal(family.sums(x), c[family.hi] - c[family.lo - 1])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +232,7 @@ class TestInRegion:
 
 def assert_core_matches_in_region(sample, values, spec):
     fam = dyadic_family(sample.n)
-    passed, max_abs, w, bad = _w_test(sample.y - values, fam, np.sqrt(fam.sizes), spec.threshold)
+    passed, max_abs, w, bad = _w_test(sample.y - values, fam, spec.threshold)
     rep = in_region(sample, values, fam, spec)
     assert passed == rep.passed
     assert max_abs == rep.max_abs_w

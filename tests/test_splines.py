@@ -584,6 +584,40 @@ class TestLargeN:
         assert np.max(np.abs(dd - wide)) <= 1e-15 * np.max(np.abs(wide))
 
 
+def reference_evaluate(fit, x, order):
+    """Value or derivative of a fitted spline, in one piece: the reference
+    for evaluation split into locating the points and combining."""
+    t, g, c = fit.knots, fit.values, fit.second_derivs
+    x_arr = np.asarray(x, dtype=float)
+    xv = np.atleast_1d(x_arr)
+    idx = np.clip(np.searchsorted(t, xv, side="right") - 1, 0, t.size - 2)
+    h = t[idx + 1] - t[idx]
+    alpha = (t[idx + 1] - xv) / h
+    beta = (xv - t[idx]) / h
+    if order == 0:
+        out = alpha * g[idx] + beta * g[idx + 1] + (h * h / 6.0) * (
+            (alpha**3 - alpha) * c[idx] + (beta**3 - beta) * c[idx + 1]
+        )
+    elif order == 1:
+        out = (g[idx + 1] - g[idx]) / h + (h / 6.0) * (
+            (3.0 * beta * beta - 1.0) * c[idx + 1] - (3.0 * alpha * alpha - 1.0) * c[idx]
+        )
+    else:
+        out = alpha * c[idx] + beta * c[idx + 1]
+    left, right = xv < t[0], xv > t[-1]
+    h0, h1 = t[1] - t[0], t[-1] - t[-2]
+    slope0 = (g[1] - g[0]) / h0 - h0 * (2.0 * c[0] + c[1]) / 6.0
+    slope1 = (g[-1] - g[-2]) / h1 + h1 * (c[-2] + 2.0 * c[-1]) / 6.0
+    if order == 0:
+        out = np.where(left, g[0] + (xv - t[0]) * slope0, out)
+        out = np.where(right, g[-1] + (xv - t[-1]) * slope1, out)
+    elif order == 1:
+        out = np.where(left, slope0, np.where(right, slope1, out))
+    else:
+        out = np.where(left | right, 0.0, out)
+    return float(out[0]) if x_arr.ndim == 0 else out
+
+
 class TestEvaluate:
     def test_knot_values_exact(self, rng):
         t = jittered_design(9, rng)
@@ -616,6 +650,21 @@ class TestEvaluate:
         slope = evaluate(fit, 0.2, 1)
         expected = evaluate(fit, 0.2, 0) - 0.1 * slope
         assert evaluate(fit, 0.1, 0) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_split_equals_the_one_piece_formulas(self, order, rng):
+        # knots inside (0, 1), so that points extrapolate on both sides
+        t = np.linspace(0.1, 0.85, 11)
+        fits = [solve_weighted(Sample(t, np.sin(5.0 * t + k)), np.full(11, 30.0)) for k in range(2)]
+        xs = np.concatenate(([0.0, 0.05], rng.uniform(0.0, 1.0, 40), t, [0.9, 1.0]))
+        for x in (xs, xs[2:-2], 0.03, 0.5, 0.95, float(t[3]), 1.0):
+            loc = adaptspline.splines._locate(t, x)  # shared by the fits on these knots
+            for fit in fits:
+                expected = reference_evaluate(fit, x, order)
+                for got in (evaluate(fit, x, order),
+                            adaptspline.splines._combine(loc, fit.values, fit.second_derivs, order)):
+                    assert type(got) is type(expected)
+                    assert np.array_equal(got, expected)
 
     def test_rejects_points_outside_domain(self):
         fit = affine_fit(np.linspace(0.0, 1.0, 5), 0.0, 1.0)

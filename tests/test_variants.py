@@ -361,15 +361,8 @@ class TestScaleFitEngine:
         assert result.passed == passed
         assert result.truncated == (not passed) == (budget == 7)
 
-    def test_one_start_search_per_fit(self, monkeypatch):
-        counts = Counter()
-        search = adapt_module._initial_lambda
-
-        def counting(*args, **kwargs):
-            counts["_initial_lambda"] += 1
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(adapt_module, "_initial_lambda", counting)
+    def test_one_start_search_per_fit(self, count_calls):
+        counts = count_calls(adapt_module, "_initial_lambda")
         for q in (2.0, 3.0):
             counts.clear()
             result = scale_fit(scale_sample(256, sin2, 0), config=AdaptConfig(q=q, max_iterations=400))
