@@ -20,17 +20,18 @@ times; the report says how many halvings it took and whether it stopped
 at that cap.
 
 Both branches climb the same equal weights for a while: the global
-branch always, and the local branch as long as the violations it takes
-next cover every point, since its bump then multiplies every weight by
-q.  One record per call (``_Equal``) solves and tests each equal weight
-the first time a branch asks for it and keeps the verdict, so that this
-shared climb runs once.  At q = 2 the climb meets the rungs 2**-j of the
-start search, which judges each rung as it goes.  The record keeps
-scalars per weight, two fits (the last one solved and that of the
-smallest passing weight) and the violating intervals of its last test;
-any other equal-weight fit a branch ends on is solved again, and tested
-again only if it was not the last one tested.  The fits are the ones the branches would compute on their
-own.
+branch always, the local branch until the violations of its first sweep
+group stop covering every point (until then its bump multiplies every
+weight by q).  One record per call (``_Equal``) makes every solve of the
+start search and of the climb, and tests each weight once, so that this
+shared climb runs once; it judges coverage only while the local branch
+can still take the climb.  At q = 2 the climb meets the search's rungs
+2**-j, which the search judges as it goes.  The record keeps scalars per
+weight, two fits (the last one solved and that of the smallest passing
+weight) and the violating intervals of its last test; any other
+equal-weight fit a branch ends on is solved again, and tested again only
+if it was not the last one tested.  The fits are the ones the branches
+would compute on their own.
 """
 
 from __future__ import annotations
@@ -160,45 +161,34 @@ def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.cumsum(steps[:-1]) > 0
 
 
-def _covers(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether the intervals cover every point.  Intervals of total
-    length below n cannot, and then no mask is built."""
-    return int((hi - lo + 1).sum()) >= n and bool(_covered_mask(n, lo, hi).all())
-
-
 class _Equal:
     """Per-call record of the equal-weight fits, keyed by the weight.
 
     ``judge(lam)`` solves and tests ``lam`` the first time it is asked,
-    then reads the stored verdict ``(passed, record, group, covers)``: the
-    test's verdict and trace record, the index of the first sweep group
-    with a violation (None for a passing fit) and whether that group's
-    violations cover every point.  Of the fits it keeps two, ``last``
-    (the last one solved) and ``passing`` (that of the smallest passing
+    then reads the stored verdict ``(passed, record, covers)``: the test's
+    verdict and trace record, and whether the violations of the first
+    sweep group cover every point, judged only while ``sharing`` (False
+    otherwise; see ``_climb``).  Of the fits it keeps two, ``last`` (the
+    last one solved) and ``passing`` (that of the smallest passing
     weight), each as a ``(lam, fit)`` pair; ``fit(lam)`` solves any other
     again.  Of the tests it keeps the violating intervals of the last
     one, as ``tested = (lam, lo, hi)``.
     """
 
-    def __init__(self, system: SplineSystem, test, sweep):
-        self.system, self.test, self.sweep = system, test, sweep
+    def __init__(self, system: SplineSystem, test, sweep, sharing: bool):
+        self.system, self.test, self.sweep, self.sharing = system, test, sweep, sharing
         self.verdicts: dict = {}
         self.last = self.passing = self.tested = None
 
-    def judge(self, lam: float, fit_: SplineFit | None = None) -> tuple:
-        """The verdict on ``lam``; ``fit_`` is its fit if already solved."""
+    def judge(self, lam: float) -> tuple:
+        """The verdict on ``lam``."""
         if lam not in self.verdicts:
-            fit_ = self.fit(lam) if fit_ is None else fit_
-            self.last = (lam, fit_)
+            fit_ = self.fit(lam)
             passed, lo, hi, record = self.test(fit_, lam)
             self.tested = (lam, lo, hi)
-            group, covers = None, False
-            for index, size in enumerate(self.sweep):
-                keep = _group(size, lo, hi)
-                if lo[keep].size:
-                    group, covers = index, _covers(self.system.n, lo[keep], hi[keep])
-                    break
-            self.verdicts[lam] = (passed, record, group, covers)
+            keep = _group(self.sweep[0], lo, hi)
+            covers = self.sharing and bool(_covered_mask(self.system.n, lo[keep], hi[keep]).all())
+            self.verdicts[lam] = (passed, record, covers)
             if passed and (self.passing is None or lam < self.passing[0]):
                 self.passing = (lam, fit_)
         return self.verdicts[lam]
@@ -216,19 +206,18 @@ def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) ->
     """Halve an equal weight from 1 until the fit hugs the least squares line.
 
     Returns the start weight 2**-halvings, the halvings and whether the
-    search stopped at its cap with the fit still off the line.  The
-    search solves each rung itself and hands its fit to ``equal``.  At
-    q = 2 the equal-weight climb that follows meets every rung, so each
-    rung is judged as soon as it is solved; at other q only the start
-    weight is.  Either way the start fit is the record's last fit.
+    search stopped at its cap with the fit still off the line.  Each rung
+    is solved through ``equal.fit``.  At q = 2 the equal-weight climb that
+    follows meets every rung, so each rung is judged, its coverage too
+    while ``equal.sharing``, as soon as it is solved; at other q only the
+    start weight is.  Either way the start fit is the record's last fit.
     """
     lam, halvings = 1.0, 0
     while True:
-        fit_ = solve_weighted(equal.system, np.full(equal.system.n, lam))
-        close = np.max(np.abs(fit_.values - line.values)) <= tol_abs
+        close = np.max(np.abs(equal.fit(lam).values - line.values)) <= tol_abs
         done = close or halvings == _MAX_HALVINGS
         if done or q == 2.0:
-            equal.judge(lam, fit_)
+            equal.judge(lam)
         if done:
             return lam, halvings, not close
         lam *= 0.5
@@ -258,26 +247,23 @@ class _Run:
     capped: bool
 
 
-def _climb(equal: _Equal, lam: float, config: AdaptConfig, first, local: bool):
+def _climb(equal: _Equal, lam: float, config: AdaptConfig, first):
     """Multiply one shared weight by q from ``lam``, reading each verdict
     from ``equal``, until the test accepts or the budget is spent.
 
-    The local branch (``local``) also stops where its next bump would not
-    multiply every weight: where the first violating group does not cover
-    every point, or lies before the sweep pointer (the group last bumped),
-    where the record cannot tell which group the sweep takes next.
-    Returns the last weight, the pointer, the bumps made, the verdict and
-    the records.
+    ``equal.sharing`` holds during the local branch's climb only, which
+    also stops at its fork: the first weight where the violations of the
+    first sweep group do not cover every point.  Returns the last weight,
+    the bumps made, the verdict and the records.
     """
     records = [first]
-    group = iterations = 0
+    iterations = 0
     while True:
-        passed, record, bad, covers = equal.judge(lam)
+        passed, record, covers = equal.judge(lam)
         records.append(record)
-        if passed or iterations >= config.max_iterations or local and not (covers and bad >= group):
-            return lam, group, iterations, passed, records
+        if passed or iterations >= config.max_iterations or equal.sharing and not covers:
+            return lam, iterations, passed, records
         lam *= config.q
-        group = bad
         iterations += 1
 
 
@@ -285,16 +271,18 @@ def _local(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
     """Bump the points in one sweep group's violating intervals by q until
     the group is clean, then take the next group, wrapping around; stop
     once every group is clean at one fit.  The bumps that keep every
-    weight equal come from the shared climb."""
+    weight equal come from the shared climb up to its fork (``_climb``),
+    where the sweep starts at the first group."""
     n, test, sweep = equal.system.n, equal.test, equal.sweep
-    lam, group, iterations, passed, records = _climb(equal, start, config, first, local=True)
+    lam, iterations, passed, records = _climb(equal, start, config, first)
+    equal.sharing = False
     weights = np.full(n, lam)
     current = equal.fit(lam)
     if equal.tested[0] == lam:  # the fork weight was tested last: reuse its intervals
         lo, hi = equal.tested[1:]
     else:
         passed, lo, hi, _ = test(current, weights)
-    clean = 0
+    clean = group = 0
     while clean < len(sweep):
         keep = _group(sweep[group], lo, hi)
         if lo[keep].size == 0:
@@ -315,7 +303,7 @@ def _local(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
 
 def _global(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
     """Multiply one shared weight by q from the start weight until the test accepts."""
-    lam, _, iterations, passed, records = _climb(equal, start, config, first, local=False)
+    lam, iterations, passed, records = _climb(equal, start, config, first)
     return _Branch("global", equal.fit(lam), np.full(equal.system.n, lam), iterations, passed, tuple(records))
 
 
@@ -335,7 +323,7 @@ def _adapt(target: Sample, test, sweep, config: AdaptConfig, branches=("local", 
     if passed:
         done = {name: _Branch(name, line, None, 0, True, (first,)) for name in branches}
     else:
-        equal = _Equal(prepare_system(target), test, sweep)
+        equal = _Equal(prepare_system(target), test, sweep, "local" in branches)
         start, halvings, capped = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
         done = {}
         if "local" in branches:

@@ -193,9 +193,12 @@ def rise(fn: TestFunction, fit_: SplineFit, order: int = 0, grid: int = _RISE_GR
     Composite trapezoid quadrature on a ``grid``-point uniform grid kept
     strictly inside (0, 1): the benchmark signals have unbounded
     derivatives at the interval ends, so the quadrature nodes exclude them.
+    The rule needs two nodes, so ``grid`` is an integer of at least 2.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
+    if not _is_count(grid, 2):
+        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     x = _rise_grid(grid)
     return _rise_against((fn.f, fn.df, fn.d2f)[order](x), _locate(fit_.knots, x), fit_, order)
 

@@ -124,6 +124,8 @@ def w_stat(sample: Sample, fit_values, interval) -> float:
     if not (1 <= lo <= hi <= sample.n):
         raise ValueError("interval out of bounds")
     g = np.asarray(fit_values, dtype=float)
+    if g.shape != (sample.n,):
+        raise ValueError("fit values must match the sample size")
     r = sample.y[lo - 1 : hi] - g[lo - 1 : hi]
     return float(np.sum(r) / math.sqrt(hi - lo + 1))
 

@@ -29,7 +29,7 @@ from scipy import special
 
 from .adapt import AdaptConfig, _adapt
 from .multiscale import IntervalFamily, dyadic_family
-from .splines import Sample, SplineFit, evaluate
+from .splines import Sample, SplineFit, affine_fit, evaluate
 
 __all__ = [
     "ScaleRegionSpec",
@@ -137,6 +137,8 @@ def v_stat(y, interval, s) -> float:
     lo, hi = int(interval[0]), int(interval[1])
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
+    if y.ndim != 1 or s.shape != y.shape:
+        raise ValueError("y and s must be 1-D arrays of one length")
     if not (1 <= lo <= hi <= y.size):
         raise ValueError("interval out of bounds")
     seg = s[lo - 1 : hi]
@@ -275,7 +277,7 @@ def scale_fit(
     # pinned); otherwise every interval may be pinned, leaving nothing to fit
     test, pinned = _band_test(y2, floor, spec) if floor > 0.0 else (None, np.zeros(0, dtype=bool))
     if pinned.all():
-        zero = SplineFit(sample.t.copy(), np.zeros(sample.n), np.zeros(sample.n), 0.0)
+        zero = affine_fit(sample.t, 0.0, 0.0)
         return ScaleFit(zero, None, False, 0, True, floor, pinned_intervals=int(pinned.sum()))
 
     run = _adapt(Sample(sample.t, y2), test, np.unique(spec.family.sizes), config)

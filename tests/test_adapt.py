@@ -352,6 +352,25 @@ class TestSharedStart:
             "solve_weighted": equal + (local.iterations - m),
         }
 
+    @pytest.mark.parametrize("make, masks", [(bumps_hi, 41), (rupcar_hi, 37)])
+    def test_coverage_judged_only_while_the_local_branch_shares(self, count_calls, make, masks):
+        # the global branch alone never judges coverage, and in ``fit`` the
+        # global climb above the local branch's fork judges none either:
+        # ``fit`` builds the masks of ``fit_local``, one per weight judged
+        # while sharing (the rungs 2**-k ... 1 and the m shared bumps) and
+        # one per bump of the sweep
+        built = count_calls(adapt_module, "_covered_mask")
+        s = make(400)
+        fit_global(s)
+        assert built["_covered_mask"] == 0
+        local = fit_local(s)
+        assert built["_covered_mask"] == masks
+        built.clear()
+        fit(s)
+        assert built["_covered_mask"] == masks
+        k, m = local.start_halvings, shared_climb(local)
+        assert masks == (k + 1) + max(m - k, 0) + (local.iterations - m)
+
     @pytest.mark.parametrize(
         "preset, seed, solves",
         [("rupcar-hi", 0, 50), ("rupcar-hi", 1, 54), ("rupcar-hi", 2, 48),
@@ -381,12 +400,13 @@ class TestEqualWeightRecord:
         if np.all(w == w[0]):
             lam = w[0]
             if lam == 2.0:
-                # group 0 is clean and group 1 covers every point: an equal
-                # bump that leaves the sweep pointer on group 1
+                # group 0 is clean, so the local branch forks here after one
+                # shared bump; its sweep finds group 0 clean and bumps every
+                # point for group 1, outside the record
                 return pairs, pairs + 1
             if lam == 4.0:
-                # group 0 covers every point but lies before the pointer,
-                # so the sweep bumps group 1, points 1 and 2 only
+                # the sweep, now on group 1, bumps points 1 and 2 only,
+                # though group 0 covers every point
                 return np.append(ones, 1), np.append(ones, 2)
             return (ones, ones) if lam < 64.0 else (none, none)
         low = np.flatnonzero(w < 32.0) + 1
@@ -428,12 +448,22 @@ class TestEqualWeightRecord:
         return current, weights, iterations, passed, tuple(records)
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 200])
-    def test_local_branch_equals_a_sweep_that_solves_every_step(self, budget):
+    def test_local_branch_equals_a_sweep_that_solves_every_step(self, budget, monkeypatch):
+        climbs = []
+
+        def climb(*args):
+            climbs.append(real(*args))
+            return climbs[-1]
+
+        real = adapt_module._climb
+        monkeypatch.setattr(adapt_module, "_climb", climb)
         # on a line every equal-weight fit hugs the line, so the start weight is 1
         t = np.arange(1, self.N + 1) / self.N
         target = Sample(t, 2.0 - t)
         run = adapt_module._adapt(target, self.scripted, (1, 2), AdaptConfig(max_iterations=budget))
         assert run.halvings == 0
+        # the local branch's climb: one shared bump, to its fork at 2
+        assert climbs[0][:2] == (2.0, 1)
         local = run.branches["local"]
         current, weights, iterations, passed, records = self.reference_local(target, budget)
         assert np.array_equal(local.weights, weights)
@@ -456,11 +486,13 @@ class TestEqualWeightRecord:
         s = make_dataset(rupcar(6), 25600, SIGMA_PRESETS["rupcar-hi"], seed=[12, 25600, 0])
         r = fit(s)
         (equal,) = made
-        assert set(vars(equal)) == {"system", "test", "sweep", "verdicts", "last", "passing", "tested"}
+        assert set(vars(equal)) == {"system", "test", "sweep", "sharing", "verdicts", "last", "passing", "tested"}
+        # the local branch stopped sharing the climb once its own returned
+        assert equal.sharing is False
         assert len(equal.verdicts) > r.start_halvings + 2
-        for passed, record, group, covers in equal.verdicts.values():
+        for passed, record, covers in equal.verdicts.values():
             assert isinstance(passed, (bool, np.bool_)) and isinstance(record, adapt_module.TraceEntry)
-            assert group in (None, 0) and isinstance(covers, bool)
+            assert isinstance(covers, bool)
         kept = [pair for pair in (equal.last, equal.passing) if pair is not None]
         assert all(len(pair) == 2 and isinstance(pair[1], SplineFit) for pair in kept)
         assert len(kept) <= 2
@@ -542,18 +574,6 @@ class TestStartWeightReport:
 
 
 class TestCoveredMask:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_cover_rule_equals_the_mask(self, seed):
-        # the length bound decides some sets without a mask; the verdict
-        # must be the mask's on every set
-        rng = np.random.default_rng([808, seed])
-        for _ in range(200):
-            n = int(rng.integers(1, 30))
-            lo = rng.integers(1, n + 1, size=int(rng.integers(1, 8)))
-            hi = np.minimum(lo + rng.integers(0, n, size=lo.size), n)
-            expected = bool(adapt_module._covered_mask(n, lo, hi).all())
-            assert adapt_module._covers(n, lo, hi) is expected
-
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_union(self, seed):
         rng = np.random.default_rng([805, seed])

@@ -146,6 +146,11 @@ class TestRise:
         t = np.arange(1, 11) / 10
         with pytest.raises(ValueError):
             rise(sine(), affine_fit(t, 0.0, 1.0), 3)
+        # the trapezoid rule needs two nodes
+        for grid in (0, 1, 2.5, True):
+            with pytest.raises(ValueError, match="grid"):
+                rise(sine(), affine_fit(t, 0.0, 1.0), 0, grid=grid)
+        assert rise(sine(), affine_fit(t, 0.0, 1.0), 0, grid=2) > 0.0
 
 
 class TestStudy:

@@ -128,6 +128,10 @@ class TestWStat:
             w_stat(s, np.zeros(3), (0, 2))
         with pytest.raises(ValueError):
             w_stat(s, np.zeros(3), (2, 4))
+        # a fit of another length is not broadcast
+        for g in (np.zeros(1), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="sample size"):
+                w_stat(s, g, (1, 3))
 
 
 class TestSigmaHat:

@@ -173,6 +173,10 @@ class TestVStat:
             v_stat(np.ones(5), (1, 5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             v_stat(np.ones(5), (0, 5), np.ones(5))
+        # a scale of another length, or 2-D data, is not broadcast
+        for y, s in ((np.ones(5), np.ones(1)), (np.ones(5), np.ones(6)), (np.ones((5, 1)), np.ones((5, 1)))):
+            with pytest.raises(ValueError, match="1-D"):
+                v_stat(y, (1, 5), s)
 
 
 class TestScaleRegionSpec:
