@@ -8,42 +8,42 @@ one-parameter smoothing family); the final answer is the smoother of the
 two accepted fits.
 
 One engine (``_adapt``) runs this loop for the mean fits here and for the
-scale fit of ``variants``; a caller hands it the sample to fit, the test
-and the order in which the local branch takes the violations (all at
-once for the w-test of the mean fits, shortest intervals first for the
-chi-squared bands of the scale fit).  Both branches start from the same
-place, built once per call: the least squares line and its test, the
-spline system of the sample (see ``splines.prepare_system``; dropped when
-the call returns) and the start weight.  The start weight is found by
-halving an equal weight from 1 until the fit hugs the line, at most 60
-times; the report says how many halvings it took and whether it stopped
-at that cap.
+scale fit of ``variants``; a caller hands it the sample to fit, its
+interval family, the test and the order in which the local branch takes
+the violations (all at once for the w-test of the mean fits, shortest
+intervals first for the chi-squared bands of the scale fit).  Both
+branches start from the same place, built once per call: the least
+squares line and its test, the spline system of the sample (see
+``splines.prepare_system``; dropped when the call returns) and the start
+weight.  The start weight is found by halving an equal weight from 1
+until the fit hugs the line, at most 60 times; the report says how many
+halvings it took and whether it stopped at that cap.
 
-Both branches climb the same equal weights for a while: the global
-branch always, the local branch until the violations of its first sweep
-group stop covering every point (until then its bump multiplies every
-weight by q).  One record per call (``_Equal``) makes every solve of the
-start search and of the climb, and tests each weight once, so that this
-shared climb runs once; it judges coverage only while the local branch
-can still take the climb.  At q = 2 the climb meets the search's rungs
-2**-j, which the search judges as it goes.  The record keeps scalars per
-weight, two fits (the last one solved and that of the smallest passing
-weight) and the violating intervals of its last test; any other
-equal-weight fit a branch ends on is solved again, and tested again only
-if it was not the last one tested.  The fits are the ones the branches
-would compute on their own.
+Both branches run one loop (``_branch``), which multiplies the weights by
+q on the points the test rejects: every point for the global branch, the
+points covered by the violations of the current sweep group for the local
+branch.  A branch reads the equal-weight record (``_Equal``) while its
+weights are equal, so the record solves and tests each equal weight once,
+whichever branch or start-search rung asks first.  A local bump that
+covers every point keeps the weights equal; the first one that leaves a
+point uncovered turns them into an array, and from then on the local
+branch solves and tests on its own.  Per weight the record keeps the
+verdict, the trace record and the mask of violating intervals, packed to
+one bit per interval; of the fits it keeps two (the last one solved and
+that of the smallest passing weight), and any other equal-weight fit a
+branch ends on is solved again.  The fits are the ones the branches would
+compute on their own.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .multiscale import RegionSpec, _w_test, dyadic_family, sigma_hat
-from .splines import Sample, SplineFit, SplineSystem, affine_fit, prepare_system, solve_weighted
+from .splines import Sample, SplineFit, SplineSystem, _is_count, affine_fit, prepare_system, solve_weighted
 
 __all__ = [
     "AdaptConfig",
@@ -58,11 +58,6 @@ _MAX_HALVINGS = 60
 # The start search stops once the equal-weight fit is this close to the
 # least squares line, relative to the data spread, in sup norm.
 _INIT_TOLERANCE = 1e-3
-
-
-def _is_count(value, least: int) -> bool:
-    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -150,11 +145,6 @@ def _ls_line(sample: Sample) -> SplineFit:
     return affine_fit(sample.t, float(intercept), float(slope))
 
 
-def _group(size, lo: np.ndarray, hi: np.ndarray):
-    """Selects the violations of one sweep group (``None``: all of them)."""
-    return slice(None) if size is None else hi - lo + 1 == size
-
-
 def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Boolean mask of points lying in at least one of the intervals."""
     steps = np.bincount(lo - 1, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
@@ -165,33 +155,31 @@ class _Equal:
     """Per-call record of the equal-weight fits, keyed by the weight.
 
     ``judge(lam)`` solves and tests ``lam`` the first time it is asked,
-    then reads the stored verdict ``(passed, record, covers)``: the test's
-    verdict and trace record, and whether the violations of the first
-    sweep group cover every point, judged only while ``sharing`` (False
-    otherwise; see ``_climb``).  Of the fits it keeps two, ``last`` (the
-    last one solved) and ``passing`` (that of the smallest passing
-    weight), each as a ``(lam, fit)`` pair; ``fit(lam)`` solves any other
-    again.  Of the tests it keeps the violating intervals of the last
-    one, as ``tested = (lam, lo, hi)``.
+    then reads the stored verdict ``(passed, bad, record)``: the test's
+    verdict, its boolean mask of violating intervals over the family and
+    its trace record.  The mask is stored packed (``np.packbits``: one bit
+    for each of the ``count`` intervals of the family) and unpacked on
+    each read.  Of the fits it keeps two, ``last`` (the last one solved) and
+    ``passing`` (that of the smallest passing weight), each as a
+    ``(lam, fit)`` pair; ``fit(lam)`` solves any other again.  A branch
+    reads the record while its weights are equal (``_branch``).
     """
 
-    def __init__(self, system: SplineSystem, test, sweep, sharing: bool):
-        self.system, self.test, self.sweep, self.sharing = system, test, sweep, sharing
+    def __init__(self, system: SplineSystem, test, count: int):
+        self.system, self.test, self.count = system, test, count
         self.verdicts: dict = {}
-        self.last = self.passing = self.tested = None
+        self.last = self.passing = None
 
     def judge(self, lam: float) -> tuple:
         """The verdict on ``lam``."""
         if lam not in self.verdicts:
             fit_ = self.fit(lam)
-            passed, lo, hi, record = self.test(fit_, lam)
-            self.tested = (lam, lo, hi)
-            keep = _group(self.sweep[0], lo, hi)
-            covers = self.sharing and bool(_covered_mask(self.system.n, lo[keep], hi[keep]).all())
-            self.verdicts[lam] = (passed, record, covers)
+            passed, bad, record = self.test(fit_, lam)
+            self.verdicts[lam] = (passed, np.packbits(bad), record)
             if passed and (self.passing is None or lam < self.passing[0]):
                 self.passing = (lam, fit_)
-        return self.verdicts[lam]
+        passed, packed, record = self.verdicts[lam]
+        return passed, np.unpackbits(packed, count=self.count).view(bool), record
 
     def fit(self, lam: float) -> SplineFit:
         """The fit of ``lam``, solved again unless the record keeps it."""
@@ -207,10 +195,11 @@ def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) ->
 
     Returns the start weight 2**-halvings, the halvings and whether the
     search stopped at its cap with the fit still off the line.  Each rung
-    is solved through ``equal.fit``.  At q = 2 the equal-weight climb that
-    follows meets every rung, so each rung is judged, its coverage too
-    while ``equal.sharing``, as soon as it is solved; at other q only the
-    start weight is.  Either way the start fit is the record's last fit.
+    is solved through ``equal.fit``.  At q = 2 a branch whose weights stay
+    equal climbs through every rung, so each rung is judged as soon as it
+    is solved and the branch reads its verdict from the record; at other
+    q only the start weight is.  Either way the start fit is the record's
+    last fit.
     """
     lam, halvings = 1.0, 0
     while True:
@@ -247,89 +236,75 @@ class _Run:
     capped: bool
 
 
-def _climb(equal: _Equal, lam: float, config: AdaptConfig, first):
-    """Multiply one shared weight by q from ``lam``, reading each verdict
-    from ``equal``, until the test accepts or the budget is spent.
+def _branch(name: str, equal: _Equal, family, start: float, config: AdaptConfig, first, sweep) -> _Branch:
+    """Bump the weights by q from ``start`` until the test accepts or the
+    budget is spent.
 
-    ``equal.sharing`` holds during the local branch's climb only, which
-    also stops at its fork: the first weight where the violations of the
-    first sweep group do not cover every point.  Returns the last weight,
-    the bumps made, the verdict and the records.
+    With ``sweep=None`` this is the global branch: any violation bumps
+    every weight.  Otherwise it is the local sweep: bump the points in one
+    sweep group's violating intervals until the group is clean, then take
+    the next group, wrapping around; stop once every group is clean at one
+    fit.  While the weights are equal they are one scalar ``lam``, and the
+    fits and verdicts come from ``equal``; a bump that covers every point
+    is ``lam *= q``.  The first bump that leaves a point uncovered turns
+    the weights into an array, which the branch solves and tests itself.
     """
-    records = [first]
-    iterations = 0
-    while True:
-        passed, record, covers = equal.judge(lam)
-        records.append(record)
-        if passed or iterations >= config.max_iterations or equal.sharing and not covers:
-            return lam, iterations, passed, records
-        lam *= config.q
-        iterations += 1
-
-
-def _local(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
-    """Bump the points in one sweep group's violating intervals by q until
-    the group is clean, then take the next group, wrapping around; stop
-    once every group is clean at one fit.  The bumps that keep every
-    weight equal come from the shared climb up to its fork (``_climb``),
-    where the sweep starts at the first group."""
-    n, test, sweep = equal.system.n, equal.test, equal.sweep
-    lam, iterations, passed, records = _climb(equal, start, config, first)
-    equal.sharing = False
-    weights = np.full(n, lam)
-    current = equal.fit(lam)
-    if equal.tested[0] == lam:  # the fork weight was tested last: reuse its intervals
-        lo, hi = equal.tested[1:]
-    else:
-        passed, lo, hi, _ = test(current, weights)
-    clean = group = 0
-    while clean < len(sweep):
-        keep = _group(sweep[group], lo, hi)
-        if lo[keep].size == 0:
+    n = equal.system.n
+    groups = (None,) if sweep is None else sweep
+    lam, weights = start, None
+    passed, bad, record = equal.judge(lam)
+    records = [first, record]
+    iterations = clean = group = 0
+    while clean < len(groups):
+        keep = bad if groups[group] is None else bad & (family.sizes == groups[group])
+        if not keep.any():
             clean += 1
-            group = (group + 1) % len(sweep)
+            group = (group + 1) % len(groups)
             continue
         if iterations >= config.max_iterations:
             break
-        weights = weights.copy()
-        weights[_covered_mask(n, lo[keep], hi[keep])] *= config.q
-        current = solve_weighted(equal.system, weights)
+        covered = None if sweep is None else _covered_mask(n, family.lo[keep], family.hi[keep])
+        if weights is None and (covered is None or covered.all()):
+            lam *= config.q
+            passed, bad, record = equal.judge(lam)
+        else:
+            weights = np.full(n, lam) if weights is None else weights.copy()
+            weights[covered] *= config.q
+            current = solve_weighted(equal.system, weights)
+            passed, bad, record = equal.test(current, weights)
         iterations += 1
-        passed, lo, hi, record = test(current, weights)
         records.append(record)
         clean = 0
-    return _Branch("local", current, weights, iterations, passed, tuple(records))
+    if weights is None:
+        current, weights = equal.fit(lam), np.full(n, lam)
+    return _Branch(name, current, weights, iterations, passed, tuple(records))
 
 
-def _global(equal: _Equal, start: float, config: AdaptConfig, first) -> _Branch:
-    """Multiply one shared weight by q from the start weight until the test accepts."""
-    lam, iterations, passed, records = _climb(equal, start, config, first)
-    return _Branch("global", equal.fit(lam), np.full(equal.system.n, lam), iterations, passed, tuple(records))
-
-
-def _adapt(target: Sample, test, sweep, config: AdaptConfig, branches=("local", "global")) -> _Run:
+def _adapt(target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global")) -> _Run:
     """Run the named branches on ``target`` from one shared start.
 
-    ``test(fit, weights)`` returns ``(passed, lo, hi, record)``: the
-    verdict on the fit, its violating intervals (1-based, inclusive) and
-    what the trace keeps of it.  ``weights`` is a scalar for an
-    equal-weight fit and 0 for the least squares line.  ``sweep`` lists
-    the groups the local branch takes in turn: ``None`` stands for every
-    violation, an interval size for the violations of that size.
+    ``test(fit, weights)`` returns ``(passed, bad, record)``: the verdict
+    on the fit, the boolean mask of its violating intervals over
+    ``family`` (an ``IntervalFamily``) and what the trace keeps of it.
+    ``weights`` is a scalar for an equal-weight fit and 0 for the least
+    squares line.  ``sweep`` lists the groups the local branch takes in
+    turn: ``None`` stands for every violation, an interval size for the
+    violations of that size.  Each branch reads the equal-weight record
+    while its weights are equal, so an equal weight both branches reach
+    is solved and tested once (``_branch``).
     """
     line = _ls_line(target)
-    passed, _, _, first = test(line, 0.0)
+    passed, _, first = test(line, 0.0)
     halvings, capped = 0, False
     if passed:
         done = {name: _Branch(name, line, None, 0, True, (first,)) for name in branches}
     else:
-        equal = _Equal(prepare_system(target), test, sweep, "local" in branches)
+        equal = _Equal(prepare_system(target), test, len(family))
         start, halvings, capped = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
-        done = {}
-        if "local" in branches:
-            done["local"] = _local(equal, start, config, first)
-        if "global" in branches:
-            done["global"] = _global(equal, start, config, first)
+        done = {
+            name: _branch(name, equal, family, start, config, first, sweep if name == "local" else None)
+            for name in branches
+        }
     # an accepted branch beats a rejected one, then the smaller final
     # roughness wins; min keeps the first of equals, so ties go to local
     chosen = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))
@@ -362,10 +337,10 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
             low, high = float(weights.min()), float(weights.max())
         else:
             low = high = float(weights)
-        record = TraceEntry(max_abs, bad.size, low, high, fit_.roughness)
-        return passed, family.lo[bad], family.hi[bad], record
+        record = TraceEntry(max_abs, int(np.count_nonzero(bad)), low, high, fit_.roughness)
+        return passed, bad, record
 
-    run = _adapt(sample, test, (None,), config, branches)
+    run = _adapt(sample, family, test, (None,), config, branches)
     both = {}
     if len(run.branches) == 2:
         local, glob = run.branches["local"], run.branches["global"]

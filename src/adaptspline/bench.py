@@ -19,8 +19,8 @@ from importlib import resources
 
 import numpy as np
 
-from .adapt import _is_count, fit, fit_global
-from .splines import Sample, SplineFit, _combine, _locate, _shared_design
+from .adapt import fit, fit_global
+from .splines import Sample, SplineFit, _combine, _is_count, _locate, _shared_design
 
 __all__ = [
     "TestFunction",
@@ -168,8 +168,8 @@ def make_dataset(fn: TestFunction, n: int, sigma: float, noise: str = "gaussian"
     ``noise`` is "gaussian" or "cauchy" (standard variates either way);
     ``seed`` may be an int or a sequence of ints.
     """
-    if n < 3:
-        raise ValueError("need at least 3 data points")
+    if not _is_count(n, 3):
+        raise ValueError(f"need an integer n of at least 3 data points, got {n!r}")
     if noise not in ("gaussian", "cauchy"):
         raise ValueError("noise must be 'gaussian' or 'cauchy'")
     t = _design(n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splines import Sample
+from .splines import Sample, _is_count
 
 __all__ = [
     "IntervalFamily",
@@ -88,7 +88,7 @@ class IntervalFamily:
         return c[self.hi] - c[self._starts]
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def dyadic_family(n: int) -> IntervalFamily:
     """The dyadic multiscale family over n points.
 
@@ -100,9 +100,11 @@ def dyadic_family(n: int) -> IntervalFamily:
     Every fit and test at one n uses the same family, so the last few
     families built are kept and handed out again; their arrays are
     read-only, so a caller cannot change a family that others share.
+    The cache is keyed by type too, so that a bool or a float n reaches
+    the check below instead of the family kept for its integer value.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not _is_count(n, 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     los, his = [], []
     k = 1
     while k < n:
@@ -118,11 +120,18 @@ def dyadic_family(n: int) -> IntervalFamily:
     return family
 
 
+def _interval(interval, n: int) -> tuple[int, int]:
+    """The bounds of a 1-based inclusive interval, checked to be
+    integers with 1 <= lo <= hi <= n."""
+    lo, hi = interval[0], interval[1]
+    if not (_is_count(lo, 1) and _is_count(hi, lo) and hi <= n):
+        raise ValueError(f"interval out of bounds: need integers 1 <= lo <= hi <= {n}, got {interval!r}")
+    return int(lo), int(hi)
+
+
 def w_stat(sample: Sample, fit_values, interval) -> float:
     """Normalized residual sum over one interval (1-based inclusive)."""
-    lo, hi = int(interval[0]), int(interval[1])
-    if not (1 <= lo <= hi <= sample.n):
-        raise ValueError("interval out of bounds")
+    lo, hi = _interval(interval, sample.n)
     g = np.asarray(fit_values, dtype=float)
     if g.shape != (sample.n,):
         raise ValueError("fit values must match the sample size")
@@ -134,12 +143,12 @@ def _w_test(residual: np.ndarray, family: IntervalFamily, threshold: float):
     """The w statistics of a residual vector and their verdict at ``threshold``.
 
     The one formula for w.  Returns ``(passed, max_abs_w, w, bad)``:
-    ``bad`` indexes the violating intervals in family order, unsorted.
+    ``bad`` is the boolean mask of the violating intervals over the family.
     """
     w = family.sums(residual) / family._root_sizes
     aw = np.abs(w)
     max_abs = float(aw.max())
-    return max_abs <= threshold, max_abs, w, np.flatnonzero(aw > threshold)
+    return max_abs <= threshold, max_abs, w, aw > threshold
 
 
 def all_w_stats(sample: Sample, fit_values, family: IntervalFamily) -> np.ndarray:
@@ -224,6 +233,7 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
         raise ValueError("fit values must match the sample size")
     thr = spec.threshold
     passed, max_abs, w, bad = _w_test(sample.y - g, family, thr)
+    bad = np.flatnonzero(bad)
     order = bad[np.argsort(-np.abs(w[bad]), kind="stable")]
     return RegionReport(
         passed=passed,
@@ -253,12 +263,12 @@ def calibrate_tau(
     Replicate j draws from an independent generator seeded by (seed, j), so
     the result does not depend on execution order.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 (tau divides by log n)")
+    if not _is_count(n, 2):
+        raise ValueError(f"need an integer n >= 2 (tau divides by log n), got {n!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if replicates < 1000:
-        raise ValueError("need at least 1000 replicates")
+    if not _is_count(replicates, 1000):
+        raise ValueError(f"need an integer of at least 1000 replicates, got {replicates!r}")
     if family is None:
         family = dyadic_family(n)
     inv_sqrt = 1.0 / family._root_sizes
@@ -281,9 +291,10 @@ def min_detectable_delta(
     sigma*(sqrt(tau*log n) + 2.3263)/sqrt(|I|); the dyadic scheme only
     guarantees a covered sub-block of at least half the size, which costs an
     extra factor sqrt(2) (with tau calibrated for the dyadic family).
+    The interval size is an integer from 1 to n.
     """
-    if interval_size < 1:
-        raise ValueError("interval_size must be at least 1")
+    if not (_is_count(n, 1) and _is_count(interval_size, 1) and interval_size <= n):
+        raise ValueError(f"need integers 1 <= interval_size <= n, got {interval_size!r} and n = {n!r}")
     if scheme not in ("all", "dyadic"):
         raise ValueError("scheme must be 'all' or 'dyadic'")
     factor = math.sqrt(2.0) if scheme == "dyadic" else 1.0

@@ -48,6 +48,7 @@ per sample size and combines it with the fit of every replicate.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -69,6 +70,11 @@ __all__ = [
     "affine_fit",
     "check_weights",
 ]
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .adapt import AdaptConfig, _adapt
-from .multiscale import IntervalFamily, dyadic_family
+from .multiscale import IntervalFamily, _interval, dyadic_family
 from .splines import Sample, SplineFit, affine_fit, evaluate
 
 __all__ = [
@@ -134,13 +134,11 @@ def chisq_quantile(gamma: float, k: float) -> float:
 
 def v_stat(y, interval, s) -> float:
     """sum of y_i^2 / s_i^2 over the interval (1-based inclusive)."""
-    lo, hi = int(interval[0]), int(interval[1])
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
     if y.ndim != 1 or s.shape != y.shape:
         raise ValueError("y and s must be 1-D arrays of one length")
-    if not (1 <= lo <= hi <= y.size):
-        raise ValueError("interval out of bounds")
+    lo, hi = _interval(interval, y.size)
     seg = s[lo - 1 : hi]
     if np.any(seg <= 0.0):
         raise ValueError("scale values must be strictly positive on the interval")
@@ -241,8 +239,8 @@ def _band_test(y2: np.ndarray, floor: float, spec: ScaleRegionSpec):
     def test(fit_: SplineFit, weights):
         sv = _scale_clip(fit_.values, floor)
         v = family.sums(y2 / (sv * sv))
-        bad = np.flatnonzero(((v < lob) | (v > upb)) & ~pinned)
-        return bad.size == 0, family.lo[bad], family.hi[bad], None
+        bad = ((v < lob) | (v > upb)) & ~pinned
+        return not bad.any(), bad, None
 
     return test, pinned
 
@@ -259,13 +257,17 @@ def scale_fit(
     before length-2 intervals are examined, and so on, re-sweeping until
     every enforceable constraint holds) and the equal-weights companion;
     among accepted fits the smoother one is returned, ties going to the
-    local branch.
+    local branch.  Of ``config`` it reads ``q`` and ``max_iterations``:
+    the chi-squared bands fix the rest, so a config that sets ``sigma`` or
+    a ``tau`` other than the default raises ``ValueError``.
     """
     if sample.n < 8:
         raise ValueError("need at least 8 data points")
     # the length-ordered sweep revisits interval sizes, so its default
     # budget is larger than the mean procedure's
     config = config or AdaptConfig(max_iterations=_SCALE_BUDGET)
+    if config.sigma is not None or config.tau != AdaptConfig.tau:
+        raise ValueError("scale_fit reads only q and max_iterations of its config; its bands set sigma and tau")
     spec = spec or ScaleRegionSpec.for_size(sample.n)
     if spec.family.n != sample.n:
         raise ValueError("family size does not match the sample")
@@ -280,7 +282,7 @@ def scale_fit(
         zero = affine_fit(sample.t, 0.0, 0.0)
         return ScaleFit(zero, None, False, 0, True, floor, pinned_intervals=int(pinned.sum()))
 
-    run = _adapt(Sample(sample.t, y2), test, np.unique(spec.family.sizes), config)
+    run = _adapt(Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config)
     chosen = run.chosen
     return ScaleFit(
         chosen.fit, chosen.weights, chosen.passed, chosen.iterations, False, floor,

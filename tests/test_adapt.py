@@ -8,6 +8,7 @@ import adaptspline.adapt as adapt_module
 from adaptspline import (
     SIGMA_PRESETS,
     AdaptConfig,
+    IntervalFamily,
     Sample,
     bumps,
     dyadic_family,
@@ -352,24 +353,34 @@ class TestSharedStart:
             "solve_weighted": equal + (local.iterations - m),
         }
 
-    @pytest.mark.parametrize("make, masks", [(bumps_hi, 41), (rupcar_hi, 37)])
-    def test_coverage_judged_only_while_the_local_branch_shares(self, count_calls, make, masks):
-        # the global branch alone never judges coverage, and in ``fit`` the
-        # global climb above the local branch's fork judges none either:
-        # ``fit`` builds the masks of ``fit_local``, one per weight judged
-        # while sharing (the rungs 2**-k ... 1 and the m shared bumps) and
-        # one per bump of the sweep
+    @pytest.mark.parametrize("make, masks", [(bumps_hi, 35), (rupcar_hi, 36)])
+    def test_one_mask_per_local_bump(self, count_calls, make, masks):
+        # the global branch bumps every point and builds no mask; the local
+        # branch builds one per bump, equal-weight bumps included, and
+        # ``fit`` builds no more than ``fit_local``
         built = count_calls(adapt_module, "_covered_mask")
         s = make(400)
         fit_global(s)
         assert built["_covered_mask"] == 0
         local = fit_local(s)
-        assert built["_covered_mask"] == masks
+        assert built["_covered_mask"] == local.iterations == masks
         built.clear()
         fit(s)
         assert built["_covered_mask"] == masks
+
+    @pytest.mark.parametrize("seed, tests", [(0, 42), (1, 46), (2, 42), (3, 43)])
+    def test_fork_on_a_rung_is_not_tested_again(self, count_calls, seed, tests):
+        # the local branch at n = 1024 leaves its equal weights on a rung of
+        # the start search above the start weight; the record keeps that
+        # rung's verdict, so the fit there is not tested a second time
+        counted = count_calls(adapt_module, "_w_test")
+        s = make_dataset(bumps(), 1024, SIGMA_PRESETS["bumps-hi"], seed=[13, 1024, seed])
+        local = fit_local(s)
         k, m = local.start_halvings, shared_climb(local)
-        assert masks == (k + 1) + max(m - k, 0) + (local.iterations - m)
+        assert 0 < m < k
+        # the line, the rungs 2**-k ... 1, the equal bumps above 1 (none
+        # here) and one test per bump with unequal weights
+        assert counted["_w_test"] == tests == 1 + (k + 1) + max(m - k, 0) + (local.iterations - m)
 
     @pytest.mark.parametrize(
         "preset, seed, solves",
@@ -388,44 +399,45 @@ class TestEqualWeightRecord:
     """The record of equal-weight fits that both branches read."""
 
     N = 8
-    ONES = np.arange(1, N + 1)
-    PAIRS = np.arange(1, N, 2)
+    # a two-group sweep: the singletons 1..8, then the pairs (1, 2) ... (7, 8)
+    FAMILY = IntervalFamily(np.r_[1:N + 1, 1:N:2], np.r_[1:N + 1, 2:N + 1:2], N)
+    ONES = FAMILY.sizes == 1
 
     @classmethod
     def violations(cls, w):
-        """A scripted test on a two-group sweep (sizes 1 and 2), by weight."""
-        ones, pairs, none = cls.ONES, cls.PAIRS, np.zeros(0, dtype=int)
+        """A scripted test on the two-group sweep, by weight: the mask of
+        violating intervals."""
+        ones = cls.ONES
         if np.all(w == 0.0):
-            return ones, ones
+            return ones
         if np.all(w == w[0]):
             lam = w[0]
             if lam == 2.0:
-                # group 0 is clean, so the local branch forks here after one
-                # shared bump; its sweep finds group 0 clean and bumps every
-                # point for group 1, outside the record
-                return pairs, pairs + 1
+                # group 0 is clean, so the sweep turns to group 1, whose
+                # violations cover every point: an equal-weight bump to 4
+                return ~ones
             if lam == 4.0:
-                # the sweep, now on group 1, bumps points 1 and 2 only,
-                # though group 0 covers every point
-                return np.append(ones, 1), np.append(ones, 2)
-            return (ones, ones) if lam < 64.0 else (none, none)
-        low = np.flatnonzero(w < 32.0) + 1
-        return low, low
+                # the sweep, still on group 1, bumps points 1 and 2 only,
+                # though group 0 covers every point: the first unequal weights
+                return ones | (cls.FAMILY.lo == 1) & (cls.FAMILY.hi == 2)
+            return ones if lam < 64.0 else np.zeros(len(cls.FAMILY), dtype=bool)
+        return np.r_[w < 32.0, np.zeros(cls.N // 2, dtype=bool)]
 
     @classmethod
     def scripted(cls, fit_, weights):
         w = np.broadcast_to(np.asarray(weights, dtype=float), (cls.N,))
-        lo, hi = cls.violations(w)
-        return lo.size == 0, lo, hi, (float(w.min()), float(w.max()), lo.size)
+        bad = cls.violations(w)
+        return not bad.any(), bad, (float(w.min()), float(w.max()), int(bad.sum()))
 
     @classmethod
     def reference_local(cls, target, budget):
         """The local sweep from the start weight 1, solving every step."""
         sweep = (1, 2)
-        records = [cls.scripted(None, 0.0)[3]]
+        records = [cls.scripted(None, 0.0)[2]]
         weights = np.ones(cls.N)
         current = solve_weighted(target, weights)
-        passed, lo, hi, record = cls.scripted(current, weights)
+        passed, bad, record = cls.scripted(current, weights)
+        lo, hi = cls.FAMILY.lo[bad], cls.FAMILY.hi[bad]
         records.append(record)
         iterations = clean = group = 0
         while clean < len(sweep):
@@ -442,39 +454,15 @@ class TestEqualWeightRecord:
             weights = np.where(covered, weights * 2.0, weights)
             current = solve_weighted(target, weights)
             iterations += 1
-            passed, lo, hi, record = cls.scripted(current, weights)
+            passed, bad, record = cls.scripted(current, weights)
+            lo, hi = cls.FAMILY.lo[bad], cls.FAMILY.hi[bad]
             records.append(record)
             clean = 0
         return current, weights, iterations, passed, tuple(records)
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 200])
-    def test_local_branch_equals_a_sweep_that_solves_every_step(self, budget, monkeypatch):
-        climbs = []
-
-        def climb(*args):
-            climbs.append(real(*args))
-            return climbs[-1]
-
-        real = adapt_module._climb
-        monkeypatch.setattr(adapt_module, "_climb", climb)
-        # on a line every equal-weight fit hugs the line, so the start weight is 1
-        t = np.arange(1, self.N + 1) / self.N
-        target = Sample(t, 2.0 - t)
-        run = adapt_module._adapt(target, self.scripted, (1, 2), AdaptConfig(max_iterations=budget))
-        assert run.halvings == 0
-        # the local branch's climb: one shared bump, to its fork at 2
-        assert climbs[0][:2] == (2.0, 1)
-        local = run.branches["local"]
-        current, weights, iterations, passed, records = self.reference_local(target, budget)
-        assert np.array_equal(local.weights, weights)
-        assert local.iterations == iterations
-        assert local.passed == passed
-        assert local.records == records
-        assert np.array_equal(local.fit.values, current.values)
-        glob = run.branches["global"]
-        assert glob.passed == (budget == 200) and glob.iterations == min(budget, 6)
-
-    def test_keeps_two_fits_at_most(self, monkeypatch):
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The records the runs of a test build, in order."""
         made = []
 
         class Recording(adapt_module._Equal):
@@ -483,22 +471,50 @@ class TestEqualWeightRecord:
                 made.append(self)
 
         monkeypatch.setattr(adapt_module, "_Equal", Recording)
+        return made
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 200])
+    def test_local_branch_equals_a_sweep_that_solves_every_step(self, budget, made):
+        # on a line every equal-weight fit hugs the line, so the start weight is 1
+        t = np.arange(1, self.N + 1) / self.N
+        target = Sample(t, 2.0 - t)
+        config = AdaptConfig(max_iterations=budget)
+        alone = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config, ("local",))
+        # alone, the local branch reads its equal weights 1, 2 and 4 from
+        # the record and leaves it at its bump of points 1 and 2
+        assert sorted(made[0].verdicts) == [1.0, 2.0, 4.0][: budget + 1]
+        run = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config)
+        assert run.halvings == alone.halvings == 0
+        local = run.branches["local"]
+        current, weights, iterations, passed, records = self.reference_local(target, budget)
+        for branch in (local, alone.branches["local"]):
+            assert np.array_equal(branch.weights, weights)
+            assert branch.iterations == iterations
+            assert branch.passed == passed
+            assert branch.records == records
+            assert np.array_equal(branch.fit.values, current.values)
+        glob = run.branches["global"]
+        assert glob.passed == (budget == 200) and glob.iterations == min(budget, 6)
+
+    def test_keeps_two_fits_at_most(self, made):
         s = make_dataset(rupcar(6), 25600, SIGMA_PRESETS["rupcar-hi"], seed=[12, 25600, 0])
         r = fit(s)
         (equal,) = made
-        assert set(vars(equal)) == {"system", "test", "sweep", "sharing", "verdicts", "last", "passing", "tested"}
-        # the local branch stopped sharing the climb once its own returned
-        assert equal.sharing is False
+        count = len(dyadic_family(s.n))
+        assert set(vars(equal)) == {"system", "test", "count", "verdicts", "last", "passing"}
+        assert equal.count == count
         assert len(equal.verdicts) > r.start_halvings + 2
-        for passed, record, covers in equal.verdicts.values():
+        # per weight a verdict, a trace record and the violations packed
+        # to one bit per interval of the family
+        for lam, (passed, packed, record) in equal.verdicts.items():
             assert isinstance(passed, (bool, np.bool_)) and isinstance(record, adapt_module.TraceEntry)
-            assert isinstance(covers, bool)
+            assert packed.dtype == np.uint8 and packed.shape == (-(-count // 8),)
+            judged, bad, again = equal.judge(lam)
+            assert (judged, again) == (passed, record)
+            assert bad.dtype == bool and bad.shape == (count,) and np.count_nonzero(bad) == record.violations
         kept = [pair for pair in (equal.last, equal.passing) if pair is not None]
         assert all(len(pair) == 2 and isinstance(pair[1], SplineFit) for pair in kept)
         assert len(kept) <= 2
-        # of the tests, only the intervals of the last one: one pair of arrays
-        lam, lo, hi = equal.tested
-        assert lam in equal.verdicts and lo.shape == hi.shape and lo.ndim == 1
 
 
 class TestTraceViolations:

@@ -117,6 +117,12 @@ class TestMakeDataset:
         with pytest.raises(ValueError):
             make_dataset(sine(), 10, 1.0, noise="laplace")
 
+    @pytest.mark.parametrize("n", [400.5, 400.0, True])
+    def test_rejects_non_integer_n(self, n):
+        # 400.5 used to fail on the design ("design points must lie in [0, 1]")
+        with pytest.raises(ValueError, match="integer n"):
+            make_dataset(sine(), n, 0.1)
+
 
 class TestRise:
     def test_zero_for_matching_fit(self):

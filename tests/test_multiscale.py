@@ -58,6 +58,13 @@ class TestDyadicFamily:
         with pytest.raises(ValueError):
             dyadic_family(0)
 
+    @pytest.mark.parametrize("n", [True, 6.0, 6.5, "6"])
+    def test_rejects_non_integer_n(self, n):
+        # a bool or float n is not handed the family kept for its integer value
+        dyadic_family(1), dyadic_family(6)
+        with pytest.raises(ValueError, match="integer"):
+            dyadic_family(n)
+
     def test_shared_and_read_only(self):
         fam = dyadic_family(37)
         assert dyadic_family(37) is fam
@@ -128,6 +135,10 @@ class TestWStat:
             w_stat(s, np.zeros(3), (0, 2))
         with pytest.raises(ValueError):
             w_stat(s, np.zeros(3), (2, 4))
+        # a bound that is not an integer is not truncated
+        for interval in ((1.5, 2), (1, 2.5), (True, 2), (1.0, 3.0)):
+            with pytest.raises(ValueError, match="out of bounds"):
+                w_stat(s, np.zeros(3), interval)
         # a fit of another length is not broadcast
         for g in (np.zeros(1), np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(ValueError, match="sample size"):
@@ -241,7 +252,8 @@ def assert_core_matches_in_region(sample, values, spec):
     assert passed == rep.passed
     assert max_abs == rep.max_abs_w
     assert np.array_equal(w, all_w_stats(sample, values, fam))
-    assert bad.size == len(rep.violations)
+    assert bad.dtype == bool and bad.shape == (len(fam),)
+    assert np.count_nonzero(bad) == len(rep.violations)
     assert set(zip(fam.lo[bad].tolist(), fam.hi[bad].tolist())) == {(lo, hi) for lo, hi, _ in rep.violations}
     return rep
 
@@ -312,6 +324,12 @@ class TestCalibrateTau:
         with pytest.raises(ValueError, match="n >= 2"):
             calibrate_tau(n, replicates=1000)
 
+    @pytest.mark.parametrize("n, replicates", [(100.5, 1000), (100.0, 1000), (True, 1000), (100, 1000.0)])
+    def test_rejects_non_integer_counts(self, n, replicates):
+        # 100.5 used to fail in the family and 1000.0 with a TypeError
+        with pytest.raises(ValueError, match="integer"):
+            calibrate_tau(n, replicates=replicates)
+
     def test_monotone_in_alpha(self):
         taus = [calibrate_tau(128, alpha, replicates=3000, seed=3) for alpha in (0.8, 0.9, 0.95, 0.99)]
         assert taus == sorted(taus)
@@ -344,3 +362,11 @@ class TestMinDetectableDelta:
             min_detectable_delta(1000, 0, 1.0, 3.0, "all")
         with pytest.raises(ValueError):
             min_detectable_delta(1000, 24, 1.0, 3.0, "hexadic")
+        with pytest.raises(ValueError):
+            min_detectable_delta(1000, 24.0, 1.0, 3.0, "all")
+
+    @pytest.mark.parametrize("size", [101, 500])
+    def test_rejects_an_interval_longer_than_n(self, size):
+        with pytest.raises(ValueError, match="interval_size <= n"):
+            min_detectable_delta(100, size, 1.0, 3.0)
+        assert min_detectable_delta(100, 100, 1.0, 3.0) > 0.0

@@ -173,6 +173,11 @@ class TestVStat:
             v_stat(np.ones(5), (1, 5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             v_stat(np.ones(5), (0, 5), np.ones(5))
+        # a bound that is not an integer is not truncated
+        for interval in ((1.5, 2), (1, 2.5), (True, 2), (1.0, 5.0)):
+            with pytest.raises(ValueError, match="out of bounds"):
+                v_stat(np.ones(5), interval, np.ones(5))
+        assert v_stat(np.ones(5), (np.int64(1), np.int64(5)), np.ones(5)) == 5.0
         # a scale of another length, or 2-D data, is not broadcast
         for y, s in ((np.ones(5), np.ones(1)), (np.ones(5), np.ones(6)), (np.ones((5, 1)), np.ones((5, 1)))):
             with pytest.raises(ValueError, match="1-D"):
@@ -249,6 +254,13 @@ class TestScaleFit:
     def test_needs_eight_points(self):
         with pytest.raises(ValueError):
             scale_fit(grid_sample(6, np.ones(6)))
+
+    @pytest.mark.parametrize("config", [AdaptConfig(sigma=2.0), AdaptConfig(tau=50.0),
+                                        AdaptConfig(tau=50.0, sigma=2.0)])
+    def test_rejects_config_fields_it_ignores(self, config):
+        # the chi-squared bands read neither sigma nor tau
+        with pytest.raises(ValueError, match="q and max_iterations"):
+            scale_fit(grid_sample(64, np.ones(64)), config=config)
 
     def test_family_size_must_match(self):
         with pytest.raises(ValueError):
