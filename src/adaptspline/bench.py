@@ -166,12 +166,15 @@ def make_dataset(fn: TestFunction, n: int, sigma: float, noise: str = "gaussian"
     """Equispaced data t_i = i/n with y = f(t) + sigma * noise, seeded.
 
     ``noise`` is "gaussian" or "cauchy" (standard variates either way);
-    ``seed`` may be an int or a sequence of ints.
+    ``sigma`` must be nonnegative and finite; ``seed`` may be an int or a
+    sequence of ints.
     """
     if not _is_count(n, 3):
         raise ValueError(f"need an integer n of at least 3 data points, got {n!r}")
     if noise not in ("gaussian", "cauchy"):
         raise ValueError("noise must be 'gaussian' or 'cauchy'")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be a nonnegative finite number")
     t = _design(n)
     return _noisy(t, fn.f(t), sigma, noise, seed)
 

@@ -22,7 +22,8 @@ LAPACK ``dgbtrf`` / ``dgbtrs`` (partial pivoting) solve it in O(n) time
 and memory.
 
 Only the entries Q/lambda change with the weights.  ``prepare_system``
-builds the matrix once at unit weight, as the 2-D LAPACK band array, and
+builds the matrix once at unit weight, as the 2-D LAPACK band array (the
+one place Q and R are written), and
 ``solve_weighted`` takes that system in place of the sample, so the many
 solves of one adaptive fit share it.  Each solve copies the band, scales
 the three rows that hold Q by 1/lambda, then factors the copy in place.
@@ -36,6 +37,12 @@ Inside the private scope ``_shared_design`` (entered by
 shares one design, which keeps the LU factors of each equal weight it has
 solved, up to a fixed memory budget; a later equal-weight solve at a kept
 weight runs ``dgbtrs`` only.  Outside a scope nothing is kept.
+
+The penalty form ``PenaltyMatrix`` (K with g^T K g the roughness of the
+spline interpolating g) reads the same band at infinite weights: there
+Q/lambda = 0, the first block row says g = y, and the second gives the
+second derivatives of the spline through y.  So ``dgbtrf`` / ``dgbtrs``
+are the module's one banded solver.
 
 Evaluating a spline at given points also splits into a part that depends
 on the knots only and a part that depends on the fit: ``_locate`` finds
@@ -54,7 +61,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
@@ -178,55 +184,19 @@ def affine_fit(t, intercept: float, slope: float) -> SplineFit:
     return SplineFit(t.copy(), values, np.zeros_like(t), 0.0)
 
 
-def _q_coeffs(h: np.ndarray):
-    """Column coefficients of the n x (n-2) second-difference matrix Q.
-
-    Column j (one per interior knot) has entries a_j, b_j, c_j at rows
-    j, j+1, j+2, chosen so that (Q^T g)_j is the second divided difference
-    of g around knot j+1.
-    """
-    a = 1.0 / h[:-1]
-    c = 1.0 / h[1:]
-    b = -(a + c)
-    return a, b, c
-
-
-def _apply_qt(h: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Q^T v: second divided differences, one per interior knot."""
-    return v[:-2] / h[:-1] + v[1:-1] * b + v[2:] / h[1:]
-
-
-def _apply_q(a: np.ndarray, b: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Q u for a vector u indexed by interior knots."""
-    out = np.zeros(u.size + 2)
-    out[:-2] += a * u
-    out[1:-1] += b * u
-    out[2:] += c * u
-    return out
-
-
-def _r_bands(h: np.ndarray):
-    """Main and first superdiagonal of the (n-2) x (n-2) Gram matrix R."""
-    main = (h[:-1] + h[1:]) / 3.0
-    off = h[1:-1] / 6.0
-    return main, off
-
-
-def _solve_banded_upper(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """solveh_banded with the bandwidth trimmed to the system size."""
-    m = rhs.size
-    rows = min(ab.shape[0], m)
-    return solveh_banded(ab[-rows:], rhs, lower=False)
-
-
 @dataclass(frozen=True)
 class PenaltyMatrix:
     """The quadratic form K with g^T K g = roughness of the interpolating spline.
 
-    Stored in banded factored form K = Q R^{-1} Q^T (Q has three nonzero
-    diagonals, R is tridiagonal SPD), so products and quadratic forms cost
-    O(n).  K is symmetric positive semidefinite with null space exactly the
-    affine functions of t.
+    K = Q R^{-1} Q^T is never formed for products and quadratic forms.  The
+    natural spline through (t, g) is the fits' augmented system at infinite
+    weights: the band that ``prepare_system`` builds, factored by
+    ``_factor`` at d = 1/lambda = 0, solves for its second derivatives
+    gamma = R^{-1} Q^T g.  Then g^T K g is their roughness, the formula
+    every fit uses, and K g = Q gamma reads Q from the band.  Each costs
+    O(n); ``dense`` solves for all n unit vectors at once.  The knots need
+    not lie in [0, 1].  K is symmetric positive semidefinite with null
+    space exactly the affine functions of t.
     """
 
     knots: np.ndarray
@@ -243,50 +213,48 @@ class PenaltyMatrix:
     def n(self) -> int:
         return self.knots.size
 
-    def _r_upper(self) -> np.ndarray:
-        h = np.diff(self.knots)
-        main, off = _r_bands(h)
-        ab = np.zeros((2, main.size))
-        ab[0, 1:] = off
-        ab[1] = main
-        return ab
+    def _second_derivs(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The band of the knots, and the second derivatives of the natural
+        spline through (t, g): the augmented system at d = 1/lambda = 0,
+        one column of g per right-hand side."""
+        h, band = _band(self.knots)
+        rhs = np.zeros((2 * self.n,) + g.shape[1:], order="F")
+        rhs[::2] = g
+        lu, piv = _factor(SplineSystem(self.knots, h, band, rhs), np.zeros(self.n))
+        x, info = dgbtrs(lu, _KL, _KU, rhs, piv)
+        if info != 0:
+            raise _singular()
+        return band, x[1::2]
 
-    def _gamma_of(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = np.diff(self.knots)
-        qtg = _apply_qt(h, _q_coeffs(h)[1], g)
-        gamma = _solve_banded_upper(self._r_upper(), qtg)
-        return gamma, qtg
+    def _apply(self, g: np.ndarray) -> np.ndarray:
+        """K g = Q gamma, with Q read from the band (see ``SplineSystem``)."""
+        band, gamma = self._second_derivs(g)
+        a, b, c = band[3:8:2, 3:-2:2].reshape((3, self.n - 2) + (1,) * (g.ndim - 1))
+        inner = gamma[1:-1]
+        out = np.zeros_like(gamma)
+        out[:-2] += a * inner
+        out[1:-1] += b * inner
+        out[2:] += c * inner
+        return out
 
-    def quad_form(self, g) -> float:
-        """g^T K g, the roughness of the natural spline interpolating (t_i, g_i)."""
+    def _vector(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n,):
             raise ValueError("vector length must match the design size")
-        gamma, qtg = self._gamma_of(g)
-        return max(float(gamma @ qtg), 0.0)
+        return g
+
+    def quad_form(self, g) -> float:
+        """g^T K g, the roughness of the natural spline interpolating (t_i, g_i)."""
+        _, gamma = self._second_derivs(self._vector(g))
+        return _roughness(np.diff(self.knots), gamma)
 
     def apply(self, g) -> np.ndarray:
         """Matrix-vector product K g."""
-        g = np.asarray(g, dtype=float)
-        gamma, _ = self._gamma_of(g)
-        return _apply_q(*_q_coeffs(np.diff(self.knots)), gamma)
+        return self._apply(self._vector(g))
 
     def dense(self) -> np.ndarray:
         """Explicit n x n matrix; O(n^2) memory, intended for diagnostics."""
-        t = self.knots
-        n = self.n
-        h = np.diff(t)
-        a, b, c = _q_coeffs(h)
-        qt = np.zeros((n - 2, n))
-        idx = np.arange(n - 2)
-        qt[idx, idx] = a
-        qt[idx, idx + 1] = b
-        qt[idx, idx + 2] = c
-        main, off = _r_bands(h)
-        r = np.diag(main)
-        if off.size:
-            r += np.diag(off, 1) + np.diag(off, -1)
-        k = qt.T @ np.linalg.solve(r, qt)
+        k = self._apply(np.eye(self.n))
         return (k + k.T) / 2.0
 
     def eigenvalues(self) -> np.ndarray:
@@ -363,6 +331,46 @@ def _shared_design():
         _DESIGN.reset(token)
 
 
+def _band(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spacings of t and the band of its augmented system at unit weight.
+
+    The one place Q and R are written.  Column j of Q (one per interior
+    knot) has entries a = 1/h_{j-1}, b = -(a + c), c = 1/h_j at the rows of
+    g_{j-1}, g_j, g_{j+1}, so that (Q^T g)_j is the second divided
+    difference of g around knot j; R is tridiagonal with (h_{j-1} + h_j)/3
+    on its diagonal and h_j/6 beside it.  The knots need not lie in [0, 1].
+
+    Raises
+    ------
+    ValueError
+        If the spacings are so small that the system is not finite.
+    """
+    n = t.size
+    h = np.diff(t)
+    a = 1.0 / h[:-1]
+    c = 1.0 / h[1:]
+    r_main = (h[:-1] + h[1:]) / 3.0
+    r_off = h[1:-1] / 6.0
+    gp = np.arange(0, 2 * n, 2)  # where g_i sits
+    cp = np.arange(3, 2 * n - 2, 2)  # where the interior gamma_j sit
+
+    band = np.zeros((_LDAB, 2 * n), order="F")
+
+    def put(row, col, value):
+        band[_KL + _KU + row - col, col] = value
+
+    band[_KL + _KU] = 1.0  # the diagonal of g and of the pinned gamma_1, gamma_n
+    for k, qk in enumerate((a, -(a + c), c)):
+        put(gp[k:k + n - 2], cp, qk)
+        put(cp, gp[k:k + n - 2], qk)
+    put(cp, cp, -r_main)
+    put(cp[:-1], cp[1:], -r_off)
+    put(cp[1:], cp[:-1], -r_off)
+    if not np.isfinite(band).all():
+        raise ValueError("spline system is not finite; the design points are too close")
+    return h, band
+
+
 def prepare_system(sample: Sample) -> SplineSystem:
     """The augmented spline system for ``sample``, at unit weight.
 
@@ -389,25 +397,7 @@ def prepare_system(sample: Sample) -> SplineSystem:
         if np.array_equal(design.t, t):
             return SplineSystem(t, design.h, design.band, rhs, design.factors)
         scope = None  # another grid: a system of its own that keeps nothing
-    h = np.diff(t)
-    r_main, r_off = _r_bands(h)
-    gp = np.arange(0, 2 * n, 2)  # where g_i sits
-    cp = np.arange(3, 2 * n - 2, 2)  # where the interior gamma_j sit
-
-    band = np.zeros((_LDAB, 2 * n), order="F")
-
-    def put(row, col, value):
-        band[_KL + _KU + row - col, col] = value
-
-    band[_KL + _KU] = 1.0  # the diagonal of g and of the pinned gamma_1, gamma_n
-    for k, qk in enumerate(_q_coeffs(h)):
-        put(gp[k:k + n - 2], cp, qk)
-        put(cp, gp[k:k + n - 2], qk)
-    put(cp, cp, -r_main)
-    put(cp[:-1], cp[1:], -r_off)
-    put(cp[1:], cp[:-1], -r_off)
-    if not np.isfinite(band).all():
-        raise ValueError("spline system is not finite; the design points are too close")
+    h, band = _band(t)
     system = SplineSystem(t, h, band, rhs, None if scope is None else {})
     if scope is not None:
         scope[0] = system

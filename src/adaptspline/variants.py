@@ -47,6 +47,9 @@ CLUSTER_WINDOW = 7
 # that not even the clipped scale could meet are exempt from enforcement.
 SCALE_FLOOR_FRACTION = 2e-3
 _SCALE_BUDGET = 400
+# The smallest normal double: the squared floor must reach it, or the band
+# test's sums lose their digits.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _running_median5(y: np.ndarray) -> np.ndarray:
@@ -260,6 +263,18 @@ def scale_fit(
     local branch.  Of ``config`` it reads ``q`` and ``max_iterations``:
     the chi-squared bands fix the rest, so a config that sets ``sigma`` or
     a ``tau`` other than the default raises ``ValueError``.
+
+    The band test divides y**2 by the squared scale, so both must be
+    representable: ``ValueError`` is raised when the squared floor
+    (``SCALE_FLOOR_FRACTION`` * max |y|)**2 is below the smallest normal
+    double, max |y| < 7.46e-152, or when the sum of y**2 overflows.  The
+    lower bound is conservative: data near it, such as max |y| of about
+    3e-152, fit correctly but are rejected too.  Rescale such data first;
+    the fitted scale is proportional to it.  An all-zero input is no
+    error and returns the degenerate fit.  Above max |y| of about 1e77 the
+    roughness of ``s``, which grows as y**4, overflows to NaN with numpy
+    warnings, and the smoother-branch choice then always takes the local
+    branch.
     """
     if sample.n < 8:
         raise ValueError("need at least 8 data points")
@@ -273,8 +288,15 @@ def scale_fit(
         raise ValueError("family size does not match the sample")
 
     a = np.abs(sample.y)
-    y2 = a * a
     floor = SCALE_FLOOR_FRACTION * float(a.max())
+    with np.errstate(over="ignore"):  # an overflow raises just below
+        y2 = a * a
+        total = float(y2.sum())
+    if floor > 0.0 and not (floor * floor >= _TINY and math.isfinite(total)):
+        raise ValueError(
+            f"scale_fit needs max |y| of at least {math.sqrt(_TINY) / SCALE_FLOOR_FRACTION:.3g} and a finite "
+            f"sum of y**2 (max |y| below about {math.sqrt(np.finfo(float).max / sample.n):.3g} at n = {sample.n})"
+        )
     # an all-zero input has nothing to test (its empty mask counts as all
     # pinned); otherwise every interval may be pinned, leaving nothing to fit
     test, pinned = _band_test(y2, floor, spec) if floor > 0.0 else (None, np.zeros(0, dtype=bool))

@@ -123,6 +123,12 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="integer n"):
             make_dataset(sine(), n, 0.1)
 
+    @pytest.mark.parametrize("sigma", [-0.3, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        # a negative sigma would mirror the noise; NaN and inf would fail on the data
+        with pytest.raises(ValueError, match="sigma must be a nonnegative finite number"):
+            make_dataset(sine(), 50, sigma, seed=1)
+
 
 class TestRise:
     def test_zero_for_matching_fit(self):

@@ -16,6 +16,12 @@ def write_csv(path, t, y, header=None):
             fh.write(f"{float(a)!r},{float(b)!r}\n")
 
 
+def read_csv(path, reader=csv.reader):
+    """The rows of a CSV file, read with the file closed afterwards."""
+    with open(path) as fh:
+        return list(reader(fh))
+
+
 FIT_REPORT_KEYS = {
     "n", "sigma_used", "tau", "threshold_used", "passed", "truncated", "iterations",
     "chosen_branch", "roughness", "roughness_local", "roughness_global", "start_halvings",
@@ -44,7 +50,7 @@ class TestFitCommand:
         doc = json.loads((tmp_path / "line.report.json").read_text())
         assert doc["roughness"] == 0.0
         assert doc["passed"] is True
-        rows = list(csv.reader((tmp_path / "line.fit.csv").open()))
+        rows = read_csv(tmp_path / "line.fit.csv")
         assert rows[0] == ["t", "fit", "d1", "d2", "lambda"]
         fit_vals = np.array([float(r[1]) for r in rows[1:]])
         np.testing.assert_allclose(fit_vals, 1.0 + 2.0 * t, atol=1e-9)
@@ -79,7 +85,7 @@ class TestFitCommand:
     def test_roughness_round_trip(self, noisy_csv, tmp_path):
         assert main(["fit", str(noisy_csv)]) == 0
         doc = json.loads((tmp_path / "data.report.json").read_text())
-        rows = list(csv.reader((tmp_path / "data.fit.csv").open()))[1:]
+        rows = read_csv(tmp_path / "data.fit.csv")[1:]
         t = np.array([float(r[0]) for r in rows])
         fit_vals = np.array([float(r[1]) for r in rows])
         assert PenaltyMatrix(t).quad_form(fit_vals) == pytest.approx(doc["roughness"], abs=1e-9)
@@ -116,7 +122,7 @@ class TestFitCommand:
         assert main(["fit", str(path), "--rescale"]) == 0
         doc = json.loads((tmp_path / "angles.report.json").read_text())
         assert doc["rescale"] == {"offset": 10.0, "scale": 20.0}
-        rows = list(csv.reader((tmp_path / "angles.fit.csv").open()))[1:]
+        rows = read_csv(tmp_path / "angles.fit.csv")[1:]
         t_out = np.array([float(r[0]) for r in rows])
         np.testing.assert_allclose(t_out, t, atol=1e-12)  # original units preserved
 
@@ -126,7 +132,7 @@ class TestFitCommand:
         path = tmp_path / "wide.csv"
         write_csv(path, t, np.sin(t))
         assert main(["fit", str(path), "--rescale"]) == 0
-        rows = list(csv.reader((tmp_path / "wide.fit.csv").open()))[1:]
+        rows = read_csv(tmp_path / "wide.fit.csv")[1:]
         assert [float(r[0]) for r in rows] == t.tolist()
 
     def test_truncation_exit_3(self, tmp_path):
@@ -219,7 +225,7 @@ class TestScaleCommand:
         assert main(["scale", str(path)]) == 0
         doc = json.loads((tmp_path / "vol.scale.json").read_text())
         assert doc["passed"] is True
-        rows = list(csv.reader((tmp_path / "vol.scale.csv").open()))
+        rows = read_csv(tmp_path / "vol.scale.csv")
         assert rows[0] == ["t", "scale", "lambda"]
         scales = np.array([float(r[1]) for r in rows[1:]])
         assert np.all(scales > 0.0)
@@ -249,6 +255,15 @@ class TestScaleCommand:
             "roughness", "scale_csv", "rescale",
         }
         assert doc["scale_csv"] == str(tmp_path / "vol.scale.csv")
+
+    def test_unrepresentable_squares_exit_2(self, tmp_path, capsys):
+        n = 64
+        t = np.arange(1, n + 1) / n
+        path = tmp_path / "tiny.csv"
+        write_csv(path, t, 1e-160 * np.random.default_rng(1).standard_normal(n))
+        assert main(["scale", str(path)]) == 2
+        assert "max |y|" in capsys.readouterr().err
+        assert not list(tmp_path.glob("tiny.scale.*"))
 
     def test_degenerate_zero_input_exit_3(self, tmp_path):
         n = 64
@@ -292,7 +307,7 @@ class TestSimulateCommand:
             "--replicates", "2", "--seed", "3", "-o", str(out),
         ])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv(out, csv.DictReader)
         assert len(rows) == 3
         assert set(rows[0]) == {"function", "n", "sigma", "order", "mrise", "replicates", "seed"}
         assert rows[0]["function"] == "rupcar6"
@@ -326,6 +341,6 @@ class TestSpectrumCommand:
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--n", "16", "-o", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = read_csv(out)
         assert rows[0] == ["index", "eigenvalue"]
         assert len(rows) == 17

@@ -223,9 +223,16 @@ class TestPenalty:
         assert np.max(np.abs(k.apply(g))) == pytest.approx(0.0, abs=1e-8)
 
     def test_matches_dense_definition(self, rng):
-        t = jittered_design(15, rng)
-        k = build_penalty(Sample(t, np.zeros(15)))
-        np.testing.assert_allclose(k.dense(), dense_penalty(t), rtol=1e-9, atol=1e-7)
+        # n = 3 leaves the augmented band fewer than 7 unknowns; penalty
+        # knots need not lie in [0, 1]
+        for n, low, width in [(3, 0.0, 1.0), (4, 0.0, 1.0), (5, 0.0, 1.0), (15, 0.0, 1.0), (15, 2.0, 5.0)]:
+            t = low + width * jittered_design(n, rng)
+            k = PenaltyMatrix(t)
+            dense = k.dense()
+            np.testing.assert_allclose(dense, dense_penalty(t), rtol=1e-9, atol=1e-7)
+            g = rng.standard_normal(n)
+            np.testing.assert_allclose(k.apply(g), dense @ g, rtol=1e-9, atol=1e-7)
+            assert k.quad_form(g) == pytest.approx(g @ dense @ g, rel=1e-9)
 
     def test_equispaced_eigenvalue_bounds_n64(self):
         # sorted spectrum: two zeros, then c1*i^4/n <= ev_i <= c2*i^4/n

@@ -251,6 +251,26 @@ class TestScaleFit:
             if reachable:
                 assert lo_b <= v <= hi_b
 
+    @pytest.mark.parametrize("c", [1e-160, 1e-200, 1e154])
+    def test_rejects_data_whose_squares_are_not_representable(self, c):
+        # the squared floor is below the smallest normal double (1e-160,
+        # 1e-200) or y**2 overflows (1e154): the band test's sums are lost
+        z = np.random.default_rng(1).standard_normal(64)
+        with pytest.raises(ValueError, match=r"max \|y\| of at least 7.46e-152"):
+            scale_fit(grid_sample(64, c * z))
+
+    def test_scale_follows_the_data_across_the_range(self):
+        z = np.random.default_rng(1).standard_normal(64)
+        ref = scale_fit(grid_sample(64, z)).scale_values()
+        small = scale_fit(grid_sample(64, 1e-150 * z))
+        np.testing.assert_allclose(small.scale_values() / 1e-150, ref, rtol=1e-12)
+        # the roughness of the spline fitted to y**2 grows as y**4 and
+        # overflows to NaN past max |y| of about 1e77, with warnings; the
+        # scale itself is unaffected
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            big = scale_fit(grid_sample(64, 1e150 * z))
+        np.testing.assert_allclose(big.scale_values() / 1e150, ref, rtol=1e-12)
+
     def test_needs_eight_points(self):
         with pytest.raises(ValueError):
             scale_fit(grid_sample(6, np.ones(6)))
