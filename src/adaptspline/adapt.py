@@ -9,9 +9,10 @@ two accepted fits.
 
 One engine (``_adapt``) runs this loop for the mean fits here and for the
 scale fit of ``variants``; a caller hands it the sample to fit, its
-interval family, the test and the order in which the local branch takes
+interval family, the test, the order in which the local branch takes
 the violations (all at once for the w-test of the mean fits, shortest
-intervals first for the chi-squared bands of the scale fit).  Both
+intervals first for the chi-squared bands of the scale fit) and how the
+global branch searches its equal weights.  Both
 branches start from the same place, built once per call: the least
 squares line and its test, the spline system of the sample (see
 ``splines.prepare_system``; dropped when the call returns) and the start
@@ -19,19 +20,27 @@ weight.  The start weight is found by halving an equal weight from 1
 until the fit hugs the line, at most 60 times; the report says how many
 halvings it took and whether it stopped at that cap.
 
-Both branches run one loop (``_branch``), which multiplies the weights by
-q on the points the test rejects: every point for the global branch, the
-points covered by the violations of the current sweep group for the local
-branch.  A branch reads the equal-weight record (``_Equal``) while its
-weights are equal, so the record solves and tests each equal weight once,
-whichever branch or start-search rung asks first.  A local bump that
-covers every point keeps the weights equal; the first one that leaves a
-point uncovered turns them into an array, and from then on the local
-branch solves and tests on its own.  Per weight the record keeps the
-verdict, the trace record and the mask of violating intervals, packed to
-one bit per interval; of the fits it keeps two (the last one solved and
-that of the smallest passing weight), and any other equal-weight fit a
-branch ends on is solved again.  The fits are the ones the branches would
+The local branch runs one loop (``_branch``), which multiplies the
+weights by q on the points covered by the violations of the current sweep
+group.  The global branch holds one equal weight on the rungs start * q**k
+and ends on the first rung the test accepts, or on rung
+``max_iterations``.  The scale fit climbs to it rung by rung (``_climb``:
+the same loop, with every point bumped).  The mean fits bracket it
+(``_bracket``): they gallop up the rungs and then bisect, which reads
+about 2 log2 d rungs instead of d and finds the climb's rung whenever no
+rung fails above a passing one, as held on every input probed for the
+w-test.
+
+Every equal weight is read through the equal-weight record (``_Equal``),
+so the record solves and tests each equal weight once, whichever branch,
+start-search rung or bracket probe asks first.  A local bump that covers
+every point keeps the weights equal; the first one that leaves a point
+uncovered turns them into an array, and from then on the local branch
+solves and tests on its own.  Per weight the record keeps the verdict,
+the trace record and the mask of violating intervals, packed to one bit
+per interval; of the fits it keeps two (the last one solved and that of
+the smallest passing weight), and any other equal-weight fit a branch
+ends on is solved again.  The fits are the ones the branches would
 compute on their own.
 """
 
@@ -103,12 +112,17 @@ class TraceEntry:
 class FitReport:
     """Audit trail of one adaptation run.
 
-    ``iterations`` counts weight bumps; the trace has one entry per
-    examined fit starting with the least squares line (recorded with
-    lambda 0).  ``final_weights`` is None when the line itself was
-    accepted.  On truncation the final fit is the last one examined,
-    ``passed`` is False and ``truncated``, which is always ``not passed``,
-    is True.  The start weight is 2**-``start_halvings``;
+    ``iterations`` counts the weight bumps from the start weight to the
+    final weights; for the global branch that is the rung k of its final
+    equal weight start * q**k, however few rungs its search examined.
+    The trace starts with the least squares line (recorded with lambda 0).
+    For the local branch it then has one entry per examined fit; for the
+    global branch, one per rung its search examined at or below the final
+    weight, by increasing lambda.  Either way the last entry judges the
+    final fit.  ``final_weights`` is None when the line itself was
+    accepted.  On truncation (no fit accepted within ``max_iterations``
+    bumps) ``passed`` is False and ``truncated``, which is always ``not
+    passed``, is True.  The start weight is 2**-``start_halvings``;
     ``start_capped`` is True when its search stopped at the cap of 60
     halvings with the fit still farther from the least squares line than
     ``_INIT_TOLERANCE`` allows.  Both stay 0 / False when the line itself
@@ -161,8 +175,12 @@ class _Equal:
     for each of the ``count`` intervals of the family) and unpacked on
     each read.  Of the fits it keeps two, ``last`` (the last one solved) and
     ``passing`` (that of the smallest passing weight), each as a
-    ``(lam, fit)`` pair; ``fit(lam)`` solves any other again.  A branch
-    reads the record while its weights are equal (``_branch``).
+    ``(lam, fit)`` pair; ``fit(lam)`` solves any other again.  The start
+    search judges its rungs here, the local branch reads the record while
+    its weights are equal (``_branch``), and the global branch reads every
+    rung it climbs (``_climb``) or probes (``_bracket``) from it.  A
+    bracket's final fit is then usually kept: as ``passing`` when its
+    final rung passes, as ``last`` when it is cut off.
     """
 
     def __init__(self, system: SplineSystem, test, count: int):
@@ -190,16 +208,17 @@ class _Equal:
         return self.last[1]
 
 
-def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) -> tuple[float, int, bool]:
+def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) -> tuple[float, int, bool, int]:
     """Halve an equal weight from 1 until the fit hugs the least squares line.
 
-    Returns the start weight 2**-halvings, the halvings and whether the
-    search stopped at its cap with the fit still off the line.  Each rung
-    is solved through ``equal.fit``.  At q = 2 a branch whose weights stay
-    equal climbs through every rung, so each rung is judged as soon as it
+    Returns the start weight 2**-halvings, the halvings, whether the
+    search stopped at its cap with the fit still off the line, and how
+    many of the lowest rungs start * q**k it judged.  Each rung is solved
+    through ``equal.fit``.  At q = 2 the halvings are the rungs 0 ...
+    halvings of an equal-weight branch, so each is judged as soon as it
     is solved and the branch reads its verdict from the record; at other
-    q only the start weight is.  Either way the start fit is the record's
-    last fit.
+    q only the start weight, rung 0, is.  Either way the start fit is the
+    record's last fit.
     """
     lam, halvings = 1.0, 0
     while True:
@@ -208,7 +227,7 @@ def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) ->
         if done or q == 2.0:
             equal.judge(lam)
         if done:
-            return lam, halvings, not close
+            return lam, halvings, not close, halvings + 1 if q == 2.0 else 1
         lam *= 0.5
         halvings += 1
 
@@ -240,8 +259,9 @@ def _branch(name: str, equal: _Equal, family, start: float, config: AdaptConfig,
     """Bump the weights by q from ``start`` until the test accepts or the
     budget is spent.
 
-    With ``sweep=None`` this is the global branch: any violation bumps
-    every weight.  Otherwise it is the local sweep: bump the points in one
+    With ``sweep=None`` this is the global branch's climb (``_climb``):
+    any violation bumps every weight, and ``family`` is not read.
+    Otherwise it is the local sweep: bump the points in one
     sweep group's violating intervals until the group is clean, then take
     the next group, wrapping around; stop once every group is clean at one
     fit.  While the weights are equal they are one scalar ``lam``, and the
@@ -280,7 +300,76 @@ def _branch(name: str, equal: _Equal, family, start: float, config: AdaptConfig,
     return _Branch(name, current, weights, iterations, passed, tuple(records))
 
 
-def _adapt(target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global")) -> _Run:
+def _climb(equal: _Equal, start: float, judged: int, config: AdaptConfig, first) -> _Branch:
+    """The global branch rung by rung: ``_branch`` with every point bumped
+    at each violation.  ``judged`` is not needed: the climb reads each
+    rung in turn, and the record answers for those judged before."""
+    return _branch("global", equal, None, start, config, first, None)
+
+
+def _bracket(equal: _Equal, start: float, judged: int, config: AdaptConfig, first) -> _Branch:
+    """The global branch found by a bracket over its rungs.
+
+    Rung k is the equal weight the climb holds after k bumps, start * q**k
+    built by the climb's own repeated ``* q``, so that it is the same
+    double; rungs are built only up to the highest one read.  The search
+    first reads the ``judged`` rungs the start search judged (0 ...
+    halvings at q = 2, rung 0 at other q) in turn and stops at the first
+    that passes.  If none does, it gallops up from the last of them, b,
+    each step twice the one before: it reads rungs b + 1, b + 3, b + 7,
+    ..., cut at rung ``max_iterations``, until one passes, and then
+    bisects the rung index between the highest failing rung and that one.
+    Every rung is read through ``equal.judge``, so a rung judged before
+    costs nothing, and the rungs read depend on the data and the config
+    only.  When no rung read up to ``max_iterations`` passes, the branch
+    ends truncated there, as the climb does.
+
+    The answer is the climb's (same final weight, ``iterations`` its rung
+    index) whenever no rung fails above a passing one, at about 2 log2 d
+    rungs read instead of d.  The w-test of the mean fits was monotone
+    along the rungs on every input probed.  Were it not, the bracket
+    would still end on a passing rung, but possibly a rougher one than
+    the climb's; the scale fit, whose chi-squared verdicts are not
+    monotone, climbs.  The records are the line's, then those of the
+    rungs read at or below the final one, by rung, so the last judges the
+    final fit.
+    """
+    rungs, read = [start], {}
+
+    def passes(k: int) -> bool:
+        while len(rungs) <= k:
+            rungs.append(rungs[-1] * config.q)
+        passed, _, read[k] = equal.judge(rungs[k])
+        return passed
+
+    top = config.max_iterations
+    lo, hi = -1, None  # the highest rung read that fails, the lowest that passes
+    for k in range(min(judged, top + 1)):
+        if passes(k):
+            hi = k
+            break
+        lo = k
+    step = 1
+    while hi is None and lo < top:
+        k = min(lo + step, top)
+        if passes(k):
+            hi = k
+        else:
+            lo, step = k, 2 * step
+    while hi is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    k = lo if hi is None else hi
+    records = (first,) + tuple(read[j] for j in sorted(read) if j <= k)
+    return _Branch("global", equal.fit(rungs[k]), np.full(equal.system.n, rungs[k]), k, hi is not None, records)
+
+
+def _adapt(
+    target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), search=_climb
+) -> _Run:
     """Run the named branches on ``target`` from one shared start.
 
     ``test(fit, weights)`` returns ``(passed, bad, record)``: the verdict
@@ -289,9 +378,13 @@ def _adapt(target: Sample, family, test, sweep, config: AdaptConfig, branches=("
     ``weights`` is a scalar for an equal-weight fit and 0 for the least
     squares line.  ``sweep`` lists the groups the local branch takes in
     turn: ``None`` stands for every violation, an interval size for the
-    violations of that size.  Each branch reads the equal-weight record
-    while its weights are equal, so an equal weight both branches reach
-    is solved and tested once (``_branch``).
+    violations of that size.  ``search(equal, start, judged, config,
+    first)`` runs the global branch from the start weight, given the
+    number of its lowest rungs the start search judged: ``_climb`` rung
+    by rung, or ``_bracket`` for a test whose verdicts are monotone along
+    the rungs.  Each branch reads the equal-weight record while its
+    weights are equal, so an equal weight both branches reach is solved
+    and tested once.
     """
     line = _ls_line(target)
     passed, _, first = test(line, 0.0)
@@ -300,9 +393,11 @@ def _adapt(target: Sample, family, test, sweep, config: AdaptConfig, branches=("
         done = {name: _Branch(name, line, None, 0, True, (first,)) for name in branches}
     else:
         equal = _Equal(prepare_system(target), test, len(family))
-        start, halvings, capped = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
+        start, halvings, capped, judged = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
         done = {
-            name: _branch(name, equal, family, start, config, first, sweep if name == "local" else None)
+            name: _branch(name, equal, family, start, config, first, sweep)
+            if name == "local"
+            else search(equal, start, judged, config, first)
             for name in branches
         }
     # an accepted branch beats a rejected one, then the smaller final
@@ -340,7 +435,7 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
         record = TraceEntry(max_abs, int(np.count_nonzero(bad)), low, high, fit_.roughness)
         return passed, bad, record
 
-    run = _adapt(sample, family, test, (None,), config, branches)
+    run = _adapt(sample, family, test, (None,), config, branches, _bracket)
     both = {}
     if len(run.branches) == 2:
         local, glob = run.branches["local"], run.branches["global"]
@@ -375,9 +470,13 @@ def fit_local(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
 def fit_global(sample: Sample, config: AdaptConfig | None = None) -> FitReport:
     """Adapt one shared weight: every failure bumps all points at once.
 
-    This scans the classic one-parameter family of smoothing splines and
-    accepts the smoothest member inside the region; its roughness trace is
-    nondecreasing along the run.
+    This brackets the classic one-parameter family of smoothing splines
+    on the rungs start * q**k: it gallops up the rungs until a fit is
+    accepted, then bisects for the first accepted rung, the smoothest
+    member on the rungs inside the region whenever no rung is rejected
+    above an accepted one.  ``iterations`` is that rung's k, and the trace
+    holds the rungs examined at or below it, by increasing weight; its
+    roughness is nondecreasing along the trace.
     """
     return _fit(sample, config, ("global",))
 

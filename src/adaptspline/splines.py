@@ -59,6 +59,7 @@ import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -193,8 +194,10 @@ class PenaltyMatrix:
     weights: the band that ``prepare_system`` builds, factored by
     ``_factor`` at d = 1/lambda = 0, solves for its second derivatives
     gamma = R^{-1} Q^T g.  Then g^T K g is their roughness, the formula
-    every fit uses, and K g = Q gamma reads Q from the band.  Each costs
-    O(n); ``dense`` solves for all n unit vectors at once.  The knots need
+    every fit uses, and K g = Q gamma reads Q from the band.  The band is
+    built and factored once per instance, on first use, and kept; each
+    ``quad_form`` or ``apply`` then costs one O(n) ``dgbtrs``, and
+    ``dense`` solves for all n unit vectors at once.  The knots need
     not lie in [0, 1].  K is symmetric positive semidefinite with null
     space exactly the affine functions of t.
     """
@@ -213,23 +216,30 @@ class PenaltyMatrix:
     def n(self) -> int:
         return self.knots.size
 
-    def _second_derivs(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The band of the knots, and the second derivatives of the natural
-        spline through (t, g): the augmented system at d = 1/lambda = 0,
-        one column of g per right-hand side."""
+    @cached_property
+    def _factored(self) -> tuple:
+        """The spacings and band of the knots (``_band``) and the band's LU
+        at d = 1/lambda = 0, as ``(h, band, lu, piv)``."""
         h, band = _band(self.knots)
+        lu, piv = _factor(SplineSystem(self.knots, h, band, None), np.zeros(self.n))
+        return h, band, lu, piv
+
+    def _second_derivs(self, g: np.ndarray) -> np.ndarray:
+        """The second derivatives of the natural spline through (t, g): the
+        augmented system at d = 1/lambda = 0, one column of g per
+        right-hand side."""
+        _, _, lu, piv = self._factored
         rhs = np.zeros((2 * self.n,) + g.shape[1:], order="F")
         rhs[::2] = g
-        lu, piv = _factor(SplineSystem(self.knots, h, band, rhs), np.zeros(self.n))
         x, info = dgbtrs(lu, _KL, _KU, rhs, piv)
         if info != 0:
             raise _singular()
-        return band, x[1::2]
+        return x[1::2]
 
     def _apply(self, g: np.ndarray) -> np.ndarray:
         """K g = Q gamma, with Q read from the band (see ``SplineSystem``)."""
-        band, gamma = self._second_derivs(g)
-        a, b, c = band[3:8:2, 3:-2:2].reshape((3, self.n - 2) + (1,) * (g.ndim - 1))
+        gamma = self._second_derivs(g)
+        a, b, c = self._factored[1][3:8:2, 3:-2:2].reshape((3, self.n - 2) + (1,) * (g.ndim - 1))
         inner = gamma[1:-1]
         out = np.zeros_like(gamma)
         out[:-2] += a * inner
@@ -245,8 +255,7 @@ class PenaltyMatrix:
 
     def quad_form(self, g) -> float:
         """g^T K g, the roughness of the natural spline interpolating (t_i, g_i)."""
-        _, gamma = self._second_derivs(self._vector(g))
-        return _roughness(np.diff(self.knots), gamma)
+        return _roughness(self._factored[0], self._second_derivs(self._vector(g)))
 
     def apply(self, g) -> np.ndarray:
         """Matrix-vector product K g."""

@@ -304,6 +304,9 @@ def scale_fit(
         zero = affine_fit(sample.t, 0.0, 0.0)
         return ScaleFit(zero, None, False, 0, True, floor, pinned_intervals=int(pinned.sum()))
 
+    # the global branch climbs rung by rung (``_adapt``'s default): the
+    # chi-squared verdicts can pass on a rung below a failing one, where
+    # the mean fits' bracket would skip to a rougher passing rung
     run = _adapt(Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config)
     chosen = run.chosen
     return ScaleFit(

@@ -11,6 +11,7 @@ from adaptspline import (
     IntervalFamily,
     Sample,
     bumps,
+    clean_outliers,
     dyadic_family,
     fit,
     fit_global,
@@ -223,6 +224,18 @@ def shared_climb(report):
     return m
 
 
+# inputs per preset and sample size in TestGlobalBracket, each fitted at
+# q = 2 and 3 with budgets of 12 and 200
+SEEDS_PER_CELL = 8
+
+
+def rungs_read(report, q=2.0):
+    """The rungs k of the equal weights 2**-start_halvings * q**k in a
+    global trace, in trace order."""
+    start = 2.0 ** -report.start_halvings
+    return [round(math.log(e.lambda_min / start, q)) for e in report.trace[1:]]
+
+
 class TestSharedStart:
     """``fit`` shares one start between its branches; the fits must not notice."""
 
@@ -282,37 +295,41 @@ class TestSharedStart:
         made = dict(counts)
         local, glob = fit_local(s), fit_global(s)
         k = r.start_halvings
-        # the start search solves and judges the rungs 2**-k ... 1, and the
-        # shared equal-weight climb reads each of them, so only its weights
-        # above 1 are solved; the local branch leaves that climb at once,
-        # so each of its bumps is a solve
-        assert glob.iterations >= k > 0
-        assert shared_climb(local) == 0
+        # the start search solves and judges the rungs 0 ... k (the weights
+        # 2**-k ... 1), and the bracket reads them from the record.  It then
+        # gallops to the rungs k + 1, k + 3, k + 7, k + 15 and k + 31 = 36,
+        # the first that passes, and bisects down through 28, 32, 34 and 35:
+        # 9 solves above rung k.  The trace keeps the rungs at or below the
+        # final one.  The local branch leaves the equal weights at once, so
+        # each of its bumps is a solve.
+        assert (k, glob.iterations, shared_climb(local)) == (5, 35, 0)
+        assert rungs_read(glob) == [0, 1, 2, 3, 4, 5, 6, 8, 12, 20, 28, 32, 34, 35]
         assert made == {
             "sigma_hat": 1,
             "dyadic_family": 1,
             "_initial_lambda": 1,
-            "solve_weighted": (k + 1) + local.iterations + (glob.iterations - k),
+            "solve_weighted": (k + 1) + local.iterations + 9,
         }
+        assert made["solve_weighted"] == 50
 
     def test_each_examined_fit_is_tested_once(self, count_calls):
         # the local branch forks at the start weight, the one tested last,
         # and reads that test's intervals; testing its fork fit again would
-        # make these 43 and 73
+        # make these 43 and 52
         tests = count_calls(adapt_module, "_w_test")
         s = bumps_hi(400)
         local = fit_local(s)
         assert tests["_w_test"] == 42
         tests.clear()
         r = fit(s)
-        assert tests["_w_test"] == 72
-        glob = fit_global(s)
+        assert tests["_w_test"] == 51
         k = r.start_halvings
         # the line, the rungs of the start search, one test per bump of the
-        # local branch and of the global climb above the rungs
+        # local branch and one per rung the bracket reads above the rungs
+        # of the start search (see test_work_counts_at_q2)
         assert shared_climb(local) == 0
         assert 42 == 1 + (k + 1) + local.iterations
-        assert 72 == 42 + (glob.iterations - k)
+        assert 51 == 1 + (k + 1) + local.iterations + 9
 
     def test_work_counts_at_q3(self, counts):
         s = bumps_hi(400)
@@ -321,12 +338,19 @@ class TestSharedStart:
         made = dict(counts)
         local, glob = fit_local(s, config), fit_global(s, config)
         k = r.start_halvings
+        # the start search solves k + 1 weights and judges only the start
+        # weight, rung 0; the bracket gallops to the rungs 1, 3, 7, 15 and
+        # 31, the first that passes, and bisects down through 23, 19, 21
+        # and 22: 9 solves.  The local branch leaves the equal weights at once.
+        assert (k, glob.iterations, shared_climb(local)) == (5, 22, 0)
+        assert rungs_read(glob, 3.0) == [0, 1, 3, 7, 15, 19, 21, 22]
         assert made == {
             "sigma_hat": 1,
             "dyadic_family": 1,
             "_initial_lambda": 1,
-            "solve_weighted": (k + 1) + local.iterations + glob.iterations,
+            "solve_weighted": (k + 1) + local.iterations + 9,
         }
+        assert made["solve_weighted"] == 40
 
     @pytest.mark.parametrize("q", [2.0, 3.0])
     def test_work_counts_along_the_shared_climb(self, counts, q):
@@ -337,21 +361,30 @@ class TestSharedStart:
         local, glob = fit_local(s, config), fit_global(s, config)
         k, m = r.start_halvings, shared_climb(local)
         # the local branch climbs m equal-weight bumps before its violations
-        # leave a point uncovered; the global branch reads those m and climbs
-        # on.  Each equal weight is solved once: at q = 2 the rungs of the
-        # start search are the climb's weights up to 1, at q = 3 only its
-        # start.  The fork lies above the rungs, where the climb solved it,
+        # leave a point uncovered; the bracket reads its rungs up to m from
+        # the record and solves the 6 rungs above m that it reads (22, 38,
+        # 30, 26, 28, 29 at q = 2; 15, 31, 23, 19, 17, 18 at q = 3).  Each
+        # equal weight is solved once: at q = 2 the rungs of the start
+        # search are the climb's weights up to 1, at q = 3 only its start.
+        # The fork lies above those rungs, where the local climb solved it,
         # so the local branch takes its fit from the record.
-        assert m > k > 0
-        assert glob.trace[: m + 2] == local.trace[: m + 2]
-        climbed = max(m, glob.iterations)
-        equal = (k + 1) + (climbed - k if q == 2.0 else climbed)
+        read = rungs_read(glob, q)
+        assert (k, m, glob.iterations, read) == {
+            2.0: (7, 16, 30, [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 14, 22, 26, 28, 29, 30]),
+            3.0: (7, 10, 19, [0, 1, 3, 7, 15, 17, 18, 19]),
+        }[q]
+        # the rungs both branches read judge the same fits
+        for entry, rung in zip(glob.trace[1:], read):
+            if rung <= m:
+                assert entry == local.trace[1 + rung]
+        equal = (k + 1) + (m - k if q == 2.0 else m) + 6
         assert made == {
             "sigma_hat": 1,
             "dyadic_family": 1,
             "_initial_lambda": 1,
             "solve_weighted": equal + (local.iterations - m),
         }
+        assert made["solve_weighted"] == {2.0: 43, 3.0: 41}[q]
 
     @pytest.mark.parametrize("make, masks", [(bumps_hi, 35), (rupcar_hi, 36)])
     def test_one_mask_per_local_bump(self, count_calls, make, masks):
@@ -382,17 +415,113 @@ class TestSharedStart:
         # here) and one test per bump with unequal weights
         assert counted["_w_test"] == tests == 1 + (k + 1) + max(m - k, 0) + (local.iterations - m)
 
+    # each id names the preset, the seed and the solves the global branch
+    # made when it climbed the rungs one by one; with rupcar-hi each branch
+    # solving the shared climb on its own made that 66 / 70 / 64
     @pytest.mark.parametrize(
         "preset, seed, solves",
-        [("rupcar-hi", 0, 50), ("rupcar-hi", 1, 54), ("rupcar-hi", 2, 48),
-         ("bumps-hi", 0, 72), ("bumps-hi", 1, 81), ("bumps-hi", 2, 69)],
+        [pytest.param("rupcar-hi", 0, 42, id="rupcar-hi-0-50"),
+         pytest.param("rupcar-hi", 1, 47, id="rupcar-hi-1-54"),
+         pytest.param("rupcar-hi", 2, 41, id="rupcar-hi-2-48"),
+         pytest.param("bumps-hi", 0, 51, id="bumps-hi-0-72"),
+         pytest.param("bumps-hi", 1, 60, id="bumps-hi-1-81"),
+         pytest.param("bumps-hi", 2, 49, id="bumps-hi-2-69")],
     )
     def test_exact_solve_counts(self, counts, preset, seed, solves):
-        # rupcar-hi solved 66 / 70 / 64 when each branch solved the shared
-        # climb on its own; bumps-hi shares no climb at these seeds
         fn = rupcar(6) if preset == "rupcar-hi" else bumps()
         fit(make_dataset(fn, 400, SIGMA_PRESETS[preset], seed=[12, 400, seed]))
         assert counts["solve_weighted"] == solves
+
+    @pytest.mark.parametrize(
+        "preset, solves",
+        [pytest.param("bumps-hi", 50, id="bumps-hi-65"), pytest.param("rupcar-hi", 44, id="rupcar-hi-53")],
+    )
+    def test_exact_solve_counts_at_large_n(self, counts, preset, solves):
+        # ids as above, at n = 25600
+        fn = rupcar(6) if preset == "rupcar-hi" else bumps()
+        fit(make_dataset(fn, 25600, SIGMA_PRESETS[preset], seed=[5, 25600, 0]))
+        assert counts["solve_weighted"] == solves
+
+
+def reference_climb(sample, report, config):
+    """The global branch rung by rung, from the report's start weight:
+    solve and test every rung with ``solve_weighted`` and ``in_region``
+    until one passes or ``max_iterations`` bumps are spent.  Returns the
+    final fit, its weight, the bumps, the verdict and, by rung weight,
+    (max |w|, violations, roughness)."""
+    spec = RegionSpec(report.sigma_used, report.tau, sample.n)
+    family = dyadic_family(sample.n)
+    lam, bumps_made, seen = 2.0 ** -report.start_halvings, 0, {}
+    while True:
+        current = solve_weighted(sample, np.full(sample.n, lam))
+        rep = in_region(sample, current.values, family, spec)
+        seen[lam] = (rep.max_abs_w, len(rep.violation_w), current.roughness)
+        if rep.passed or bumps_made == config.max_iterations:
+            return current, lam, bumps_made, rep.passed, seen
+        lam *= config.q
+        bumps_made += 1
+
+
+def assert_global_is_the_climb(report, sample, config):
+    """A global report ends where the reference climb does, bit for bit,
+    and its trace judges, in increasing weight, rungs that the climb judges
+    the same way, the last of them its final fit."""
+    current, lam, bumps_made, passed, seen = reference_climb(sample, report, config)
+    assert np.array_equal(report.final_fit.values, current.values)
+    assert np.array_equal(report.final_fit.second_derivs, current.second_derivs)
+    assert report.final_fit.roughness == current.roughness
+    assert np.array_equal(report.final_weights, np.full(sample.n, lam))
+    assert (report.iterations, report.passed) == (bumps_made, passed)
+    weights = [e.lambda_min for e in report.trace[1:]]
+    assert weights == sorted(set(weights)) and weights[-1] == lam
+    for e in report.trace[1:]:
+        assert e.lambda_max == e.lambda_min
+        assert (e.max_abs_w, e.violations, e.roughness) == seen[e.lambda_min]
+
+
+class TestGlobalBracket:
+    """The global branch of the mean fits brackets its rungs; it must end
+    where climbing them one by one ends."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1000])
+    @pytest.mark.parametrize("preset", ["bumps-hi", "rupcar-hi", "bumps-lo", "rupcar-lo"])
+    def test_matches_a_climb_that_judges_every_rung(self, preset, n):
+        fn = rupcar(6) if preset.startswith("rupcar") else bumps()
+        truncated = 0
+        for seed in range(SEEDS_PER_CELL):
+            s = make_dataset(fn, n, SIGMA_PRESETS[preset], seed=[14, n, seed])
+            for q in (2.0, 3.0):
+                for max_iterations in (12, 200):
+                    config = AdaptConfig(q=q, max_iterations=max_iterations)
+                    glob = fit_global(s, config)
+                    assert glob.final_weights is not None
+                    assert_global_is_the_climb(glob, s, config)
+                    truncated += glob.truncated
+        # a budget of 12 cuts the climb off on some inputs
+        assert truncated > 0
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_robust_fits_match_the_climb(self, seed, q):
+        data = make_dataset(sine(), 256, 0.3, noise="cauchy", seed=[15, seed])
+        cleaned, _ = clean_outliers(data, sigma_hat(data))
+        config = AdaptConfig(q=q)
+        glob = fit_global(cleaned, config)
+        assert_global_is_the_climb(glob, cleaned, config)
+        both = fit(cleaned, config)
+        assert (both.roughness_global, both.truncated_global) == (glob.roughness, glob.truncated)
+
+    def test_a_huge_budget_changes_nothing(self, count_calls):
+        # the rungs are built up to the highest one read, not up to the budget
+        solves = count_calls(adapt_module, "solve_weighted")
+        s = bumps_hi(400)
+        base = fit(s, AdaptConfig(max_iterations=200))
+        made = solves["solve_weighted"]
+        solves.clear()
+        huge = fit(s, AdaptConfig(max_iterations=10**6))
+        assert solves["solve_weighted"] == made
+        assert_same_fit(huge, base)
+        assert (huge.roughness_global, huge.chosen_branch) == (base.roughness_global, base.chosen_branch)
 
 
 class TestEqualWeightRecord:

@@ -234,6 +234,22 @@ class TestPenalty:
             np.testing.assert_allclose(k.apply(g), dense @ g, rtol=1e-9, atol=1e-7)
             assert k.quad_form(g) == pytest.approx(g @ dense @ g, rel=1e-9)
 
+    def test_factors_once_per_instance(self, count_lapack, rng):
+        # each call on a fresh instance factors the band again, as every
+        # call did before the factors were kept; one instance factors once
+        # and returns the same bytes
+        t = jittered_design(64, rng)
+        g = rng.standard_normal(64)
+        fresh = (PenaltyMatrix(t).quad_form(g), PenaltyMatrix(t).apply(g), PenaltyMatrix(t).dense())
+        assert count_lapack == {"dgbtrf": 3, "dgbtrs": 3}
+        count_lapack.clear()
+        k = PenaltyMatrix(t)
+        for _ in range(3):
+            assert k.quad_form(g) == fresh[0]
+            assert np.array_equal(k.apply(g), fresh[1])
+            assert np.array_equal(k.dense(), fresh[2])
+        assert count_lapack == {"dgbtrf": 1, "dgbtrs": 9}
+
     def test_equispaced_eigenvalue_bounds_n64(self):
         # sorted spectrum: two zeros, then c1*i^4/n <= ev_i <= c2*i^4/n
         n = 64

@@ -397,6 +397,32 @@ class TestScaleFitEngine:
         assert result.passed == passed
         assert result.truncated == (not passed) == (budget == 7)
 
+    def test_global_branch_climbs_rung_by_rung(self, monkeypatch):
+        # the chi-squared verdicts need not be monotone along the equal-weight
+        # rungs; here the climb passes at rung 23 and the global branch wins,
+        # while a bracket over the rungs ends on a rougher passing rung and
+        # leaves the win to the local branch
+        n = 1024
+        t = np.arange(1, n + 1) / n
+        z = np.random.default_rng([5, 4, n]).standard_normal(n)
+        s = Sample(t, (sin2(t) + 0.05) * z)
+        result = scale_fit(s, config=AdaptConfig(q=2.0))
+        assert (result.chosen_branch, result.iterations, result.passed) == ("global", 23, True)
+        huge = scale_fit(s, config=AdaptConfig(q=2.0, max_iterations=10**6))
+        for field in dataclasses.fields(result):
+            a, b = getattr(result, field.name), getattr(huge, field.name)
+            if field.name == "s":
+                assert np.array_equal(a.values, b.values) and a.roughness == b.roughness
+            elif isinstance(a, np.ndarray):
+                assert np.array_equal(a, b)
+            else:
+                assert a == b
+        engine = variants_module._adapt
+        monkeypatch.setattr(
+            variants_module, "_adapt", lambda *args: engine(*args, search=adapt_module._bracket))
+        bracketed = scale_fit(s, config=AdaptConfig(q=2.0))
+        assert (bracketed.chosen_branch, bracketed.iterations) == ("local", 115)
+
     def test_one_start_search_per_fit(self, count_calls):
         counts = count_calls(adapt_module, "_initial_lambda")
         for q in (2.0, 3.0):
