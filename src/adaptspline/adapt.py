@@ -11,8 +11,8 @@ One engine (``_adapt``) runs this loop for the mean fits here and for the
 scale fit of ``variants``; a caller hands it the sample to fit, its
 interval family, the test, the order in which the local branch takes
 the violations (all at once for the w-test of the mean fits, shortest
-intervals first for the chi-squared bands of the scale fit) and how the
-global branch searches its equal weights.  Both
+intervals first for the chi-squared bands of the scale fit) and whether
+the test's verdicts are monotone along the equal weights.  Both
 branches start from the same place, built once per call: the least
 squares line and its test, the spline system of the sample (see
 ``splines.prepare_system``; dropped when the call returns) and the start
@@ -20,28 +20,20 @@ weight.  The start weight is found by halving an equal weight from 1
 until the fit hugs the line, at most 60 times; the report says how many
 halvings it took and whether it stopped at that cap.
 
-The local branch runs one loop (``_branch``), which multiplies the
-weights by q on the points covered by the violations of the current sweep
-group.  The global branch holds one equal weight on the rungs start * q**k
-and ends on the first rung the test accepts, or on rung
-``max_iterations``.  The scale fit climbs to it rung by rung (``_climb``:
-the same loop, with every point bumped).  The mean fits bracket it
-(``_bracket``): they gallop up the rungs and then bisect, which reads
-about 2 log2 d rungs instead of d and finds the climb's rung whenever no
-rung fails above a passing one, as held on every input probed for the
-w-test.
+The local branch (``_branch``) multiplies the weights by q on the points
+covered by the violations of the current sweep group.  The global branch
+(``_bracket``) holds one equal weight on the rungs start * q**k and ends
+on the first rung the test accepts: the mean fits gallop up the rungs
+and bisect, the scale fit, whose verdicts are not monotone, reads every
+rung in turn.  Both stop at ``max_iterations`` bumps, or earlier at the
+last rung that is finite (``_last_rung``), and end truncated there.
+Every equal weight is read through one record (``_Equal``), so it is
+solved and tested once, whichever branch or search asks first.
 
-Every equal weight is read through the equal-weight record (``_Equal``),
-so the record solves and tests each equal weight once, whichever branch,
-start-search rung or bracket probe asks first.  A local bump that covers
-every point keeps the weights equal; the first one that leaves a point
-uncovered turns them into an array, and from then on the local branch
-solves and tests on its own.  Per weight the record keeps the verdict,
-the trace record and the mask of violating intervals, packed to one bit
-per interval; of the fits it keeps two (the last one solved and that of
-the smallest passing weight), and any other equal-weight fit a branch
-ends on is solved again.  The fits are the ones the branches would
-compute on their own.
+The engine alone writes the outcome: a test returns its verdict, its
+mask of violating intervals and its statistic, the engine makes the
+``TraceEntry`` of each examined fit, and ``_outcome`` turns a run into
+the fields that ``FitReport`` and ``variants.ScaleFit`` share.
 """
 
 from __future__ import annotations
@@ -67,6 +59,9 @@ _MAX_HALVINGS = 60
 # The start search stops once the equal-weight fit is this close to the
 # least squares line, relative to the data spread, in sup norm.
 _INIT_TOLERANCE = 1e-3
+# A rung start * q**k whose natural log is at most this is finite: the largest
+# double is e**709.78, and the rounding of a rung's products is far below e**0.78.
+_LOG_SAFE = 709.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,9 @@ class AdaptConfig:
     and, failing that, estimates it once, up front, with ``sigma_hat``.
     The initial weight is found by halving from 1 until the equal-weight
     fit is within ``_INIT_TOLERANCE`` times the data spread of the least
-    squares line, in sup norm.
+    squares line, in sup norm.  Each branch makes at most
+    ``max_iterations`` weight bumps, and fewer where the weights would
+    overflow: it then stops at the last finite rung and ends truncated.
     """
 
     q: float = 2.0
@@ -99,9 +96,14 @@ class AdaptConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """Stats of one examined fit: the line stage, then one entry per refit."""
+    """Stats of one examined fit: the line stage, then one entry per refit.
 
-    max_abs_w: float
+    ``max_abs_w`` is the test's statistic: max |w| for the mean fits, None
+    for the chi-squared bands of the scale fit.  The weights of the line
+    are recorded as 0.
+    """
+
+    max_abs_w: float | None
     violations: int
     lambda_min: float
     lambda_max: float
@@ -112,6 +114,9 @@ class TraceEntry:
 class FitReport:
     """Audit trail of one adaptation run.
 
+    The final fit and weights, ``iterations``, ``trace``, ``passed``,
+    ``chosen_branch`` and the start fields are the run's outcome, which
+    ``variants.ScaleFit`` reports the same way (see ``_outcome``).
     ``iterations`` counts the weight bumps from the start weight to the
     final weights; for the global branch that is the rung k of its final
     equal weight start * q**k, however few rungs its search examined.
@@ -121,12 +126,12 @@ class FitReport:
     weight, by increasing lambda.  Either way the last entry judges the
     final fit.  ``final_weights`` is None when the line itself was
     accepted.  On truncation (no fit accepted within ``max_iterations``
-    bumps) ``passed`` is False and ``truncated``, which is always ``not
-    passed``, is True.  The start weight is 2**-``start_halvings``;
-    ``start_capped`` is True when its search stopped at the cap of 60
-    halvings with the fit still farther from the least squares line than
-    ``_INIT_TOLERANCE`` allows.  Both stay 0 / False when the line itself
-    was accepted.
+    bumps, or within those that keep the weights finite) ``passed`` is
+    False and ``truncated``, which is always ``not passed``, is True.  The
+    start weight is 2**-``start_halvings``; ``start_capped`` is True when
+    its search stopped at the cap of 60 halvings with the fit still
+    farther from the least squares line than ``_INIT_TOLERANCE`` allows.
+    Both stay 0 / False when the line itself was accepted.
     """
 
     final_fit: SplineFit
@@ -165,6 +170,16 @@ def _covered_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.cumsum(steps[:-1]) > 0
 
 
+def _judge(test, fit_: SplineFit, weights) -> tuple:
+    """``test``'s verdict and mask of violations on ``fit_``, and its trace record."""
+    passed, bad, stat = test(fit_, weights)
+    if isinstance(weights, np.ndarray):
+        low, high = float(weights.min()), float(weights.max())
+    else:
+        low = high = float(weights)
+    return passed, bad, TraceEntry(stat, int(np.count_nonzero(bad)), low, high, fit_.roughness)
+
+
 class _Equal:
     """Per-call record of the equal-weight fits, keyed by the weight.
 
@@ -172,15 +187,12 @@ class _Equal:
     then reads the stored verdict ``(passed, bad, record)``: the test's
     verdict, its boolean mask of violating intervals over the family and
     its trace record.  The mask is stored packed (``np.packbits``: one bit
-    for each of the ``count`` intervals of the family) and unpacked on
-    each read.  Of the fits it keeps two, ``last`` (the last one solved) and
-    ``passing`` (that of the smallest passing weight), each as a
-    ``(lam, fit)`` pair; ``fit(lam)`` solves any other again.  The start
-    search judges its rungs here, the local branch reads the record while
-    its weights are equal (``_branch``), and the global branch reads every
-    rung it climbs (``_climb``) or probes (``_bracket``) from it.  A
-    bracket's final fit is then usually kept: as ``passing`` when its
-    final rung passes, as ``last`` when it is cut off.
+    for each of the ``count`` intervals of the family).  Of the fits it
+    keeps two, ``last`` (the last one solved) and ``passing`` (that of the
+    smallest passing weight), each as a ``(lam, fit)`` pair; ``fit(lam)``
+    solves any other again.  The start search, the local branch while its
+    weights are equal and every rung the global branch reads go through
+    it, so the global branch's final fit is usually kept.
     """
 
     def __init__(self, system: SplineSystem, test, count: int):
@@ -192,7 +204,7 @@ class _Equal:
         """The verdict on ``lam``."""
         if lam not in self.verdicts:
             fit_ = self.fit(lam)
-            passed, bad, record = self.test(fit_, lam)
+            passed, bad, record = _judge(self.test, fit_, lam)
             self.verdicts[lam] = (passed, np.packbits(bad), record)
             if passed and (self.passing is None or lam < self.passing[0]):
                 self.passing = (lam, fit_)
@@ -213,12 +225,10 @@ def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) ->
 
     Returns the start weight 2**-halvings, the halvings, whether the
     search stopped at its cap with the fit still off the line, and how
-    many of the lowest rungs start * q**k it judged.  Each rung is solved
-    through ``equal.fit``.  At q = 2 the halvings are the rungs 0 ...
-    halvings of an equal-weight branch, so each is judged as soon as it
-    is solved and the branch reads its verdict from the record; at other
-    q only the start weight, rung 0, is.  Either way the start fit is the
-    record's last fit.
+    many of the lowest rungs start * q**k it judged.  At q = 2 the
+    halvings are the rungs 0 ... halvings, so each is judged as soon as it
+    is solved; at other q only the start weight, rung 0, is.  Either way
+    the start fit is the record's last fit.
     """
     lam, halvings = 1.0, 0
     while True:
@@ -230,6 +240,24 @@ def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) ->
             return lam, halvings, not close, halvings + 1 if q == 2.0 else 1
         lam *= 0.5
         halvings += 1
+
+
+def _last_rung(start: float, q: float, top: int) -> int:
+    """The bumps a run may make: ``top``, cut at the last finite rung.
+
+    Rung k is start * q**k built by repeated ``* q``, as both branches
+    build their weights, so no weight overflows within the bumps returned.
+    The rungs are walked only when rung ``top`` may overflow, and then
+    only up to the first that does.
+    """
+    if math.log(start) + top * math.log(q) <= _LOG_SAFE:
+        return top
+    lam = start
+    for k in range(top):
+        lam *= q
+        if lam == math.inf:
+            return k
+    return top
 
 
 @dataclass(frozen=True)
@@ -255,94 +283,75 @@ class _Run:
     capped: bool
 
 
-def _branch(name: str, equal: _Equal, family, start: float, config: AdaptConfig, first, sweep) -> _Branch:
-    """Bump the weights by q from ``start`` until the test accepts or the
-    budget is spent.
+def _branch(equal: _Equal, family, sweep, start: float, q: float, top: int, first) -> _Branch:
+    """The local branch: bump the weights by q from ``start`` until the
+    test accepts or ``top`` bumps are made.
 
-    With ``sweep=None`` this is the global branch's climb (``_climb``):
-    any violation bumps every weight, and ``family`` is not read.
-    Otherwise it is the local sweep: bump the points in one
-    sweep group's violating intervals until the group is clean, then take
-    the next group, wrapping around; stop once every group is clean at one
-    fit.  While the weights are equal they are one scalar ``lam``, and the
-    fits and verdicts come from ``equal``; a bump that covers every point
-    is ``lam *= q``.  The first bump that leaves a point uncovered turns
-    the weights into an array, which the branch solves and tests itself.
+    Bump the points in one sweep group's violating intervals until the
+    group is clean, then take the next group, wrapping around; stop once
+    every group is clean at one fit.  While the weights are equal they are
+    one scalar ``lam``, and the fits and verdicts come from ``equal``; a
+    bump that covers every point is ``lam *= q``.  The first bump that
+    leaves a point uncovered turns the weights into an array, which the
+    branch solves and tests itself.
     """
     n = equal.system.n
-    groups = (None,) if sweep is None else sweep
     lam, weights = start, None
     passed, bad, record = equal.judge(lam)
     records = [first, record]
     iterations = clean = group = 0
-    while clean < len(groups):
-        keep = bad if groups[group] is None else bad & (family.sizes == groups[group])
+    while clean < len(sweep):
+        keep = bad if sweep[group] is None else bad & (family.sizes == sweep[group])
         if not keep.any():
             clean += 1
-            group = (group + 1) % len(groups)
+            group = (group + 1) % len(sweep)
             continue
-        if iterations >= config.max_iterations:
+        if iterations >= top:
             break
-        covered = None if sweep is None else _covered_mask(n, family.lo[keep], family.hi[keep])
-        if weights is None and (covered is None or covered.all()):
-            lam *= config.q
+        covered = _covered_mask(n, family.lo[keep], family.hi[keep])
+        if weights is None and covered.all():
+            lam *= q
             passed, bad, record = equal.judge(lam)
         else:
             weights = np.full(n, lam) if weights is None else weights.copy()
-            weights[covered] *= config.q
+            weights[covered] *= q
             current = solve_weighted(equal.system, weights)
-            passed, bad, record = equal.test(current, weights)
+            passed, bad, record = _judge(equal.test, current, weights)
         iterations += 1
         records.append(record)
         clean = 0
     if weights is None:
         current, weights = equal.fit(lam), np.full(n, lam)
-    return _Branch(name, current, weights, iterations, passed, tuple(records))
+    return _Branch("local", current, weights, iterations, passed, tuple(records))
 
 
-def _climb(equal: _Equal, start: float, judged: int, config: AdaptConfig, first) -> _Branch:
-    """The global branch rung by rung: ``_branch`` with every point bumped
-    at each violation.  ``judged`` is not needed: the climb reads each
-    rung in turn, and the record answers for those judged before."""
-    return _branch("global", equal, None, start, config, first, None)
+def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first) -> _Branch:
+    """The global branch: the first passing rung, found by a bracket.
 
+    Rung k is the equal weight after k bumps, start * q**k built by
+    repeated ``* q`` up to the highest rung read.  The search reads the
+    lowest ``judged`` rungs in turn and stops at the first that passes.
+    If none does, it gallops up from the last of them, b, to rungs b + 1,
+    b + 3, b + 7, ..., cut at rung ``top``, until one passes, then bisects
+    between the highest failing rung and that one.  Rungs are read
+    through ``equal.judge``, so a rung judged before costs nothing.  When
+    no rung read up to ``top`` passes, the branch ends truncated there.
 
-def _bracket(equal: _Equal, start: float, judged: int, config: AdaptConfig, first) -> _Branch:
-    """The global branch found by a bracket over its rungs.
-
-    Rung k is the equal weight the climb holds after k bumps, start * q**k
-    built by the climb's own repeated ``* q``, so that it is the same
-    double; rungs are built only up to the highest one read.  The search
-    first reads the ``judged`` rungs the start search judged (0 ...
-    halvings at q = 2, rung 0 at other q) in turn and stops at the first
-    that passes.  If none does, it gallops up from the last of them, b,
-    each step twice the one before: it reads rungs b + 1, b + 3, b + 7,
-    ..., cut at rung ``max_iterations``, until one passes, and then
-    bisects the rung index between the highest failing rung and that one.
-    Every rung is read through ``equal.judge``, so a rung judged before
-    costs nothing, and the rungs read depend on the data and the config
-    only.  When no rung read up to ``max_iterations`` passes, the branch
-    ends truncated there, as the climb does.
-
-    The answer is the climb's (same final weight, ``iterations`` its rung
-    index) whenever no rung fails above a passing one, at about 2 log2 d
-    rungs read instead of d.  The w-test of the mean fits was monotone
-    along the rungs on every input probed.  Were it not, the bracket
-    would still end on a passing rung, but possibly a rougher one than
-    the climb's; the scale fit, whose chi-squared verdicts are not
-    monotone, climbs.  The records are the line's, then those of the
-    rungs read at or below the final one, by rung, so the last judges the
-    final fit.
+    For a ``monotone`` test (the mean fits) ``_adapt`` passes the rungs the
+    start search judged; the answer is the first passing rung whenever no
+    rung fails above a passing one, as held for the w-test on every input
+    probed, at about 2 log2 d rungs read instead of d.  Otherwise (the
+    scale fit) it passes ``top + 1``, so every rung is read in turn.  The records are the line's,
+    then those of the rungs read at or below the final one, by rung.
     """
     rungs, read = [start], {}
 
     def passes(k: int) -> bool:
         while len(rungs) <= k:
-            rungs.append(rungs[-1] * config.q)
+            rungs.append(rungs[-1] * q)
         passed, _, read[k] = equal.judge(rungs[k])
         return passed
 
-    top = config.max_iterations
     lo, hi = -1, None  # the highest rung read that fails, the lowest that passes
     for k in range(min(judged, top + 1)):
         if passes(k):
@@ -368,42 +377,46 @@ def _bracket(equal: _Equal, start: float, judged: int, config: AdaptConfig, firs
 
 
 def _adapt(
-    target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), search=_climb
+    target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), monotone=False
 ) -> _Run:
     """Run the named branches on ``target`` from one shared start.
 
-    ``test(fit, weights)`` returns ``(passed, bad, record)``: the verdict
-    on the fit, the boolean mask of its violating intervals over
-    ``family`` (an ``IntervalFamily``) and what the trace keeps of it.
+    ``test(fit, weights)`` returns ``(passed, bad, stat)``: the verdict on
+    the fit, the boolean mask of its violating intervals over ``family``
+    (an ``IntervalFamily``) and its statistic (see ``TraceEntry``).
     ``weights`` is a scalar for an equal-weight fit and 0 for the least
     squares line.  ``sweep`` lists the groups the local branch takes in
     turn: ``None`` stands for every violation, an interval size for the
-    violations of that size.  ``search(equal, start, judged, config,
-    first)`` runs the global branch from the start weight, given the
-    number of its lowest rungs the start search judged: ``_climb`` rung
-    by rung, or ``_bracket`` for a test whose verdicts are monotone along
-    the rungs.  Each branch reads the equal-weight record while its
-    weights are equal, so an equal weight both branches reach is solved
-    and tested once.
+    violations of that size.  ``monotone`` says that no equal weight fails
+    above a passing one, so that the global branch may bracket its rungs.
     """
     line = _ls_line(target)
-    passed, _, first = test(line, 0.0)
+    passed, _, first = _judge(test, line, 0.0)
     halvings, capped = 0, False
     if passed:
         done = {name: _Branch(name, line, None, 0, True, (first,)) for name in branches}
     else:
         equal = _Equal(prepare_system(target), test, len(family))
         start, halvings, capped, judged = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
+        top = _last_rung(start, config.q, config.max_iterations)
         done = {
-            name: _branch(name, equal, family, start, config, first, sweep)
+            name: _branch(equal, family, sweep, start, config.q, top, first)
             if name == "local"
-            else search(equal, start, judged, config, first)
+            else _bracket(equal, start, judged if monotone else top + 1, config.q, top, first)
             for name in branches
         }
     # an accepted branch beats a rejected one, then the smaller final
     # roughness wins; min keeps the first of equals, so ties go to local
     chosen = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))
     return _Run(done, chosen, halvings, capped)
+
+
+def _outcome(run: _Run) -> tuple:
+    """The chosen fit and its weights, which ``FitReport`` and
+    ``variants.ScaleFit`` take first, and the other fields they share."""
+    c = run.chosen
+    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=c.name, trace=c.records)
+    return c.fit, c.weights, dict(shared, start_halvings=run.halvings, start_capped=run.capped)
 
 
 def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
@@ -428,38 +441,16 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
 
     def test(fit_: SplineFit, weights):
         passed, max_abs, _, bad = _w_test(sample.y - fit_.values, family, threshold)
-        if isinstance(weights, np.ndarray):
-            low, high = float(weights.min()), float(weights.max())
-        else:
-            low = high = float(weights)
-        record = TraceEntry(max_abs, int(np.count_nonzero(bad)), low, high, fit_.roughness)
-        return passed, bad, record
+        return passed, bad, max_abs
 
-    run = _adapt(sample, family, test, (None,), config, branches, _bracket)
+    run = _adapt(sample, family, test, (None,), config, branches, monotone=True)
     both = {}
     if len(run.branches) == 2:
         local, glob = run.branches["local"], run.branches["global"]
-        both = dict(
-            roughness_local=local.fit.roughness,
-            roughness_global=glob.fit.roughness,
-            truncated_local=not local.passed,
-            truncated_global=not glob.passed,
-        )
-    chosen = run.chosen
-    return FitReport(
-        final_fit=chosen.fit,
-        final_weights=chosen.weights,
-        iterations=chosen.iterations,
-        trace=chosen.records,
-        sigma_used=spec.sigma,
-        threshold_used=spec.threshold,
-        tau=config.tau,
-        passed=chosen.passed,
-        chosen_branch=chosen.name,
-        start_halvings=run.halvings,
-        start_capped=run.capped,
-        **both,
-    )
+        both = dict(roughness_local=local.fit.roughness, roughness_global=glob.fit.roughness,
+                    truncated_local=not local.passed, truncated_global=not glob.passed)
+    fit_, weights, shared = _outcome(run)
+    return FitReport(fit_, weights, sigma_used=spec.sigma, threshold_used=threshold, tau=config.tau, **shared, **both)
 
 
 def fit_local(sample: Sample, config: AdaptConfig | None = None) -> FitReport:

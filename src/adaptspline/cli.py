@@ -102,6 +102,26 @@ def _write_outputs(args, kind: str, json_suffix: str, columns: dict, doc: dict) 
     print(f"wrote {csv_path} and {json_path}")
 
 
+def _outcome_keys(args, report, fit_, weights, rescale) -> dict:
+    """The keys of a run's outcome that the fit and scale reports share;
+    ``fit_`` and ``weights`` are the final fit and weights of ``report``."""
+    return {
+        "n": fit_.knots.size,
+        "passed": report.passed,
+        "truncated": report.truncated,
+        "iterations": report.iterations,
+        "chosen_branch": report.chosen_branch,
+        "roughness": fit_.roughness,
+        "start_halvings": report.start_halvings,
+        "start_capped": report.start_capped,
+        "lambda_min": float(weights.min()) if weights is not None else None,
+        "lambda_max": float(weights.max()) if weights is not None else None,
+        "trace": [dataclasses.asdict(e) for e in report.trace],
+        "input": str(args.input),
+        "rescale": rescale,
+    }
+
+
 def _cmd_fit(args) -> int:
     """fit, and robust: the same fit after clean_outliers at the raw-data sigma."""
     t_raw, y = _read_xy_csv(args.input)
@@ -122,24 +142,12 @@ def _cmd_fit(args) -> int:
         d2 = d2 / (scale * scale)
     weights = report.final_weights
     doc = {
-        "n": fit_.knots.size,
+        **_outcome_keys(args, report, fit_, weights, rescale),
         "sigma_used": report.sigma_used,
         "tau": report.tau,
         "threshold_used": report.threshold_used,
-        "passed": report.passed,
-        "truncated": report.truncated,
-        "iterations": report.iterations,
-        "chosen_branch": report.chosen_branch,
-        "roughness": report.roughness,
         "roughness_local": report.roughness_local,
         "roughness_global": report.roughness_global,
-        "start_halvings": report.start_halvings,
-        "start_capped": report.start_capped,
-        "lambda_min": float(weights.min()) if weights is not None else None,
-        "lambda_max": float(weights.max()) if weights is not None else None,
-        "trace": [dataclasses.asdict(e) for e in report.trace],
-        "input": str(args.input),
-        "rescale": rescale,
         "derivative_units": "raw abscissa" if rescale is not None else "unit interval",
         **extra,
     }
@@ -160,20 +168,11 @@ def _cmd_scale(args) -> int:
     spec = ScaleRegionSpec.for_size(sample.n, args.alpha_n)
     result = scale_fit(sample, spec, AdaptConfig(q=args.q, max_iterations=args.max_iter))
     doc = {
-        "input": str(args.input),
-        "n": sample.n,
-        "passed": result.passed,
-        "truncated": result.truncated,
+        **_outcome_keys(args, result, result.s, result.weights, rescale),
         "degenerate": result.degenerate,
-        "iterations": result.iterations,
-        "chosen_branch": result.chosen_branch,
         "coverage": spec.coverage,
         "floor": result.floor,
         "pinned_intervals": result.pinned_intervals,
-        "start_halvings": result.start_halvings,
-        "start_capped": result.start_capped,
-        "roughness": result.s.roughness,
-        "rescale": rescale,
     }
     lam = result.weights if result.weights is not None else np.zeros(sample.n)
     columns = {"t": t_raw, "scale": result.scale_values(), "lambda": lam}

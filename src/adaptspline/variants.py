@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .adapt import AdaptConfig, _adapt
+from .adapt import AdaptConfig, TraceEntry, _adapt, _outcome
 from .multiscale import IntervalFamily, _interval, dyadic_family
 from .splines import Sample, SplineFit, affine_fit, evaluate
 
@@ -196,9 +196,15 @@ class ScaleFit:
     whose lower band cannot be met even at the floor (the data there are
     essentially zero); these are exempt from enforcement, and an input
     that pins everything is flagged ``degenerate``.  ``truncated`` is True
-    when a fit that is not degenerate did not pass.  ``start_halvings``
-    and ``start_capped`` report the start-weight search as ``FitReport``
-    does; both stay 0 / False when no search ran.
+    when a fit that is not degenerate did not pass.
+
+    ``s``, ``weights``, ``passed``, ``iterations``, ``chosen_branch``, the
+    start fields and ``trace`` are the run's outcome, reported as
+    ``FitReport`` reports it (see ``adapt._outcome``).  The trace starts
+    with the least squares line of the squared data, then has one entry
+    per fit the chosen branch examined; its last entry judges ``s``, and
+    its violations leave out the pinned intervals.  The start fields stay
+    0 / False, and the trace empty, when no search ran.
     """
 
     s: SplineFit
@@ -211,6 +217,7 @@ class ScaleFit:
     pinned_intervals: int = 0
     start_halvings: int = 0
     start_capped: bool = False
+    trace: tuple[TraceEntry, ...] = ()
 
     @property
     def truncated(self) -> bool:
@@ -228,8 +235,8 @@ class ScaleFit:
 def _band_test(y2: np.ndarray, floor: float, spec: ScaleRegionSpec):
     """The chi-squared band test of a fit to the squared data ``y2``.
 
-    Returns the test in the form ``adapt._adapt`` takes and the mask of
-    pinned intervals, which the test exempts.
+    Returns the test in the form ``adapt._adapt`` takes, with no
+    statistic, and the mask of pinned intervals, which the test exempts.
     """
     family = spec.family
     sizes = family.sizes
@@ -258,11 +265,13 @@ def scale_fit(
     Runs the locally adaptive sweep (violating intervals processed by
     increasing length: all length-1 constraints are brought into the band
     before length-2 intervals are examined, and so on, re-sweeping until
-    every enforceable constraint holds) and the equal-weights companion;
-    among accepted fits the smoother one is returned, ties going to the
-    local branch.  Of ``config`` it reads ``q`` and ``max_iterations``:
-    the chi-squared bands fix the rest, so a config that sets ``sigma`` or
-    a ``tau`` other than the default raises ``ValueError``.
+    every enforceable constraint holds) and the equal-weights companion,
+    which reads its rungs in turn up to the first accepted one; among
+    accepted fits the smoother one is returned, with its trace, ties going
+    to the local branch.  Of ``config`` it reads ``q`` and
+    ``max_iterations``: the chi-squared bands fix the rest, so a config
+    that sets ``sigma`` or a ``tau`` other than the default raises
+    ``ValueError``.
 
     The band test divides y**2 by the squared scale, so both must be
     representable: ``ValueError`` is raised when the squared floor
@@ -304,13 +313,9 @@ def scale_fit(
         zero = affine_fit(sample.t, 0.0, 0.0)
         return ScaleFit(zero, None, False, 0, True, floor, pinned_intervals=int(pinned.sum()))
 
-    # the global branch climbs rung by rung (``_adapt``'s default): the
+    # the global branch reads its rungs in turn (not ``monotone``): the
     # chi-squared verdicts can pass on a rung below a failing one, where
     # the mean fits' bracket would skip to a rougher passing rung
     run = _adapt(Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config)
-    chosen = run.chosen
-    return ScaleFit(
-        chosen.fit, chosen.weights, chosen.passed, chosen.iterations, False, floor,
-        chosen_branch=chosen.name, pinned_intervals=int(pinned.sum()),
-        start_halvings=run.halvings, start_capped=run.capped,
-    )
+    fit_, weights, shared = _outcome(run)
+    return ScaleFit(fit_, weights, degenerate=False, floor=floor, pinned_intervals=int(pinned.sum()), **shared)

@@ -554,18 +554,26 @@ class TestEqualWeightRecord:
 
     @classmethod
     def scripted(cls, fit_, weights):
+        """The test: its verdict, violations and, as its statistic, the sum of the weights."""
         w = np.broadcast_to(np.asarray(weights, dtype=float), (cls.N,))
         bad = cls.violations(w)
-        return not bad.any(), bad, (float(w.min()), float(w.max()), int(bad.sum()))
+        return not bad.any(), bad, float(w.sum())
+
+    @classmethod
+    def record(cls, roughness, weights):
+        """The scripted verdict with the trace record the engine makes of it."""
+        w = np.broadcast_to(np.asarray(weights, dtype=float), (cls.N,))
+        passed, bad, stat = cls.scripted(None, weights)
+        return passed, bad, adapt_module.TraceEntry(stat, int(bad.sum()), float(w.min()), float(w.max()), roughness)
 
     @classmethod
     def reference_local(cls, target, budget):
         """The local sweep from the start weight 1, solving every step."""
         sweep = (1, 2)
-        records = [cls.scripted(None, 0.0)[2]]
+        records = [cls.record(0.0, 0.0)[2]]
         weights = np.ones(cls.N)
         current = solve_weighted(target, weights)
-        passed, bad, record = cls.scripted(current, weights)
+        passed, bad, record = cls.record(current.roughness, weights)
         lo, hi = cls.FAMILY.lo[bad], cls.FAMILY.hi[bad]
         records.append(record)
         iterations = clean = group = 0
@@ -583,7 +591,7 @@ class TestEqualWeightRecord:
             weights = np.where(covered, weights * 2.0, weights)
             current = solve_weighted(target, weights)
             iterations += 1
-            passed, bad, record = cls.scripted(current, weights)
+            passed, bad, record = cls.record(current.roughness, weights)
             lo, hi = cls.FAMILY.lo[bad], cls.FAMILY.hi[bad]
             records.append(record)
             clean = 0
@@ -732,3 +740,36 @@ class TestCoveredMask:
         for a, b in zip(lo, hi):
             expected[a - 1:b] = True
         assert np.array_equal(adapt_module._covered_mask(n, lo, hi), expected)
+
+
+class TestWeightOverflow:
+    """A budget past the last finite weight ends the run truncated there."""
+
+    @pytest.mark.parametrize("budget", [1100, 10**6])
+    @pytest.mark.parametrize("run", [fit, fit_local, fit_global])
+    def test_ends_truncated_at_the_last_finite_rung(self, run, budget):
+        # at sigma = 1e-300 no fit passes, so both branches bump every
+        # point until the equal weight 2**-2 * 2**k would overflow
+        s = noise_sample(128, 9)
+        r = run(s, AdaptConfig(sigma=1e-300, max_iterations=budget))
+        assert (r.passed, r.truncated, r.start_halvings, r.iterations) == (False, True, 2, 1025)
+        assert np.array_equal(r.final_weights, np.full(s.n, 2.0**1023))
+        assert r.trace[-1].lambda_max == 2.0**1023 and np.isfinite(r.final_fit.values).all()
+        if run is fit:
+            assert (r.truncated_local, r.truncated_global) == (True, True)
+        # a budget below the cap runs as before
+        below = run(s, AdaptConfig(sigma=1e-300, max_iterations=1000))
+        assert (below.passed, below.iterations) == (False, 1000)
+
+    @pytest.mark.parametrize(
+        "start, q, top",
+        [(1.0, 2.0, 200), (2.0**-60, 2.0, 10**6), (0.25, 3.0, 10**6), (2.0**-7, 1.001, 10**6),
+         (1.0, 1.5, 1749), (1.0, 1.5, 1750), (1.0, 1.5, 1751), (1.0, 1.0 + 2.0**-40, 10**6)],
+    )
+    def test_last_rung_is_the_last_finite_one(self, start, q, top):
+        k = adapt_module._last_rung(start, q, top)
+        lam = start
+        for _ in range(k):
+            lam *= q
+        assert 1 <= k <= top and lam < math.inf
+        assert k == top or lam * q == math.inf

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from adaptspline import PenaltyMatrix, Sample, scale_fit, sigma_hat
+from adaptspline import AdaptConfig, PenaltyMatrix, Sample, fit, scale_fit, sigma_hat
 from adaptspline.cli import main
 
 
@@ -144,6 +145,17 @@ class TestFitCommand:
         # an unreachable region: tiny fixed sigma and a budget of one round
         assert main(["fit", str(path), "--sigma", "1e-9", "--max-iter", "1"]) == 3
 
+    def test_weights_that_would_overflow_exit_3(self, tmp_path):
+        # the budget runs past the last finite weight: the fit ends
+        # truncated there rather than failing on infinite weights
+        n = 128
+        t = np.arange(1, n + 1) / n
+        path = tmp_path / "noise.csv"
+        write_csv(path, t, np.random.default_rng([800, 9]).standard_normal(n))
+        assert main(["fit", str(path), "--sigma", "1e-300", "--max-iter", "1100"]) == 3
+        doc = json.loads((tmp_path / "noise.report.json").read_text())
+        assert (doc["truncated"], doc["iterations"], doc["lambda_max"]) == (True, 1025, 2.0**1023)
+
     def test_zero_sigma_exit_2_without_outputs(self, tmp_path, capsys):
         n = 500
         t = np.arange(1, n + 1) / n
@@ -252,7 +264,7 @@ class TestScaleCommand:
         assert set(doc) == {
             "input", "n", "passed", "truncated", "degenerate", "iterations", "chosen_branch",
             "coverage", "floor", "pinned_intervals", "start_halvings", "start_capped",
-            "roughness", "scale_csv", "rescale",
+            "roughness", "scale_csv", "rescale", "trace", "lambda_min", "lambda_max",
         }
         assert doc["scale_csv"] == str(tmp_path / "vol.scale.csv")
 
@@ -344,3 +356,56 @@ class TestSpectrumCommand:
         rows = read_csv(out)
         assert rows[0] == ["index", "eigenvalue"]
         assert len(rows) == 17
+
+
+class TestSharedReportKeys:
+    """The fit and scale reports write the outcome of their run alike."""
+
+    SHARED = {
+        "n", "passed", "truncated", "iterations", "chosen_branch", "roughness", "start_halvings",
+        "start_capped", "lambda_min", "lambda_max", "trace", "input", "rescale",
+    }
+
+    @pytest.mark.parametrize("rescale", [False, True])
+    @pytest.mark.parametrize("max_iter", [2, 400])
+    def test_fit_and_scale_reports_share_their_outcome_keys(self, tmp_path, rescale, max_iter):
+        n = 256
+        t = np.arange(1, n + 1) / n
+        rng = np.random.default_rng(24)
+        mean = Sample(t, np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(n))
+        vol = Sample(t, np.sin(4 * np.pi * t) ** 2 * rng.standard_normal(n))
+        t_raw = 5.0 + 2.0 * t if rescale else t
+        flags = ["--max-iter", str(max_iter)] + (["--rescale"] if rescale else [])
+        runs = []
+        commands = (("fit", mean, "fit", ".report.json"), ("scale", vol, "scale", ".scale.json"))
+        for command, sample, kind, suffix in commands:
+            path = tmp_path / f"{command}.csv"
+            write_csv(path, t_raw, sample.y)
+            code = main([command, str(path)] + flags)
+            doc = json.loads((tmp_path / f"{command}{suffix}").read_text())
+            lam = np.array([float(r[-1]) for r in read_csv(tmp_path / f"{command}.{kind}.csv")[1:]])
+            runs.append((code, doc, lam, str(path)))
+        # the library on the abscissae the CLI fits on
+        if rescale:
+            t = (t_raw - t_raw[0]) / (t_raw[-1] - t_raw[0])
+            t[0], t[-1] = 0.0, 1.0
+        config = AdaptConfig(max_iterations=max_iter)
+        reports = (fit(Sample(t, mean.y), config), scale_fit(Sample(t, vol.y), config=config))
+        for (code, doc, lam, path), report in zip(runs, reports):
+            assert self.SHARED <= set(doc)
+            assert doc["n"] == lam.size == n
+            assert (doc["passed"], doc["truncated"]) == (report.passed, not report.passed)
+            assert code == (0 if doc["passed"] else 3)
+            for key in ("iterations", "chosen_branch", "start_halvings", "start_capped"):
+                assert doc[key] == getattr(report, key)
+            assert doc["trace"] == [dataclasses.asdict(e) for e in report.trace]
+            # the trace starts with the line and its last entry judges the
+            # final fit, whose weights are the table's lambda column
+            first, last = doc["trace"][0], doc["trace"][-1]
+            assert first["lambda_min"] == first["lambda_max"] == 0.0
+            assert (doc["lambda_min"], doc["lambda_max"]) == (lam.min(), lam.max())
+            assert (last["lambda_min"], last["lambda_max"]) == (doc["lambda_min"], doc["lambda_max"])
+            assert last["roughness"] == doc["roughness"]
+            assert (last["violations"] == 0) == doc["passed"]
+            assert doc["input"] == path
+            assert doc["rescale"] == ({"offset": 5.0 + 2.0 / n, "scale": 2.0 - 2.0 / n} if rescale else None)

@@ -314,46 +314,64 @@ def step(t):
     return np.where(t < 0.5, 0.1, 3.0)
 
 
-def reference_local_sweep(sample, budget, q=2.0, init_tolerance=1e-3):
-    """The locally adaptive sweep of ``scale_fit``, written out from its docstring.
-
-    Returns the start halvings, the final weights, the bumps made and
-    whether every enforceable band holds.
-    """
-    n, t, y = sample.n, sample.t, sample.y
-    target = Sample(t, y * y)
+def band_violations(sample):
+    """The chi-squared band test of ``scale_fit``, written out from its
+    docstring: the mask of the enforceable intervals whose sum of y**2 over
+    the squared scale of a fit to y**2 leaves its band."""
+    n, y2 = sample.n, sample.y * sample.y
     spec = ScaleRegionSpec.for_size(n)
     lo, hi = spec.family.lo, spec.family.hi
     sizes = hi - lo + 1
     lower = np.array([spec.bounds(k)[0] for k in sizes])
     upper = np.array([spec.bounds(k)[1] for k in sizes])
-    floor = SCALE_FLOOR_FRACTION * float(np.max(np.abs(y)))
+    floor = SCALE_FLOOR_FRACTION * float(np.max(np.abs(sample.y)))
 
     def v(scale):
-        c = np.concatenate(([0.0], np.cumsum(target.y / (scale * scale))))
+        c = np.concatenate(([0.0], np.cumsum(y2 / (scale * scale))))
         return c[hi] - c[lo - 1]
 
     pinned = v(np.full(n, floor)) < lower
 
-    def violating(fit_):
-        vs = v(np.maximum(np.sqrt(np.maximum(fit_.values, 0.0)), floor))
+    def violating(values):
+        vs = v(np.maximum(np.sqrt(np.maximum(values, 0.0)), floor))
         return ((vs < lower) | (vs > upper)) & ~pinned
 
-    # start: halve an equal weight from 1 until the fit hugs the LS line
+    return violating
+
+
+def reference_start(sample, init_tolerance=1e-3):
+    """The start search of ``scale_fit``: halve an equal weight from 1 until
+    the fit to y**2 hugs its least squares line.  Returns the halvings and
+    the start fit."""
+    n, t, target = sample.n, sample.t, Sample(sample.t, sample.y * sample.y)
     slope, intercept = np.polyfit(t, target.y, 1)
     line = intercept + slope * t
     halvings = 0
     while True:
-        weights = np.full(n, 2.0 ** -halvings)
-        current = solve_weighted(target, weights)
+        current = solve_weighted(target, np.full(n, 2.0 ** -halvings))
         if np.max(np.abs(current.values - line)) <= init_tolerance * target.spread() or halvings == 60:
-            break
+            return halvings, current
         halvings += 1
+
+
+def reference_local_sweep(sample, budget, q=2.0):
+    """The locally adaptive sweep of ``scale_fit``, written out from its docstring.
+
+    Returns the start halvings, the final weights, the bumps made and
+    whether every enforceable band holds.
+    """
+    n, target = sample.n, Sample(sample.t, sample.y * sample.y)
+    spec = ScaleRegionSpec.for_size(n)
+    lo, hi = spec.family.lo, spec.family.hi
+    sizes = hi - lo + 1
+    band = band_violations(sample)
+    halvings, current = reference_start(sample)
+    weights = np.full(n, 2.0 ** -halvings)
     # finish each interval size, shortest first, then re-sweep until all hold
     iterations = 0
     while True:
         for size in np.unique(sizes):
-            while (bad := violating(current) & (sizes == size)).any():
+            while (bad := band(current.values) & (sizes == size)).any():
                 if iterations == budget:
                     return halvings, weights, iterations, False
                 covered = np.zeros(n, dtype=bool)
@@ -362,8 +380,36 @@ def reference_local_sweep(sample, budget, q=2.0, init_tolerance=1e-3):
                 weights = np.where(covered, weights * q, weights)
                 current = solve_weighted(target, weights)
                 iterations += 1
-        if not violating(current).any():
+        if not band(current.values).any():
             return halvings, weights, iterations, True
+
+
+def reference_climb(sample, budget, q):
+    """The equal-weight branch of ``scale_fit`` rung by rung: from the start
+    weight, solve every rung with ``solve_weighted`` and judge it with the
+    bands, until one passes or ``budget`` bumps are spent.  Returns the
+    final fit, its weight, the bumps, the verdict and, in climb order, the
+    (weight, violations, roughness) of every rung."""
+    target = Sample(sample.t, sample.y * sample.y)
+    band = band_violations(sample)
+    halvings, _ = reference_start(sample)
+    lam, bumps, seen = 2.0 ** -halvings, 0, []
+    while True:
+        current = solve_weighted(target, np.full(sample.n, lam))
+        bad = band(current.values)
+        seen.append((lam, int(np.count_nonzero(bad)), current.roughness))
+        if not bad.any() or bumps == budget:
+            return current, lam, bumps, not bad.any(), seen
+        lam *= q
+        bumps += 1
+
+
+def nonmonotone_sample():
+    """An input whose band verdicts pass on a rung below a failing one."""
+    n = 1024
+    t = np.arange(1, n + 1) / n
+    z = np.random.default_rng([5, 4, n]).standard_normal(n)
+    return Sample(t, (sin2(t) + 0.05) * z)
 
 
 class TestScaleFitEngine:
@@ -402,10 +448,7 @@ class TestScaleFitEngine:
         # rungs; here the climb passes at rung 23 and the global branch wins,
         # while a bracket over the rungs ends on a rougher passing rung and
         # leaves the win to the local branch
-        n = 1024
-        t = np.arange(1, n + 1) / n
-        z = np.random.default_rng([5, 4, n]).standard_normal(n)
-        s = Sample(t, (sin2(t) + 0.05) * z)
+        s = nonmonotone_sample()
         result = scale_fit(s, config=AdaptConfig(q=2.0))
         assert (result.chosen_branch, result.iterations, result.passed) == ("global", 23, True)
         huge = scale_fit(s, config=AdaptConfig(q=2.0, max_iterations=10**6))
@@ -419,7 +462,7 @@ class TestScaleFitEngine:
                 assert a == b
         engine = variants_module._adapt
         monkeypatch.setattr(
-            variants_module, "_adapt", lambda *args: engine(*args, search=adapt_module._bracket))
+            variants_module, "_adapt", lambda *args: engine(*args, monotone=True))
         bracketed = scale_fit(s, config=AdaptConfig(q=2.0))
         assert (bracketed.chosen_branch, bracketed.iterations) == ("local", 115)
 
@@ -446,3 +489,55 @@ class TestScaleFitEngine:
         result = scale_fit(Sample(t, 2.0 * z))
         assert result.weights is None and result.passed
         assert (result.start_halvings, result.start_capped) == (0, False)
+
+    @pytest.mark.parametrize("budget", [1, 7, 400])
+    @pytest.mark.parametrize("shape", [sin2, step, lambda t: 0.2 + 3.0 * t, lambda t: 1.0 + t])
+    def test_trace_judges_every_examined_fit(self, shape, budget):
+        # on 1 + t the line of y**2 is accepted
+        s = scale_sample(256, shape, 1)
+        result = scale_fit(s, config=AdaptConfig(max_iterations=budget))
+        band = band_violations(s)
+        # the least squares line of y**2, at weight 0, then one entry per
+        # examined fit: the start fit and one per bump, for either branch
+        line = np.polyval(np.polyfit(s.t, s.y * s.y, 1), s.t)
+        first, last = result.trace[0], result.trace[-1]
+        assert (first.lambda_min, first.lambda_max, first.roughness) == (0.0, 0.0, 0.0)
+        assert first.violations == np.count_nonzero(band(line))
+        if result.weights is None:
+            assert result.trace == (first,) and result.passed
+            return
+        assert len(result.trace) == result.iterations + 2
+        assert all(e.max_abs_w is None for e in result.trace)
+        # the last entry judges the final fit
+        assert last.violations == np.count_nonzero(band(result.s.values))
+        assert (last.violations == 0) == result.passed
+        assert (last.lambda_min, last.lambda_max) == (result.weights.min(), result.weights.max())
+        assert last.roughness == result.s.roughness
+
+    def test_no_trace_without_a_run(self):
+        assert scale_fit(grid_sample(64, np.zeros(64))).trace == ()
+
+    @pytest.mark.parametrize(
+        "shape", [sin2, step, lambda t: 0.2 + np.exp(-50.0 * (t - 0.5) ** 2), lambda t: np.exp(2.0 * t)])
+    def test_global_branch_is_a_climb_over_every_rung(self, monkeypatch, shape):
+        # the global branch alone, on 33 inputs: it reads every rung in turn
+        engine = variants_module._adapt
+        monkeypatch.setattr(variants_module, "_adapt", lambda *args: engine(*args, ("global",)))
+        cases = [(scale_sample(n, shape, seed), q, budget)
+                 for n in (64, 256) for seed in (0, 1) for q, budget in ((2.0, 400), (3.0, 7))]
+        if shape is sin2:
+            cases.append((nonmonotone_sample(), 2.0, 400))
+        truncated = 0
+        for s, q, budget in cases:
+            result = scale_fit(s, config=AdaptConfig(q=q, max_iterations=budget))
+            current, lam, bumps, passed, seen = reference_climb(s, budget, q)
+            assert result.chosen_branch == "global"
+            assert np.array_equal(result.s.values, current.values)
+            assert np.array_equal(result.s.second_derivs, current.second_derivs)
+            assert result.s.roughness == current.roughness
+            assert np.array_equal(result.weights, np.full(s.n, lam))
+            assert (result.iterations, result.passed) == (bumps, passed)
+            assert all(e.lambda_min == e.lambda_max for e in result.trace[1:])
+            assert [(e.lambda_min, e.violations, e.roughness) for e in result.trace[1:]] == seen
+            truncated += not passed
+        assert 0 < truncated < len(cases)
