@@ -26,7 +26,11 @@ covered by the violations of the current sweep group.  The global branch
 on the first rung the test accepts: the mean fits gallop up the rungs
 and bisect, the scale fit, whose verdicts are not monotone, reads every
 rung in turn.  Both stop at ``max_iterations`` bumps, or earlier at the
-last rung that is finite (``_last_rung``), and end truncated there.
+last rung that is finite (``_last_rung``), and end truncated there.  The
+scale fit reports only the chosen branch, so once its local branch has
+passed, its climb also stops at the first rejected rung whose roughness
+reaches the local fit's, as no rung above can beat that fit; the mean
+fits report both branches' roughness and verdict, so they search in full.
 Every equal weight is read through one record (``_Equal``), so it is
 solved and tested once, whichever branch or search asks first.
 
@@ -293,18 +297,20 @@ def _branch(equal: _Equal, family, sweep, start: float, q: float, top: int, firs
     one scalar ``lam``, and the fits and verdicts come from ``equal``; a
     bump that covers every point is ``lam *= q``.  The first bump that
     leaves a point uncovered turns the weights into an array, which the
-    branch solves and tests itself.
+    branch solves and tests itself.  Each group's mask over the family is
+    built once per call.
     """
-    n = equal.system.n
+    n, sizes = equal.system.n, family.sizes
+    groups = [None if size is None else sizes == size for size in sweep]
     lam, weights = start, None
     passed, bad, record = equal.judge(lam)
     records = [first, record]
     iterations = clean = group = 0
-    while clean < len(sweep):
-        keep = bad if sweep[group] is None else bad & (family.sizes == sweep[group])
+    while clean < len(groups):
+        keep = bad if groups[group] is None else bad & groups[group]
         if not keep.any():
             clean += 1
-            group = (group + 1) % len(sweep)
+            group = (group + 1) % len(groups)
             continue
         if iterations >= top:
             break
@@ -325,7 +331,7 @@ def _branch(equal: _Equal, family, sweep, start: float, q: float, top: int, firs
     return _Branch("local", current, weights, iterations, passed, tuple(records))
 
 
-def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first) -> _Branch:
+def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first, ceiling: float) -> _Branch:
     """The global branch: the first passing rung, found by a bracket.
 
     Rung k is the equal weight after k bumps, start * q**k built by
@@ -341,8 +347,18 @@ def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first
     start search judged; the answer is the first passing rung whenever no
     rung fails above a passing one, as held for the w-test on every input
     probed, at about 2 log2 d rungs read instead of d.  Otherwise (the
-    scale fit) it passes ``top + 1``, so every rung is read in turn.  The records are the line's,
-    then those of the rungs read at or below the final one, by rung.
+    scale fit) it passes ``top + 1``, so every rung is read in turn.
+
+    ``ceiling`` is the roughness of an accepted fit the branch must beat
+    (``math.inf`` when there is none).  A rung read in turn that fails
+    with roughness at or above it ends the branch there, not passed: the
+    roughness of an equal-weight fit does not decrease as the weight
+    grows, so no rung above it could be smoother than the accepted fit,
+    and ties go to that fit.  Only a rung whose fit is the record's last
+    ends it, so that the end costs no solve; a rung read from the record
+    whose fit is gone leaves the end to the next rung read.  A NaN
+    roughness never ends it.  The records are the line's, then those of
+    the rungs read at or below the final one, by rung.
     """
     rungs, read = [start], {}
 
@@ -358,6 +374,9 @@ def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first
             hi = k
             break
         lo = k
+        if read[k].roughness >= ceiling and equal.last[0] == rungs[k]:
+            top = k  # no rung above can win: search no further
+            break
     step = 1
     while hi is None and lo < top:
         k = min(lo + step, top)
@@ -377,7 +396,8 @@ def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first
 
 
 def _adapt(
-    target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), monotone=False
+    target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), monotone=False,
+    chosen_only=False,
 ) -> _Run:
     """Run the named branches on ``target`` from one shared start.
 
@@ -389,6 +409,12 @@ def _adapt(
     turn: ``None`` stands for every violation, an interval size for the
     violations of that size.  ``monotone`` says that no equal weight fails
     above a passing one, so that the global branch may bracket its rungs.
+
+    ``chosen_only`` says that the caller reads only the chosen branch, not
+    the other one's roughness or verdict.  The local branch runs first;
+    when it passes, its roughness is then the global branch's ceiling (see
+    ``_bracket``), so the companion stops once it can no longer win.  The
+    chosen branch is the same as without the ceiling.
     """
     line = _ls_line(target)
     passed, _, first = _judge(test, line, 0.0)
@@ -399,12 +425,14 @@ def _adapt(
         equal = _Equal(prepare_system(target), test, len(family))
         start, halvings, capped, judged = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
         top = _last_rung(start, config.q, config.max_iterations)
-        done = {
-            name: _branch(equal, family, sweep, start, config.q, top, first)
-            if name == "local"
-            else _bracket(equal, start, judged if monotone else top + 1, config.q, top, first)
-            for name in branches
-        }
+        done, ceiling = {}, math.inf
+        for name in branches:
+            if name == "local":
+                done[name] = _branch(equal, family, sweep, start, config.q, top, first)
+                if chosen_only and done[name].passed:
+                    ceiling = done[name].fit.roughness
+            else:
+                done[name] = _bracket(equal, start, judged if monotone else top + 1, config.q, top, first, ceiling)
     # an accepted branch beats a rejected one, then the smaller final
     # roughness wins; min keeps the first of equals, so ties go to local
     chosen = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))

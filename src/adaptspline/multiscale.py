@@ -43,9 +43,11 @@ SIGMA_SCALE = 1.4826 / math.sqrt(2.0)
 class IntervalFamily:
     """Index intervals [lo, hi], 1-based inclusive, over {1, ..., n}.
 
-    It also keeps the 0-based starts lo - 1, which ``sums`` reads, and
-    the roots of the sizes, sqrt(hi - lo + 1), which the w statistics
-    divide by.
+    ``lo`` and ``hi`` must be integer arrays and ``n`` an integer: bounds
+    of another type raise ``ValueError`` rather than being truncated.  It
+    also keeps the 0-based starts lo - 1, which ``sums`` reads, and the
+    roots of the sizes, sqrt(hi - lo + 1), which the w statistics divide
+    by.
     """
 
     lo: np.ndarray
@@ -55,12 +57,17 @@ class IntervalFamily:
     _root_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.int64)
-        hi = np.asarray(self.hi, dtype=np.int64)
+        if not _is_count(self.n, 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be equal-length vectors")
         if lo.size == 0:
             raise ValueError("interval family is empty")
+        for name, bounds in (("lo", lo), ("hi", hi)):
+            if bounds.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an array of integers, got dtype {bounds.dtype}")
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         if np.any(lo < 1) or np.any(hi > self.n) or np.any(lo > hi):
             raise ValueError("intervals must satisfy 1 <= lo <= hi <= n")
         object.__setattr__(self, "lo", lo)
@@ -185,8 +192,8 @@ class RegionSpec:
             raise ValueError("sigma must be a nonnegative finite number")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError("tau must be a positive finite number")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if not _is_count(self.n, 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
 
     @property
     def threshold(self) -> float:
@@ -291,10 +298,15 @@ def min_detectable_delta(
     sigma*(sqrt(tau*log n) + 2.3263)/sqrt(|I|); the dyadic scheme only
     guarantees a covered sub-block of at least half the size, which costs an
     extra factor sqrt(2) (with tau calibrated for the dyadic family).
-    The interval size is an integer from 1 to n.
+    The interval size is an integer from 1 to n, sigma is nonnegative and
+    finite, and tau positive and finite.
     """
     if not (_is_count(n, 1) and _is_count(interval_size, 1) and interval_size <= n):
         raise ValueError(f"need integers 1 <= interval_size <= n, got {interval_size!r} and n = {n!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be a nonnegative finite number, got {sigma!r}")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be a positive finite number, got {tau!r}")
     if scheme not in ("all", "dyadic"):
         raise ValueError("scheme must be 'all' or 'dyadic'")
     factor = math.sqrt(2.0) if scheme == "dyadic" else 1.0

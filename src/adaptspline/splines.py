@@ -28,7 +28,8 @@ one place Q and R are written), and
 solves of one adaptive fit share it.  Each solve copies the band, scales
 the three rows that hold Q by 1/lambda, then factors the copy in place.
 A system that is not finite raises ``ValueError``, a singular factorization
-``RuntimeError``.
+``RuntimeError``; the check costs O(1) per solve unless the weights come
+near the end of the double range (see ``SplineSystem``).
 
 An equal-weight system depends only on t and the weight, so the replicates
 of a simulation study on one grid factor the same matrices again and again.
@@ -220,8 +221,8 @@ class PenaltyMatrix:
     def _factored(self) -> tuple:
         """The spacings and band of the knots (``_band``) and the band's LU
         at d = 1/lambda = 0, as ``(h, band, lu, piv)``."""
-        h, band = _band(self.knots)
-        lu, piv = _factor(SplineSystem(self.knots, h, band, None), np.zeros(self.n))
+        h, band, q_max = _band(self.knots)
+        lu, piv = _factor(SplineSystem(self.knots, h, band, None, q_max), np.zeros(self.n), 0.0)
         return h, band, lu, piv
 
     def _second_derivs(self, g: np.ndarray) -> np.ndarray:
@@ -239,7 +240,7 @@ class PenaltyMatrix:
     def _apply(self, g: np.ndarray) -> np.ndarray:
         """K g = Q gamma, with Q read from the band (see ``SplineSystem``)."""
         gamma = self._second_derivs(g)
-        a, b, c = self._factored[1][3:8:2, 3:-2:2].reshape((3, self.n - 2) + (1,) * (g.ndim - 1))
+        a, b, c = _q_entries(self._factored[1]).reshape((3, self.n - 2) + (1,) * (g.ndim - 1))
         inner = gamma[1:-1]
         out = np.zeros_like(gamma)
         out[:-2] += a * inner
@@ -281,13 +282,21 @@ class SplineSystem:
     """The augmented spline system of one sample, at unit weight.
 
     Holds the design points t, the spacings h, the LAPACK band storage of
-    the matrix with all weights 1 (a Fortran-ordered ``_LDAB`` x 2n array)
-    and the right-hand side, in the order of ``prepare_system``.  The
-    column of an interior gamma_j holds the column of Q for knot j, its
-    entries a, b, c on band rows 3, 5 and 7; ``solve_weighted`` scales them
-    by 1/lambda of g_{j-1}, g_j and g_{j+1}.  It accepts the system in
-    place of the sample, so that the solves of one fit build this once.
-    Build it with ``prepare_system`` and keep it for one fit.
+    the matrix with all weights 1 (a Fortran-ordered ``_LDAB`` x 2n array),
+    the right-hand side, in the order of ``prepare_system``, and ``q_max``,
+    the largest |entry| of Q.  The column of an interior gamma_j holds the
+    column of Q for knot j, its entries a, b, c on band rows 3, 5 and 7
+    (``_q_entries``); ``solve_weighted`` scales them by 1/lambda of
+    g_{j-1}, g_j and g_{j+1}.  It accepts the system in place of the
+    sample, so that the solves of one fit build this once.  Build it with
+    ``prepare_system`` and keep it for one fit.
+
+    ``q_max`` bounds every scaled entry: |Q_ij / lambda_k| is at most
+    ``q_max`` * (1 / min lambda), also after rounding, because rounding
+    is monotone and 1 / min lambda is the largest 1/lambda_k.  When that
+    bound is finite, so is every scaled entry, and ``_factor`` checks the
+    bound alone; only weights whose bound overflows have their entries
+    scanned one by one.
 
     ``factors`` maps an equal weight to the ``(lu, piv)`` that ``dgbtrf``
     returned for it.  It is ``None`` unless the system was prepared inside
@@ -302,6 +311,7 @@ class SplineSystem:
     h: np.ndarray
     band: np.ndarray
     rhs: np.ndarray
+    q_max: float
     factors: dict | None = None
 
     @property
@@ -340,8 +350,15 @@ def _shared_design():
         _DESIGN.reset(token)
 
 
-def _band(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spacings of t and the band of its augmented system at unit weight.
+def _q_entries(band: np.ndarray) -> np.ndarray:
+    """The view of a band that holds Q: rows 3, 5 and 7 of the interior
+    gamma columns, one column of Q each (see ``SplineSystem``)."""
+    return band[3:8:2, 3:-2:2]
+
+
+def _band(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The spacings of t, the band of its augmented system at unit weight
+    and the largest |entry| of its Q.
 
     The one place Q and R are written.  Column j of Q (one per interior
     knot) has entries a = 1/h_{j-1}, b = -(a + c), c = 1/h_j at the rows of
@@ -377,7 +394,7 @@ def _band(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     put(cp[1:], cp[:-1], -r_off)
     if not np.isfinite(band).all():
         raise ValueError("spline system is not finite; the design points are too close")
-    return h, band
+    return h, band, float(np.abs(_q_entries(band)).max())
 
 
 def prepare_system(sample: Sample) -> SplineSystem:
@@ -404,10 +421,10 @@ def prepare_system(sample: Sample) -> SplineSystem:
     design = None if scope is None else scope[0]
     if design is not None:
         if np.array_equal(design.t, t):
-            return SplineSystem(t, design.h, design.band, rhs, design.factors)
+            return SplineSystem(t, design.h, design.band, rhs, design.q_max, design.factors)
         scope = None  # another grid: a system of its own that keeps nothing
-    h, band = _band(t)
-    system = SplineSystem(t, h, band, rhs, None if scope is None else {})
+    h, band, q_max = _band(t)
+    system = SplineSystem(t, h, band, rhs, q_max, None if scope is None else {})
     if scope is not None:
         scope[0] = system
     return system
@@ -417,14 +434,19 @@ def _singular() -> RuntimeError:
     return RuntimeError("weighted spline system is numerically singular")
 
 
-def _factor(system: SplineSystem, d: np.ndarray):
-    """``dgbtrf`` of the system with Q scaled by d = 1/lambda."""
+def _factor(system: SplineSystem, d: np.ndarray, d_max: float = math.inf):
+    """``dgbtrf`` of the system with Q scaled by d = 1/lambda.
+
+    ``d_max`` is at least max d.  The scaled entries are scanned for a
+    value that is not finite only when ``q_max * d_max`` overflows (see
+    ``SplineSystem``), so a caller that knows no bound scans them all.
+    """
     ab = system.band.copy(order="F")
-    q = ab[3:8:2, 3:-2:2]  # the columns of Q (see SplineSystem)
+    q = _q_entries(ab)
     q[0] *= d[:-2]
     q[1] *= d[1:-1]
     q[2] *= d[2:]
-    if not np.isfinite(q).all():
+    if not math.isfinite(system.q_max * d_max) and not np.isfinite(q).all():
         raise ValueError("weighted spline system is not finite; the weights are out of range")
     lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
@@ -491,7 +513,7 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     if table is not None and key in table:
         lu, piv = table[key]
     else:
-        lu, piv = _factor(system, 1.0 / lam)
+        lu, piv = _factor(system, 1.0 / lam, 1.0 / float(low))
         if table is not None and (len(table) + 1) * (lu.nbytes + piv.nbytes) <= _FACTOR_BUDGET:
             table[key] = lu, piv
     x, info = dgbtrs(lu, _KL, _KU, system.rhs, piv)

@@ -126,12 +126,13 @@ def chisq_quantile(gamma: float, k: float) -> float:
     """gamma-quantile of the chi-squared distribution with k degrees of freedom.
 
     Computed by inverting the regularized incomplete gamma function; accurate
-    to better than 1e-6 relative up to k = 1e6.
+    to better than 1e-6 relative up to k = 1e6.  ``k`` must be finite and
+    at least 1.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly between 0 and 1")
-    if k < 1:
-        raise ValueError("degrees of freedom must be at least 1")
+    if not (math.isfinite(k) and k >= 1):
+        raise ValueError(f"degrees of freedom k must be a finite number of at least 1, got {k!r}")
     return float(2.0 * special.gammaincinv(0.5 * k, gamma))
 
 
@@ -268,10 +269,14 @@ def scale_fit(
     every enforceable constraint holds) and the equal-weights companion,
     which reads its rungs in turn up to the first accepted one; among
     accepted fits the smoother one is returned, with its trace, ties going
-    to the local branch.  Of ``config`` it reads ``q`` and
-    ``max_iterations``: the chi-squared bands fix the rest, so a config
-    that sets ``sigma`` or a ``tau`` other than the default raises
-    ``ValueError``.
+    to the local branch.  Only the chosen branch is reported, so once the
+    local branch has passed, the companion stops early, at its first
+    rejected rung whose roughness reaches the local fit's: an equal-weight
+    fit grows no smoother as its weight grows, so no rung above could win,
+    and the result is the one the full climb would give.  Of ``config`` it
+    reads ``q`` and ``max_iterations``: the chi-squared bands fix the
+    rest, so a config that sets ``sigma`` or a ``tau`` other than the
+    default raises ``ValueError``.
 
     The band test divides y**2 by the squared scale, so both must be
     representable: ``ValueError`` is raised when the squared floor
@@ -315,7 +320,8 @@ def scale_fit(
 
     # the global branch reads its rungs in turn (not ``monotone``): the
     # chi-squared verdicts can pass on a rung below a failing one, where
-    # the mean fits' bracket would skip to a rougher passing rung
-    run = _adapt(Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config)
+    # the mean fits' bracket would skip to a rougher passing rung.  Only
+    # the chosen branch is reported, so the climb may stop once it cannot win
+    run = _adapt(Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config, chosen_only=True)
     fit_, weights, shared = _outcome(run)
     return ScaleFit(fit_, weights, degenerate=False, floor=floor, pinned_intervals=int(pinned.sum()), **shared)

@@ -105,6 +105,29 @@ class TestIntervalSums:
             all_w_stats(s, np.zeros(8), dyadic_family(7))
 
 
+class TestIntervalFamily:
+    def test_accepts_integer_arrays(self):
+        family = IntervalFamily(np.array([1, 2], dtype=np.int32), [2, 3], 4)
+        assert family.lo.dtype == family.hi.dtype == np.int64
+        assert list(family) == [(1, 2), (2, 3)]
+
+    def test_rejects_fractional_bounds(self):
+        # these were truncated to lo = [1, 2], hi = [2, 3]
+        with pytest.raises(ValueError, match="lo must be an array of integers"):
+            IntervalFamily(np.array([1.5, 2.9]), np.array([2.0, 3.7]), 4)
+
+    def test_rejects_boolean_bounds(self):
+        with pytest.raises(ValueError, match="lo must be an array of integers"):
+            IntervalFamily([True], [True], 2)
+        with pytest.raises(ValueError, match="hi must be an array of integers"):
+            IntervalFamily([1], [2.0], 2)
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, True])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            IntervalFamily([1], [1], n)
+
+
 class TestWStat:
     def test_zero_residuals(self):
         s = Sample([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0])
@@ -186,6 +209,11 @@ class TestRegionSpec:
             RegionSpec(sigma=1.0, tau=0.0, n=10)
         with pytest.raises(ValueError):
             RegionSpec(sigma=1.0, tau=3.0, n=0)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, True])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            RegionSpec(sigma=1.0, n=n)
 
     @pytest.mark.parametrize("field", ["sigma", "tau"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -364,6 +392,18 @@ class TestMinDetectableDelta:
             min_detectable_delta(1000, 24, 1.0, 3.0, "hexadic")
         with pytest.raises(ValueError):
             min_detectable_delta(1000, 24.0, 1.0, 3.0, "all")
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_rejects_a_bad_sigma(self, sigma):
+        # -1 gave -2.70 and NaN gave NaN
+        with pytest.raises(ValueError, match="sigma must be a nonnegative finite number"):
+            min_detectable_delta(100, 10, sigma, 3.0)
+
+    @pytest.mark.parametrize("tau", [-3.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_bad_tau(self, tau):
+        # -3 raised "math domain error", which does not name tau
+        with pytest.raises(ValueError, match="tau must be a positive finite number"):
+            min_detectable_delta(100, 10, 1.0, tau)
 
     @pytest.mark.parametrize("size", [101, 500])
     def test_rejects_an_interval_longer_than_n(self, size):

@@ -1,7 +1,10 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrs
 
 import adaptspline.splines
 from adaptspline import (
@@ -415,6 +418,30 @@ class TestPreparedSystem:
         s = Sample(np.linspace(0.0, 1.0, 50), np.sin(np.arange(50.0)))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             solve_weighted(s, np.full(50, 1e-310))
+
+    def test_an_overflowing_bound_falls_back_to_the_scan(self, monkeypatch):
+        # a spacing of 1e-9 puts entries near 1e9 into Q, so the bound
+        # q_max / min lambda overflows at the weight 1e-300; but that weight
+        # sits at index 40, where Q's entries are about 64, so no scaled
+        # entry overflows and the system factors
+        t = np.arange(64) / 64
+        t[1] = t[0] + 1e-9
+        lam = np.ones(64)
+        lam[40] = 1e-300
+        system = prepare_system(Sample(t, np.sin(7.0 * t)))
+        assert not math.isfinite(system.q_max / 1e-300)
+        # the factorization that scans every entry, as without a bound
+        lu, piv = adaptspline.splines._factor(system, 1.0 / lam)
+        x, info = dgbtrs(lu, 3, 3, system.rhs, piv)
+        assert info == 0
+        scans, isfinite = [], np.isfinite
+        monkeypatch.setattr(adaptspline.splines.np, "isfinite", lambda a: scans.append(np.size(a)) or isfinite(a))
+        solve_weighted(system, np.ones(64))
+        assert scans == []  # a finite bound spares the scan
+        fit = solve_weighted(system, lam)
+        assert scans == [3 * 62]
+        assert np.array_equal(fit.values, x[::2])
+        assert np.array_equal(fit.second_derivs, x[1::2])
 
     def test_spacing_beyond_double_range_raises(self):
         # 1/5e-324 overflows, so the weight-free part of the system is not finite

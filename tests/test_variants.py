@@ -150,6 +150,12 @@ class TestChisqQuantile:
         with pytest.raises(ValueError):
             chisq_quantile(0.5, 0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_rejects_degrees_of_freedom_that_are_not_finite(self, k):
+        # both returned NaN
+        with pytest.raises(ValueError, match="degrees of freedom k must be a finite number"):
+            chisq_quantile(0.5, k)
+
 
 class TestVStat:
     def test_unit_scale_gives_sum_of_squares(self, rng):
@@ -462,7 +468,7 @@ class TestScaleFitEngine:
                 assert a == b
         engine = variants_module._adapt
         monkeypatch.setattr(
-            variants_module, "_adapt", lambda *args: engine(*args, monotone=True))
+            variants_module, "_adapt", lambda *args, **kwargs: engine(*args, **kwargs, monotone=True))
         bracketed = scale_fit(s, config=AdaptConfig(q=2.0))
         assert (bracketed.chosen_branch, bracketed.iterations) == ("local", 115)
 
@@ -522,7 +528,7 @@ class TestScaleFitEngine:
     def test_global_branch_is_a_climb_over_every_rung(self, monkeypatch, shape):
         # the global branch alone, on 33 inputs: it reads every rung in turn
         engine = variants_module._adapt
-        monkeypatch.setattr(variants_module, "_adapt", lambda *args: engine(*args, ("global",)))
+        monkeypatch.setattr(variants_module, "_adapt", lambda *args, **kwargs: engine(*args, ("global",), **kwargs))
         cases = [(scale_sample(n, shape, seed), q, budget)
                  for n in (64, 256) for seed in (0, 1) for q, budget in ((2.0, 400), (3.0, 7))]
         if shape is sin2:
@@ -541,3 +547,99 @@ class TestScaleFitEngine:
             assert [(e.lambda_min, e.violations, e.roughness) for e in result.trace[1:]] == seen
             truncated += not passed
         assert 0 < truncated < len(cases)
+
+
+def fingerprint(result):
+    """Every field of a ``ScaleFit`` as bytes or plain values, traces
+    included, so that two results compare equal only bit for bit."""
+
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        if dataclasses.is_dataclass(value):
+            return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+
+    return bits(result)
+
+
+def without_ceiling(monkeypatch):
+    """Make ``scale_fit`` run its companion in full, as a mean fit does."""
+    engine = variants_module._adapt
+    monkeypatch.setattr(variants_module, "_adapt",
+                        lambda *args, **kwargs: engine(*args, **dict(kwargs, chosen_only=False)))
+
+
+class TestCompanionCeiling:
+    """Once the local branch has passed, the scale fit's companion stops at
+    its first rejected rung as rough as the local fit; the result must not
+    notice."""
+
+    @staticmethod
+    def cases():
+        shapes = [sin2, step, lambda t: 1.0 + t, lambda t: sin2(t) + 0.05]
+        configs = [AdaptConfig(max_iterations=400), AdaptConfig(q=3.0, max_iterations=400),
+                   AdaptConfig(max_iterations=7)]
+        cases = [(scale_sample(n, shape, seed), config)
+                 for n in (64, 256) for shape in shapes for seed in (0, 1) for config in configs]
+        # its companion wins, at rung 23: the ceiling must not end it sooner
+        cases.append((nonmonotone_sample(), AdaptConfig(max_iterations=400)))
+        # the local branch is cut off and the companion passes, rougher than
+        # it: a local fit that failed sets no ceiling
+        cases += [(scale_sample(64, step, seed), AdaptConfig(max_iterations=30)) for seed in (0, 1)]
+        return cases
+
+    def test_the_ceiling_changes_no_result(self, monkeypatch, count_calls):
+        counts = count_calls(adapt_module, "solve_weighted")
+        pruned, solves = [], []
+        for s, config in self.cases():
+            counts.clear()
+            pruned.append(fingerprint(scale_fit(s, config=config)))
+            solves.append(counts["solve_weighted"])
+        without_ceiling(monkeypatch)
+        full, full_solves = [], []
+        for s, config in self.cases():
+            counts.clear()
+            full.append(fingerprint(scale_fit(s, config=config)))
+            full_solves.append(counts["solve_weighted"])
+        assert len(pruned) == 51
+        for a, b in zip(pruned, full):
+            assert a == b
+        assert all(a <= b for a, b in zip(solves, full_solves))
+        assert sum(solves) < sum(full_solves)
+
+    def test_nan_roughness_never_ends_the_companion(self, monkeypatch, count_calls):
+        # the roughness of the fit to y**2 overflows to NaN here (see
+        # test_scale_follows_the_data_across_the_range), and a NaN
+        # ceiling or rung roughness must not stop the climb
+        s = grid_sample(64, 1e150 * np.random.default_rng(1).standard_normal(64))
+        counts = count_calls(adapt_module, "solve_weighted")
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            pruned = scale_fit(s)
+        made = counts["solve_weighted"]
+        assert math.isnan(pruned.s.roughness)
+        without_ceiling(monkeypatch)
+        counts.clear()
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            full = scale_fit(s)
+        assert counts["solve_weighted"] == made
+        assert fingerprint(pruned) == fingerprint(full)
+
+    def test_exact_solve_count(self, monkeypatch, count_calls):
+        # one input of the variants benchmark's kind: the full companion
+        # climb made 186 solves, the ceiling leaves 172
+        n = 1024
+        t = np.arange(1, n + 1) / n
+        s = Sample(t, sin2(t) * np.random.default_rng([1, 4, 0]).standard_normal(n))
+        counts = count_calls(adapt_module, "solve_weighted")
+        result = scale_fit(s)
+        assert result.chosen_branch == "local" and result.passed
+        assert counts["solve_weighted"] == 172
+        without_ceiling(monkeypatch)
+        counts.clear()
+        assert fingerprint(scale_fit(s)) == fingerprint(result)
+        assert counts["solve_weighted"] == 186
