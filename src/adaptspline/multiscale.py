@@ -252,6 +252,36 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
     )
 
 
+# Bytes of prefix sums and interval sums one block of calibration
+# replicates holds at most; a block has at least one row whatever n is.
+_BLOCK_BYTES = 2 << 20
+
+
+def _runs(family: IntervalFamily):
+    """The family split into runs: stretches of consecutive intervals of
+    one size whose starts advance by one positive step.
+
+    Returns per run the index of its first interval, its interval count,
+    the size and the step (1 for a run of one interval).  A run ends where
+    the size changes, where a start does not advance, or where the step
+    differs from the one before it; so an interval that ends one step and
+    begins another stays with the first.  The dyadic family has one run
+    per level, one per trailing block and one for the full range: 24 at
+    n = 10000.
+    """
+    sizes = family.sizes
+    steps = np.diff(family.lo)
+    link = (sizes[1:] == sizes[:-1]) & (steps > 0)  # interval i + 1 may follow i
+    turn = np.zeros_like(link)
+    turn[1:] = link[:-1] & (steps[1:] != steps[:-1])
+    first = np.flatnonzero(np.concatenate(([True], ~link | turn)))
+    counts = np.diff(first, append=len(family))
+    step = np.ones_like(first)
+    many = counts > 1
+    step[many] = steps[first[many]]
+    return first, counts, sizes[first], step
+
+
 def calibrate_tau(
     n: int,
     alpha: float = 0.95,
@@ -269,6 +299,18 @@ def calibrate_tau(
     with the quantile taken as the order statistic at ceil(alpha*replicates).
     Replicate j draws from an independent generator seeded by (seed, j), so
     the result does not depend on execution order.
+
+    The replicates run in blocks: each draws into one row of a buffer of
+    prefix sums, and one ``cumsum`` per block turns the rows into prefix
+    sums c.  The family is read run by run (``_runs``): the sums of a run
+    of intervals of size s and step p are one subtraction of two column
+    slices of c with stride p, its largest |sum| per row is the larger of
+    the row's max and -min, and one multiplication by 1/sqrt(s) gives the
+    run's largest |w|.  Each sum is c[hi] - c[lo - 1], as in
+    ``IntervalFamily.sums``, and rounding is monotone, so the maxima equal
+    those of the family-wide w vector bit for bit.  A block holds at most
+    ``_BLOCK_BYTES`` of prefix and interval sums, and one row at an n past
+    that, so the memory does not grow with the replicate count.
     """
     if not _is_count(n, 2):
         raise ValueError(f"need an integer n >= 2 (tau divides by log n), got {n!r}")
@@ -278,11 +320,29 @@ def calibrate_tau(
         raise ValueError(f"need an integer of at least 1000 replicates, got {replicates!r}")
     if family is None:
         family = dyadic_family(n)
-    inv_sqrt = 1.0 / family._root_sizes
-    maxima = np.empty(replicates)
-    for j in range(replicates):
-        z = np.random.default_rng([seed, j]).standard_normal(n)
-        maxima[j] = np.max(np.abs(family.sums(z)) * inv_sqrt)
+    if family.n != n:
+        raise ValueError(f"the family is for n = {family.n}, not n = {n}")
+    first, counts, sizes, steps = _runs(family)
+    runs = list(zip(family._starts[first].tolist(), sizes.tolist(), steps.tolist(), counts.tolist(),
+                    (1.0 / family._root_sizes[first]).tolist()))
+    rows = max(1, min(replicates, _BLOCK_BYTES // (16 * (n + 1))))
+    prefix = np.zeros((rows, n + 1))
+    diffs = np.empty(rows * int(counts.max()))
+    maxima = np.zeros(replicates)
+    for begin in range(0, replicates, rows):
+        block = prefix[: min(rows, replicates - begin)]
+        m = block.shape[0]
+        for i, row in enumerate(block):
+            np.random.default_rng([seed, begin + i]).standard_normal(n, out=row[1:])
+        np.cumsum(block, axis=1, out=block)
+        best = maxima[begin : begin + m]
+        for start, size, step, count, inv_root in runs:
+            stop = start + (count - 1) * step + 1
+            d = np.subtract(block[:, start + size : stop + size : step], block[:, start:stop:step],
+                            out=diffs[: m * count].reshape(m, count))
+            w = np.maximum(d.max(axis=1), -d.min(axis=1))
+            w *= inv_root
+            np.maximum(best, w, out=best)
     maxima.sort()
     idx = math.ceil(alpha * replicates)
     q = maxima[idx - 1]

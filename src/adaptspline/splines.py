@@ -17,9 +17,9 @@ the augmented-system approach to least squares (Bjorck 1967).  Unlike
 Reinsch's normal equations (R + Q^T diag(1/lambda) Q) gamma = Q^T y it does
 not square the conditioning, so the fit stays accurate for small weights
 at large n and for weights spread over many decades.  Interleaving g and
-gamma makes the matrix banded with three diagonals on either side, and
-LAPACK ``dgbtrf`` / ``dgbtrs`` (partial pivoting) solve it in O(n) time
-and memory.
+gamma, with the equation of gamma_j ahead of that of g_j, makes the matrix
+banded with two diagonals below and three above, and LAPACK ``dgbtrf`` /
+``dgbtrs`` (partial pivoting) solve it in O(n) time and memory.
 
 Only the entries Q/lambda change with the weights.  ``prepare_system``
 builds the matrix once at unit weight, as the 2-D LAPACK band array (the
@@ -231,7 +231,7 @@ class PenaltyMatrix:
         right-hand side."""
         _, _, lu, piv = self._factored
         rhs = np.zeros((2 * self.n,) + g.shape[1:], order="F")
-        rhs[::2] = g
+        rhs[1::2] = g
         x, info = dgbtrs(lu, _KL, _KU, rhs, piv)
         if info != 0:
             raise _singular()
@@ -302,7 +302,7 @@ class SplineSystem:
     returned for it.  It is ``None`` unless the system was prepared inside
     a ``_shared_design`` scope; there, every system on the scope's grid
     shares h, band and this table with the scope's first system, and holds
-    its own t and right-hand side.  Each entry takes 168 n bytes and lives
+    its own t and right-hand side.  Each entry takes 136 n bytes and lives
     until the scope ends; the table stops taking entries at
     ``_FACTOR_BUDGET`` bytes.
     """
@@ -321,7 +321,7 @@ class SplineSystem:
 
 # Half-bandwidths of the augmented matrix in the interleaved order, and the
 # rows of its LAPACK band storage (kl more for the fill of partial pivoting).
-_KL = _KU = 3
+_KL, _KU = 2, 3
 _LDAB = 2 * _KL + _KU + 1
 
 # Bytes of LU factors one _shared_design scope keeps at most.
@@ -366,6 +366,13 @@ def _band(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     difference of g around knot j; R is tridiagonal with (h_{j-1} + h_j)/3
     on its diagonal and h_j/6 beside it.  The knots need not lie in [0, 1].
 
+    The columns are the unknowns of ``prepare_system``.  The rows hold the
+    equations in pairs, one pair per knot: first that of gamma_j (Q^T g -
+    R gamma = 0 at an interior knot, the identity gamma_j = 0 at either
+    end), then that of g_j.  In that order the band has two diagonals
+    below the main one, where the unknowns' own order would need three,
+    and Q still sits on band rows 3, 5 and 7 (``_q_entries``).
+
     Raises
     ------
     ValueError
@@ -377,21 +384,22 @@ def _band(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     c = 1.0 / h[1:]
     r_main = (h[:-1] + h[1:]) / 3.0
     r_off = h[1:-1] / 6.0
-    gp = np.arange(0, 2 * n, 2)  # where g_i sits
-    cp = np.arange(3, 2 * n - 2, 2)  # where the interior gamma_j sit
+    gp = np.arange(0, 2 * n, 2)  # where g_i sits; its equation is one row lower
+    cp = np.arange(3, 2 * n - 2, 2)  # where the interior gamma_j sit; theirs are one row higher
 
     band = np.zeros((_LDAB, 2 * n), order="F")
 
     def put(row, col, value):
         band[_KL + _KU + row - col, col] = value
 
-    band[_KL + _KU] = 1.0  # the diagonal of g and of the pinned gamma_1, gamma_n
+    put(gp + 1, gp, 1.0)
+    put(np.array([0, 2 * n - 2]), np.array([1, 2 * n - 1]), 1.0)  # the pinned gamma_1, gamma_n
     for k, qk in enumerate((a, -(a + c), c)):
-        put(gp[k:k + n - 2], cp, qk)
-        put(cp, gp[k:k + n - 2], qk)
-    put(cp, cp, -r_main)
-    put(cp[:-1], cp[1:], -r_off)
-    put(cp[1:], cp[:-1], -r_off)
+        put(gp[k:k + n - 2] + 1, cp, qk)
+        put(cp - 1, gp[k:k + n - 2], qk)
+    put(cp - 1, cp, -r_main)
+    put(cp[:-1] - 1, cp[1:], -r_off)
+    put(cp[1:] - 1, cp[:-1], -r_off)
     if not np.isfinite(band).all():
         raise ValueError("spline system is not finite; the design points are too close")
     return h, band, float(np.abs(_q_entries(band)).max())
@@ -400,11 +408,13 @@ def _band(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def prepare_system(sample: Sample) -> SplineSystem:
     """The augmented spline system for ``sample``, at unit weight.
 
-    The unknowns are ordered g_1, gamma_1, g_2, gamma_2, ..., g_n, gamma_n.
-    The natural boundary values gamma_1 = gamma_n = 0 are two identity rows
-    with nothing else in their rows and columns, so they solve to exactly 0;
-    no row reaches more than three places from its diagonal, and a solution
-    x reads g = x[::2], gamma = x[1::2].  Inside a ``_shared_design`` scope,
+    The unknowns are ordered g_1, gamma_1, g_2, gamma_2, ..., g_n, gamma_n,
+    and the equations gamma_1, g_1, gamma_2, g_2, ... (see ``_band``), so
+    y fills the odd rows of the right-hand side.  The natural boundary
+    values gamma_1 = gamma_n = 0 are two identity rows with nothing else in
+    their rows and columns, so they solve to exactly 0; no row reaches more
+    than two places below its diagonal or three above it, and a solution x
+    reads g = x[::2], gamma = x[1::2].  Inside a ``_shared_design`` scope,
     a sample on the scope's grid gets a system that shares the design's
     band and factor table (see ``SplineSystem``).
 
@@ -416,7 +426,7 @@ def prepare_system(sample: Sample) -> SplineSystem:
     t, y = sample.t, sample.y
     n = t.size
     rhs = np.zeros(2 * n)
-    rhs[::2] = y
+    rhs[1::2] = y
     scope = _DESIGN.get()
     design = None if scope is None else scope[0]
     if design is not None:

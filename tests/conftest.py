@@ -75,11 +75,26 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
-def count_lapack(count_calls):
+def count_lapack(monkeypatch):
     """Count the band factorizations and solves the spline solver runs.
 
     Replaces ``splines.dgbtrf`` and ``splines.dgbtrs`` with wrappers that
     count their calls; the fixture's value is a ``Counter`` keyed by those
-    two names.
+    two names.  Its attribute ``bands`` is a second ``Counter``, keyed by
+    the (kl, ku) that each call passed, so that a test can check that
+    every call reads the band with the half-bandwidths it was built with.
     """
-    return count_calls(adaptspline.splines, "dgbtrf", "dgbtrs")
+    counts = Counter()
+    counts.bands = Counter()
+
+    def counting(name, real):
+        def wrapper(ab, kl, ku, *args, **kwargs):
+            counts[name] += 1
+            counts.bands[kl, ku] += 1
+            return real(ab, kl, ku, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("dgbtrf", "dgbtrs"):
+        monkeypatch.setattr(adaptspline.splines, name, counting(name, getattr(adaptspline.splines, name)))
+    return counts

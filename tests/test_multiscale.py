@@ -22,7 +22,8 @@ from adaptspline import (
     sigma_hat,
     w_stat,
 )
-from adaptspline.multiscale import _w_test
+import adaptspline.multiscale
+from adaptspline.multiscale import _runs, _w_test
 
 
 class TestDyadicFamily:
@@ -346,6 +347,58 @@ class TestCalibrateTau:
             maxima.append(float(np.max(np.abs(c[fam.hi] - c[fam.lo - 1]) * 0.5)))
         q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
         assert calibrate_tau(n, alpha, family=fam, replicates=replicates, seed=seed) == q * q / math.log(n)
+
+    @staticmethod
+    def row_at_a_time(n, alpha, family, replicates, seed):
+        """tau from the family-wide w vector of each replicate on its own."""
+        inv_sqrt = 1.0 / np.sqrt(family.sizes)
+        maxima = []
+        for j in range(replicates):
+            c = np.concatenate(([0.0], np.cumsum(np.random.default_rng([seed, j]).standard_normal(n))))
+            maxima.append(float(np.max(np.abs(c[family.hi] - c[family.lo - 1]) * inv_sqrt)))
+        q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
+        return q * q / math.log(n)
+
+    FAMILIES = {
+        # every interval, by size: one run per size
+        "all-intervals": (100, IntervalFamily(
+            np.concatenate([np.arange(1, 102 - s) for s in range(1, 101)]),
+            np.concatenate([np.arange(s, 101) for s in range(1, 101)]), 100)),
+        # windows that overlap by half, so the step is not the size, then
+        # windows of 6 at step 3, a repeated interval, and windows of 4
+        # whose step turns from 1 to 4
+        "half-overlapping": (100, IntervalFamily(
+            np.r_[1:93:4, 1:95:3, 7, 7, 1, 2, 3, 7, 11], np.r_[8:100:4, 6:100:3, 20, 20, 4, 5, 6, 10, 14], 100)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_equals_row_at_a_time_recomputation(self, name):
+        n, family = self.FAMILIES[name]
+        assert calibrate_tau(n, 0.9, family=family, replicates=1000, seed=8) == self.row_at_a_time(
+            n, 0.9, family, 1000, 8)
+
+    @pytest.mark.parametrize("budget, rows", [(16 * 65 * 7, [7] * 142 + [6]), (16 * 65 - 1, [1] * 1000)])
+    def test_blocks_of_few_rows_equal_row_at_a_time_recomputation(self, budget, rows, monkeypatch):
+        # 7 rows of n = 64 leave a last block of 1000 % 7 = 6 rows; a budget
+        # below one row, as for any n past the real budget, leaves blocks of
+        # one row
+        n, family = 64, dyadic_family(64)
+        monkeypatch.setattr(adaptspline.multiscale, "_BLOCK_BYTES", budget)
+        blocks, cumsum = [], np.cumsum
+        monkeypatch.setattr(adaptspline.multiscale.np, "cumsum", lambda a, **kw: blocks.append(len(a)) or cumsum(a, **kw))
+        tau = calibrate_tau(n, 0.9, replicates=1000, seed=4)
+        assert blocks == rows
+        assert tau == self.row_at_a_time(n, 0.9, family, 1000, 4)
+
+    @pytest.mark.parametrize("name, runs", [("dyadic 10000", 24), ("all-intervals", 100), ("half-overlapping", 6)])
+    def test_runs_cover_the_family_in_order(self, name, runs):
+        family = dyadic_family(10000) if name == "dyadic 10000" else self.FAMILIES[name][1]
+        first, counts, sizes, steps = _runs(family)
+        assert first.size == runs
+        k = np.arange(len(family)) - np.repeat(first, counts)
+        lo = np.repeat(family.lo[first], counts) + k * np.repeat(steps, counts)
+        assert np.array_equal(lo, family.lo)
+        assert np.array_equal(lo + np.repeat(sizes, counts) - 1, family.hi)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_rejects_fewer_than_two_points(self, n):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import adaptspline.splines
 from adaptspline import (
@@ -432,7 +432,7 @@ class TestPreparedSystem:
         assert not math.isfinite(system.q_max / 1e-300)
         # the factorization that scans every entry, as without a bound
         lu, piv = adaptspline.splines._factor(system, 1.0 / lam)
-        x, info = dgbtrs(lu, 3, 3, system.rhs, piv)
+        x, info = dgbtrs(lu, adaptspline.splines._KL, adaptspline.splines._KU, system.rhs, piv)
         assert info == 0
         scans, isfinite = [], np.isfinite
         monkeypatch.setattr(adaptspline.splines.np, "isfinite", lambda a: scans.append(np.size(a)) or isfinite(a))
@@ -468,6 +468,87 @@ class TestPreparedSystem:
         s = Sample(np.linspace(0.0, 1.0, 8), np.sin(np.arange(8.0)))
         with pytest.raises(RuntimeError, match="numerically singular"):
             solve_weighted(s, np.ones(8))
+
+
+def dense_augmented(t, lam):
+    """The augmented matrix of the weights lam as a dense 2n x 2n array, in
+    the unknowns' own order: row 2i holds the equation of g_i, g_i + (1/lam_i)
+    (Q gamma)_i = y_i, and row 2i + 1 that of gamma_i, (Q^T g - R gamma)_i = 0
+    at an interior knot and gamma_i = 0 at either end."""
+    n = t.size
+    h = np.diff(t)
+    a, c = 1.0 / h[:-1], 1.0 / h[1:]
+    b = -(a + c)
+    d = 1.0 / lam
+    m = np.zeros((2 * n, 2 * n))
+    m[np.arange(0, 2 * n, 2), np.arange(0, 2 * n, 2)] = 1.0
+    m[1, 1] = m[-1, -1] = 1.0
+    for j in range(1, n - 1):
+        for i, q in zip((j - 1, j, j + 1), (a[j - 1], b[j - 1], c[j - 1])):
+            m[2 * i, 2 * j + 1] = d[i] * q
+            m[2 * j + 1, 2 * i] = q
+        m[2 * j + 1, 2 * j + 1] = -(h[j - 1] + h[j]) / 3.0
+        if j + 1 < n - 1:
+            m[2 * j + 1, 2 * j + 3] = m[2 * j + 3, 2 * j + 1] = -h[j] / 6.0
+    return m
+
+
+def band_storage(m, kl, ku):
+    """The LAPACK ``dgbtrf`` storage of the dense matrix m with kl diagonals
+    below and ku above, after checking that m has nothing outside them."""
+    rows, cols = np.nonzero(m)
+    assert np.all(rows - cols <= kl) and np.all(cols - rows <= ku)
+    ab = np.zeros((2 * kl + ku + 1, m.shape[1]), order="F")
+    ab[kl + ku + rows - cols, cols] = m[rows, cols]
+    return ab
+
+
+GRIDS = {"uniform": lambda n, rng: np.arange(n) / (n - 1), "jittered": jittered_design}
+
+
+class TestBandLayout:
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("n", [3, 4, 64, 1000])
+    def test_band_is_the_augmented_matrix_in_gamma_g_row_order(self, n, grid, rng):
+        t = GRIDS[grid](n, rng)
+        system = prepare_system(Sample(t, rng.standard_normal(n)))
+        order = np.arange(2 * n).reshape(n, 2)[:, ::-1].ravel()  # gamma_j's row, then g_j's
+        expected = band_storage(dense_augmented(t, np.ones(n))[order], adaptspline.splines._KL, adaptspline.splines._KU)
+        assert system.band.shape == expected.shape
+        assert np.array_equal(system.band, expected)
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("n", [3, 4, 64, 1000])
+    def test_solves_as_the_unknowns_order_at_three_subdiagonals(self, n, grid, rng):
+        # partial pivoting picks among the same entries of each column in
+        # either row order, so the solves agree bit for bit
+        t = GRIDS[grid](n, rng)
+        y = rng.standard_normal(n)
+        system = prepare_system(Sample(t, y))
+        for _ in range(3):
+            lam = 10.0 ** rng.uniform(-12, 0, n)
+            lu, piv, info = dgbtrf(band_storage(dense_augmented(t, lam), 3, 3), 3, 3)
+            assert info == 0
+            rhs = np.zeros(2 * n)
+            rhs[::2] = y
+            x, info = dgbtrs(lu, 3, 3, rhs, piv)
+            assert info == 0
+            fit = solve_weighted(system, lam)
+            assert np.array_equal(fit.values, x[::2])
+            assert np.array_equal(fit.second_derivs, x[1::2])
+
+    def test_every_lapack_call_passes_the_band_shape(self, count_lapack):
+        # a literal (kl, ku) left behind by a change of the band would read
+        # the factors wrongly; every call must pass the module's pair
+        t = np.arange(1, 129) / 128
+        sample = make_dataset(bumps(), 128, SIGMA_PRESETS["bumps-hi"], seed=[3, 128])
+        fit_local(sample)
+        scale_fit(Sample(t, (np.sin(4 * np.pi * t) ** 2 + 0.05) * np.random.default_rng(1).standard_normal(128)))
+        k = PenaltyMatrix(t)
+        k.quad_form(sample.y)
+        k.dense()
+        assert count_lapack["dgbtrf"] > 0 and count_lapack["dgbtrs"] > 0
+        assert set(count_lapack.bands) == {(adaptspline.splines._KL, adaptspline.splines._KU)}
 
 
 class TestSharedDesign:
