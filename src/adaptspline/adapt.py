@@ -36,8 +36,8 @@ solved and tested once, whichever branch or search asks first.
 
 The engine alone writes the outcome: a test returns its verdict, its
 mask of violating intervals and its statistic, the engine makes the
-``TraceEntry`` of each examined fit, and ``_outcome`` turns a run into
-the fields that ``FitReport`` and ``variants.ScaleFit`` share.
+``TraceEntry`` of each examined fit, and ``_adapt`` returns the chosen
+fit with the fields that ``FitReport`` and ``variants.ScaleFit`` share.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class FitReport:
 
     The final fit and weights, ``iterations``, ``trace``, ``passed``,
     ``chosen_branch`` and the start fields are the run's outcome, which
-    ``variants.ScaleFit`` reports the same way (see ``_outcome``).
+    ``variants.ScaleFit`` reports the same way (see ``_adapt``).
     ``iterations`` counts the weight bumps from the start weight to the
     final weights; for the global branch that is the rung k of its final
     equal weight start * q**k, however few rungs its search examined.
@@ -277,16 +277,6 @@ class _Branch:
     records: tuple
 
 
-@dataclass(frozen=True)
-class _Run:
-    """The branches run, by name, the chosen one and the start's outcome."""
-
-    branches: dict
-    chosen: _Branch
-    halvings: int
-    capped: bool
-
-
 def _branch(equal: _Equal, family, sweep, start: float, q: float, top: int, first) -> _Branch:
     """The local branch: bump the weights by q from ``start`` until the
     test accepts or ``top`` bumps are made.
@@ -319,7 +309,8 @@ def _branch(equal: _Equal, family, sweep, start: float, q: float, top: int, firs
             lam *= q
             passed, bad, record = equal.judge(lam)
         else:
-            weights = np.full(n, lam) if weights is None else weights.copy()
+            if weights is None:
+                weights = np.full(n, lam)
             weights[covered] *= q
             current = solve_weighted(equal.system, weights)
             passed, bad, record = _judge(equal.test, current, weights)
@@ -398,8 +389,12 @@ def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first
 def _adapt(
     target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), monotone=False,
     chosen_only=False,
-) -> _Run:
+) -> tuple:
     """Run the named branches on ``target`` from one shared start.
+
+    Returns the chosen fit and weights, the other fields of the outcome
+    that ``FitReport`` and ``variants.ScaleFit`` share, as keyword
+    arguments, and the branches run, by name.
 
     ``test(fit, weights)`` returns ``(passed, bad, stat)``: the verdict on
     the fit, the boolean mask of its violating intervals over ``family``
@@ -435,16 +430,10 @@ def _adapt(
                 done[name] = _bracket(equal, start, judged if monotone else top + 1, config.q, top, first, ceiling)
     # an accepted branch beats a rejected one, then the smaller final
     # roughness wins; min keeps the first of equals, so ties go to local
-    chosen = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))
-    return _Run(done, chosen, halvings, capped)
-
-
-def _outcome(run: _Run) -> tuple:
-    """The chosen fit and its weights, which ``FitReport`` and
-    ``variants.ScaleFit`` take first, and the other fields they share."""
-    c = run.chosen
-    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=c.name, trace=c.records)
-    return c.fit, c.weights, dict(shared, start_halvings=run.halvings, start_capped=run.capped)
+    c = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))
+    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=c.name, trace=c.records,
+                  start_halvings=halvings, start_capped=capped)
+    return c.fit, c.weights, shared, done
 
 
 def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
@@ -471,13 +460,12 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
         passed, max_abs, _, bad = _w_test(sample.y - fit_.values, family, threshold)
         return passed, bad, max_abs
 
-    run = _adapt(sample, family, test, (None,), config, branches, monotone=True)
+    fit_, weights, shared, done = _adapt(sample, family, test, (None,), config, branches, monotone=True)
     both = {}
-    if len(run.branches) == 2:
-        local, glob = run.branches["local"], run.branches["global"]
+    if len(done) == 2:
+        local, glob = done["local"], done["global"]
         both = dict(roughness_local=local.fit.roughness, roughness_global=glob.fit.roughness,
                     truncated_local=not local.passed, truncated_global=not glob.passed)
-    fit_, weights, shared = _outcome(run)
     return FitReport(fit_, weights, sigma_used=spec.sigma, threshold_used=threshold, tau=config.tau, **shared, **both)
 
 

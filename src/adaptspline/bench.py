@@ -49,6 +49,7 @@ SIGMA_PRESETS = {
 
 _BUMPS_SHA256 = "fb92367cb737b67d21cf671ee9ae944f18781a294f27d764378644adb505ea8d"
 
+_ESTIMATORS = ("wss", "global-only")  # the adaptive fit, or its global branch alone
 _RISE_GRID = 4096
 _FD_STEP = 1e-6
 
@@ -242,8 +243,8 @@ class StudyConfig:
         object.__setattr__(self, "replicates", int(self.replicates))
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be a nonnegative finite number")
-        if self.estimator not in ("wss", "global-only"):
-            raise ValueError("estimator must be 'wss' or 'global-only'")
+        if self.estimator not in _ESTIMATORS:
+            raise ValueError(f"estimator must be {' or '.join(map(repr, _ESTIMATORS))}")
 
 
 def mrise_study(config: StudyConfig) -> list[dict]:

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, fit
-from .bench import StudyConfig, bumps, mrise_study, rupcar, sine, study_preset
+from .bench import _ESTIMATORS, SIGMA_PRESETS, StudyConfig, bumps, mrise_study, rupcar, sine, study_preset
 from .bench import study_rows_to_csv, study_rows_to_json
 from .multiscale import calibrate_tau, sigma_hat
 from .splines import PenaltyMatrix, Sample
-from .variants import ScaleRegionSpec, clean_outliers, scale_fit
+from .variants import _SCALE_BUDGET, ScaleRegionSpec, clean_outliers, scale_fit
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,8 +71,6 @@ def _prepare_sample(t_raw: np.ndarray, y: np.ndarray, rescale: bool):
     if rescale:
         offset = float(t_raw[0])
         scale = float(t_raw[-1] - t_raw[0])
-        if scale <= 0:
-            raise CliError("cannot rescale: t range is empty")
         t = (t_raw - offset) / scale
         t[0], t[-1] = 0.0, 1.0
         return Sample(t, y), {"offset": offset, "scale": scale}
@@ -240,8 +238,8 @@ def _cmd_spectrum(args) -> int:
 def _add_data_flags(p: argparse.ArgumentParser, max_iter: int) -> None:
     p.add_argument("input", help="CSV file with two numeric columns t,y")
     p.add_argument("--output", "-o", help="output base path (default: input stem)")
-    p.add_argument("--q", type=float, default=2.0, help="weight growth factor (default 2)")
-    p.add_argument("--max-iter", type=int, default=max_iter, help=f"iteration budget (default {max_iter})")
+    p.add_argument("--q", type=float, default=AdaptConfig.q, help="weight growth factor (default %(default)g)")
+    p.add_argument("--max-iter", type=int, default=max_iter, help="iteration budget (default %(default)s)")
     p.add_argument("--rescale", action="store_true", help="map [min t, max t] affinely onto [0, 1]")
 
 
@@ -254,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_ in (("fit", "fit a CSV dataset"), ("robust", "replace running-median outliers, then fit")):
         p = sub.add_parser(name, help=help_)
-        _add_data_flags(p, max_iter=200)
-        p.add_argument("--tau", type=float, default=3.0, help="threshold constant (default 3)")
+        _add_data_flags(p, max_iter=AdaptConfig.max_iterations)
+        p.add_argument("--tau", type=float, default=AdaptConfig.tau, help="threshold constant (default %(default)g)")
         p.add_argument("--sigma", type=float, default=None, help="fixed noise scale (default: estimated)")
         p.add_argument("--plot-data", metavar="PATH", help="also write a gnuplot-ready whitespace table")
         p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("scale", help="heteroscedastic scale fit for mean-zero data")
-    _add_data_flags(p, max_iter=400)
+    _add_data_flags(p, max_iter=_SCALE_BUDGET)
     p.add_argument("--alpha-n", type=float, default=None, help="per-interval coverage (default 1-n^-1.5)")
     p.set_defaults(handler=_cmd_scale)
 
@@ -273,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_calibrate)
 
     p = sub.add_parser("simulate", help="run the median-RISE simulation study")
-    p.add_argument("--preset", choices=["rupcar-lo", "rupcar-hi", "bumps-lo", "bumps-hi"])
+    p.add_argument("--preset", choices=SIGMA_PRESETS)
     p.add_argument("--function", help="signal when no preset: rupcar|bumps|sine (default rupcar)")
     p.add_argument("--sigma", type=float, default=None, help="noise level when no preset")
-    p.add_argument("--n-grid", type=int, nargs="+", default=[400, 800, 1600, 3200])
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--estimator", choices=["wss", "global-only"], default="wss")
+    p.add_argument("--n-grid", type=int, nargs="+", default=StudyConfig.n_grid)
+    p.add_argument("--replicates", type=int, default=StudyConfig.replicates)
+    p.add_argument("--seed", type=int, default=StudyConfig.seed)
+    p.add_argument("--estimator", choices=_ESTIMATORS, default=StudyConfig.estimator)
     p.add_argument("--output", "-o", help="CSV output path (default mrise_study.csv)")
     p.add_argument("--output-json", help="also write the rows as JSON")
     p.set_defaults(handler=_cmd_simulate)

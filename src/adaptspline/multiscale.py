@@ -173,8 +173,6 @@ def sigma_hat(sample: Sample) -> float:
     so the estimate is consistent for the standard deviation under Gaussian
     noise and biased upwards in the presence of signal.
     """
-    if sample.n < 3:
-        raise ValueError("need at least 3 data points")
     diffs = np.abs(np.diff(sample.y)[: sample.n - 2])
     return SIGMA_SCALE * float(np.median(diffs))
 

@@ -29,7 +29,8 @@ solves of one adaptive fit share it.  Each solve copies the band, scales
 the three rows that hold Q by 1/lambda, then factors the copy in place.
 A system that is not finite raises ``ValueError``, a singular factorization
 ``RuntimeError``; the check costs O(1) per solve unless the weights come
-near the end of the double range (see ``SplineSystem``).
+near the end of the double range (see ``SplineSystem``).  ``_rhs`` puts y
+in the rows of the g equations, and ``_solve`` reads g and gamma back.
 
 An equal-weight system depends only on t and the weight, so the replicates
 of a simulation study on one grid factor the same matrices again and again.
@@ -47,8 +48,8 @@ are the module's one banded solver.
 
 Evaluating a spline at given points also splits into a part that depends
 on the knots only and a part that depends on the fit: ``_locate`` finds
-each point's knot interval and the interval's cubic coefficients, and
-``_combine`` applies them to the knot values and second derivatives.
+each point's knot interval and its place in it, and ``_combine`` evaluates
+the cubic there from the knot values and second derivatives.
 ``evaluate`` runs both; ``bench.mrise_study`` locates its RISE grid once
 per sample size and combines it with the fit of every replicate.
 """
@@ -222,20 +223,14 @@ class PenaltyMatrix:
         """The spacings and band of the knots (``_band``) and the band's LU
         at d = 1/lambda = 0, as ``(h, band, lu, piv)``."""
         h, band, q_max = _band(self.knots)
-        lu, piv = _factor(SplineSystem(self.knots, h, band, None, q_max), np.zeros(self.n), 0.0)
-        return h, band, lu, piv
+        return (h, band) + _factor(band, q_max, np.zeros(self.n), 0.0)
 
     def _second_derivs(self, g: np.ndarray) -> np.ndarray:
         """The second derivatives of the natural spline through (t, g): the
         augmented system at d = 1/lambda = 0, one column of g per
         right-hand side."""
         _, _, lu, piv = self._factored
-        rhs = np.zeros((2 * self.n,) + g.shape[1:], order="F")
-        rhs[1::2] = g
-        x, info = dgbtrs(lu, _KL, _KU, rhs, piv)
-        if info != 0:
-            raise _singular()
-        return x[1::2]
+        return _solve(lu, piv, _rhs(g))[1]
 
     def _apply(self, g: np.ndarray) -> np.ndarray:
         """K g = Q gamma, with Q read from the band (see ``SplineSystem``)."""
@@ -283,7 +278,7 @@ class SplineSystem:
 
     Holds the design points t, the spacings h, the LAPACK band storage of
     the matrix with all weights 1 (a Fortran-ordered ``_LDAB`` x 2n array),
-    the right-hand side, in the order of ``prepare_system``, and ``q_max``,
+    the right-hand side (``_rhs`` of the responses) and ``q_max``,
     the largest |entry| of Q.  The column of an interior gamma_j holds the
     column of Q for knot j, its entries a, b, c on band rows 3, 5 and 7
     (``_q_entries``); ``solve_weighted`` scales them by 1/lambda of
@@ -410,11 +405,11 @@ def prepare_system(sample: Sample) -> SplineSystem:
 
     The unknowns are ordered g_1, gamma_1, g_2, gamma_2, ..., g_n, gamma_n,
     and the equations gamma_1, g_1, gamma_2, g_2, ... (see ``_band``), so
-    y fills the odd rows of the right-hand side.  The natural boundary
+    y fills the rows of the g equations (``_rhs``).  The natural boundary
     values gamma_1 = gamma_n = 0 are two identity rows with nothing else in
     their rows and columns, so they solve to exactly 0; no row reaches more
-    than two places below its diagonal or three above it, and a solution x
-    reads g = x[::2], gamma = x[1::2].  Inside a ``_shared_design`` scope,
+    than two places below its diagonal or three above it, and ``_solve``
+    reads g and gamma from the solution.  Inside a ``_shared_design`` scope,
     a sample on the scope's grid gets a system that shares the design's
     band and factor table (see ``SplineSystem``).
 
@@ -423,10 +418,7 @@ def prepare_system(sample: Sample) -> SplineSystem:
     ValueError
         If the spacings are so small that the system is not finite.
     """
-    t, y = sample.t, sample.y
-    n = t.size
-    rhs = np.zeros(2 * n)
-    rhs[1::2] = y
+    t, rhs = sample.t, _rhs(sample.y)
     scope = _DESIGN.get()
     design = None if scope is None else scope[0]
     if design is not None:
@@ -444,19 +436,38 @@ def _singular() -> RuntimeError:
     return RuntimeError("weighted spline system is numerically singular")
 
 
-def _factor(system: SplineSystem, d: np.ndarray, d_max: float = math.inf):
-    """``dgbtrf`` of the system with Q scaled by d = 1/lambda.
+def _rhs(y: np.ndarray) -> np.ndarray:
+    """The right-hand side with ``y`` in the rows of the g equations (see
+    ``_band``): 1-D for one vector y, Fortran-ordered 2-D for one column
+    of y per right-hand side."""
+    rhs = np.zeros((2 * y.shape[0],) + y.shape[1:], order="F")
+    rhs[1::2] = y
+    return rhs
 
-    ``d_max`` is at least max d.  The scaled entries are scanned for a
-    value that is not finite only when ``q_max * d_max`` overflows (see
-    ``SplineSystem``), so a caller that knows no bound scans them all.
+
+def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``dgbtrs`` of a factored band (``_factor``) at ``rhs`` (``_rhs``), as
+    the knot values g = x[::2] and second derivatives gamma = x[1::2]."""
+    x, info = dgbtrs(lu, _KL, _KU, rhs, piv)
+    if info != 0:
+        raise _singular()
+    return x[::2], x[1::2]
+
+
+def _factor(band: np.ndarray, q_max: float, d: np.ndarray, d_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """``dgbtrf`` of a copy of ``band`` (``_band``) with Q scaled by d = 1/lambda.
+
+    ``q_max`` is the band's largest |entry| of Q and ``d_max`` is at least
+    max d.  The scaled entries are scanned for a value that is not finite
+    only when ``q_max * d_max`` overflows (see ``SplineSystem``), so a
+    caller that knows no bound passes ``math.inf`` and scans them all.
     """
-    ab = system.band.copy(order="F")
+    ab = band.copy(order="F")
     q = _q_entries(ab)
     q[0] *= d[:-2]
     q[1] *= d[1:-1]
     q[2] *= d[2:]
-    if not math.isfinite(system.q_max * d_max) and not np.isfinite(q).all():
+    if not math.isfinite(q_max * d_max) and not np.isfinite(q).all():
         raise ValueError("weighted spline system is not finite; the weights are out of range")
     lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
@@ -523,14 +534,11 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     if table is not None and key in table:
         lu, piv = table[key]
     else:
-        lu, piv = _factor(system, 1.0 / lam, 1.0 / float(low))
+        lu, piv = _factor(system.band, system.q_max, 1.0 / lam, 1.0 / float(low))
         if table is not None and (len(table) + 1) * (lu.nbytes + piv.nbytes) <= _FACTOR_BUDGET:
             table[key] = lu, piv
-    x, info = dgbtrs(lu, _KL, _KU, system.rhs, piv)
-    if info != 0:
-        raise _singular()
-    c = x[1::2]
-    return SplineFit(system.t.copy(), x[::2], c, _roughness(system.h, c))
+    g, c = _solve(lu, piv, system.rhs)
+    return SplineFit(system.t.copy(), g, c, _roughness(system.h, c))
 
 
 def evaluate(fit: SplineFit, x, order: int = 0):
@@ -541,7 +549,8 @@ def evaluate(fit: SplineFit, x, order: int = 0):
     representation; beyond the first/last knot the continuation is linear.
     ``order`` 0, 1, 2 selects f, f' or the piecewise linear f''.  It runs
     ``_locate`` on the knots, then ``_combine`` on the fit's values and
-    second derivatives, the one copy of the cubic formulas.
+    second derivatives; ``_combine`` is the one copy of the cubic formulas,
+    and it computes their factors for the order it evaluates.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -550,8 +559,9 @@ def evaluate(fit: SplineFit, x, order: int = 0):
 
 @dataclass(frozen=True)
 class _Located:
-    """Points located among the knots: everything ``_combine`` needs that
-    does not depend on the spline's values."""
+    """Where points lie among the knots: each one's knot interval ``idx``
+    of width ``h``, its place in it (``alpha``, ``beta``) and whether it
+    lies ``left`` or ``right`` of all the knots."""
 
     knots: np.ndarray
     x: np.ndarray
@@ -559,13 +569,7 @@ class _Located:
     idx: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    alpha3: np.ndarray  # alpha**3 - alpha
-    beta3: np.ndarray  # beta**3 - beta
-    dalpha: np.ndarray  # 3 alpha**2 - 1
-    dbeta: np.ndarray  # 3 beta**2 - 1
     h: np.ndarray
-    hh6: np.ndarray  # h**2 / 6
-    h6: np.ndarray  # h / 6
     left: np.ndarray
     right: np.ndarray
     outside: bool
@@ -586,26 +590,20 @@ def _locate(knots: np.ndarray, x) -> _Located:
     beta = (xv - t[idx]) / h
     left = xv < t[0]
     right = xv > t[-1]
-    return _Located(
-        t, xv, x_arr.ndim == 0, idx, alpha, beta,
-        alpha**3 - alpha, beta**3 - beta, 3.0 * alpha * alpha - 1.0, 3.0 * beta * beta - 1.0,
-        h, h * h / 6.0, h / 6.0, left, right, bool(np.any(left) or np.any(right)),
-    )
+    return _Located(t, xv, x_arr.ndim == 0, idx, alpha, beta, h, left, right, bool(np.any(left) or np.any(right)))
 
 
 def _combine(loc: _Located, values: np.ndarray, second_derivs: np.ndarray, order: int):
     """The spline with knot values ``values`` and second derivatives
     ``second_derivs``, or its derivative of ``order``, at the located points."""
-    t, xv, idx = loc.knots, loc.x, loc.idx
+    t, xv, idx, a, b, h = loc.knots, loc.x, loc.idx, loc.alpha, loc.beta, loc.h
     g, c = values, second_derivs
     if order == 0:
-        out = loc.alpha * g[idx] + loc.beta * g[idx + 1] + loc.hh6 * (
-            loc.alpha3 * c[idx] + loc.beta3 * c[idx + 1]
-        )
+        out = a * g[idx] + b * g[idx + 1] + h * h / 6.0 * ((a**3 - a) * c[idx] + (b**3 - b) * c[idx + 1])
     elif order == 1:
-        out = (g[idx + 1] - g[idx]) / loc.h + loc.h6 * (loc.dbeta * c[idx + 1] - loc.dalpha * c[idx])
+        out = (g[idx + 1] - g[idx]) / h + h / 6.0 * ((3.0 * b * b - 1.0) * c[idx + 1] - (3.0 * a * a - 1.0) * c[idx])
     else:
-        out = loc.alpha * c[idx] + loc.beta * c[idx + 1]
+        out = a * c[idx] + b * c[idx + 1]
 
     if loc.outside:
         left, right = loc.left, loc.right

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .adapt import AdaptConfig, TraceEntry, _adapt, _outcome
+from .adapt import AdaptConfig, TraceEntry, _adapt
 from .multiscale import IntervalFamily, _interval, dyadic_family
 from .splines import Sample, SplineFit, affine_fit, evaluate
 
@@ -201,7 +201,7 @@ class ScaleFit:
 
     ``s``, ``weights``, ``passed``, ``iterations``, ``chosen_branch``, the
     start fields and ``trace`` are the run's outcome, reported as
-    ``FitReport`` reports it (see ``adapt._outcome``).  The trace starts
+    ``FitReport`` reports it (see ``adapt._adapt``).  The trace starts
     with the least squares line of the squared data, then has one entry
     per fit the chosen branch examined; its last entry judges ``s``, and
     its violations leave out the pinned intervals.  The start fields stay
@@ -322,6 +322,7 @@ def scale_fit(
     # chi-squared verdicts can pass on a rung below a failing one, where
     # the mean fits' bracket would skip to a rougher passing rung.  Only
     # the chosen branch is reported, so the climb may stop once it cannot win
-    run = _adapt(Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config, chosen_only=True)
-    fit_, weights, shared = _outcome(run)
+    fit_, weights, shared, _ = _adapt(
+        Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config, chosen_only=True
+    )
     return ScaleFit(fit_, weights, degenerate=False, floor=floor, pinned_intervals=int(pinned.sum()), **shared)

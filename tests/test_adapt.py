@@ -616,21 +616,21 @@ class TestEqualWeightRecord:
         t = np.arange(1, self.N + 1) / self.N
         target = Sample(t, 2.0 - t)
         config = AdaptConfig(max_iterations=budget)
-        alone = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config, ("local",))
+        *_, alone_shared, alone = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config, ("local",))
         # alone, the local branch reads its equal weights 1, 2 and 4 from
         # the record and leaves it at its bump of points 1 and 2
         assert sorted(made[0].verdicts) == [1.0, 2.0, 4.0][: budget + 1]
-        run = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config)
-        assert run.halvings == alone.halvings == 0
-        local = run.branches["local"]
+        *_, shared, branches = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config)
+        assert shared["start_halvings"] == alone_shared["start_halvings"] == 0
+        local = branches["local"]
         current, weights, iterations, passed, records = self.reference_local(target, budget)
-        for branch in (local, alone.branches["local"]):
+        for branch in (local, alone["local"]):
             assert np.array_equal(branch.weights, weights)
             assert branch.iterations == iterations
             assert branch.passed == passed
             assert branch.records == records
             assert np.array_equal(branch.fit.values, current.values)
-        glob = run.branches["global"]
+        glob = branches["global"]
         assert glob.passed == (budget == 200) and glob.iterations == min(budget, 6)
 
     def test_keeps_two_fits_at_most(self, made):

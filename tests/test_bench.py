@@ -322,7 +322,8 @@ class TestSharedDesignInStudies:
         # weights, a solve at any other one factors again, and the rows equal
         # those of a study whose fits run outside any scope
         config = study_preset("rupcar-hi", n_grid=(64,), replicates=3, seed=5, estimator=estimator)
-        lu, piv = splines_module._factor(prepare_system(Sample(np.arange(1, 65) / 64, np.zeros(64))), np.ones(64))
+        system = prepare_system(Sample(np.arange(1, 65) / 64, np.zeros(64)))
+        lu, piv = splines_module._factor(system.band, system.q_max, np.ones(64), math.inf)
         monkeypatch.setattr(splines_module, "_FACTOR_BUDGET", 3 * (lu.nbytes + piv.nbytes))
         systems, equal, unequal = [], [], []
 

@@ -5,7 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from adaptspline import AdaptConfig, PenaltyMatrix, Sample, fit, scale_fit, sigma_hat
+from adaptspline import (
+    AdaptConfig,
+    PenaltyMatrix,
+    Sample,
+    ScaleRegionSpec,
+    StudyConfig,
+    fit,
+    mrise_study,
+    rupcar,
+    scale_fit,
+    sigma_hat,
+)
 from adaptspline.cli import main
 
 
@@ -101,6 +112,30 @@ class TestFitCommand:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, noisy_csv, tmp_path):
+        rows = noisy_csv.read_text().splitlines()
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(rows[:50] + ["", "  "] + rows[50:] + [""]) + "\n")
+        assert main(["fit", str(noisy_csv)]) == main(["fit", str(gapped)]) == 0
+        plain = json.loads((tmp_path / "data.report.json").read_text())
+        doc = json.loads((tmp_path / "gapped.report.json").read_text())
+        assert doc["n"] == plain["n"] == len(rows) - 1
+        assert doc["trace"] == plain["trace"]
+
+    def test_one_column_row_names_line(self, tmp_path, capsys):
+        path = tmp_path / "narrow.csv"
+        path.write_text("0.1,1.0\n0.2\n0.3,3.0\n0.4,1.0\n")
+        assert main(["fit", str(path)]) == 2
+        assert "narrow.csv:2: expected two comma-separated columns" in capsys.readouterr().err
+        assert not list(tmp_path.glob("narrow.*.*"))
+
+    def test_fewer_than_three_rows_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("t,y\n0.1,1.0\n0.2,2.0\n")
+        assert main(["fit", str(path)]) == 2
+        assert "need at least 3 data rows" in capsys.readouterr().err
+        assert not list(tmp_path.glob("short.*.*"))
 
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -277,6 +312,19 @@ class TestScaleCommand:
         assert "max |y|" in capsys.readouterr().err
         assert not list(tmp_path.glob("tiny.scale.*"))
 
+    def test_alpha_n_sets_the_coverage(self, tmp_path):
+        n = 256
+        t = np.arange(1, n + 1) / n
+        y = (0.5 + t) * np.random.default_rng(24).standard_normal(n)
+        path = tmp_path / "vol.csv"
+        write_csv(path, t, y)
+        assert main(["scale", str(path), "--alpha-n", "0.99"]) == 0
+        doc = json.loads((tmp_path / "vol.scale.json").read_text())
+        assert doc["coverage"] == 0.99
+        result = scale_fit(Sample(t, y), ScaleRegionSpec.for_size(n, 0.99))
+        assert doc["roughness"] == result.s.roughness
+        assert doc["iterations"] == result.iterations
+
     def test_degenerate_zero_input_exit_3(self, tmp_path):
         n = 64
         t = np.arange(1, n + 1) / n
@@ -324,6 +372,33 @@ class TestSimulateCommand:
         assert set(rows[0]) == {"function", "n", "sigma", "order", "mrise", "replicates", "seed"}
         assert rows[0]["function"] == "rupcar6"
 
+    def test_function_and_sigma_without_preset(self, tmp_path, capsys):
+        # rupcar is the signal when --function is not given
+        out = tmp_path / "study.csv"
+        rc = main(["simulate", "--sigma", "0.05", "--n-grid", "64", "--replicates", "2", "--seed", "3", "-o", str(out)])
+        assert rc == 0
+        rows = read_csv(out, csv.DictReader)
+        expected = mrise_study(StudyConfig(rupcar(6), 0.05, n_grid=(64,), replicates=2, seed=3))
+        assert [row["function"] for row in rows] == ["rupcar6"] * 3
+        assert [float(row["mrise"]) for row in rows] == [row["mrise"] for row in expected]
+
+    def test_unknown_function_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--function", "chirp", "--sigma", "0.1", "-o", str(out)]) == 2
+        assert "unknown function 'chirp'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_json_holds_the_csv_rows(self, tmp_path, capsys):
+        out, out_json = tmp_path / "study.csv", tmp_path / "study.json"
+        rc = main([
+            "simulate", "--preset", "bumps-hi", "--n-grid", "64", "--replicates", "2",
+            "-o", str(out), "--output-json", str(out_json),
+        ])
+        assert rc == 0
+        rows = json.loads(out_json.read_text())
+        assert len(rows) == 3
+        assert [{k: str(v) for k, v in row.items()} for row in rows] == read_csv(out, csv.DictReader)
+
     def test_requires_sigma_without_preset(self, capsys):
         assert main(["simulate", "--function", "sine", "--n-grid", "64", "--replicates", "1"]) == 2
 
@@ -349,6 +424,12 @@ class TestSpectrumCommand:
         tail = values[2:]
         assert all(a <= b for a, b in zip(tail, tail[1:]))
         assert tail[0] > 1e-6
+
+    def test_too_few_points_exit_2(self, capsys):
+        assert main(["spectrum", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need n >= 3" in captured.err
 
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"

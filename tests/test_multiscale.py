@@ -128,6 +128,20 @@ class TestIntervalFamily:
         with pytest.raises(ValueError, match="n must be an integer"):
             IntervalFamily([1], [1], n)
 
+    @pytest.mark.parametrize("lo, hi", [([1, 2], [2]), ([[1]], [[2]])])
+    def test_rejects_bounds_of_unequal_length(self, lo, hi):
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            IntervalFamily(np.array(lo), np.array(hi), 4)
+
+    def test_rejects_empty_bounds(self):
+        with pytest.raises(ValueError, match="empty"):
+            IntervalFamily(np.array([], dtype=int), np.array([], dtype=int), 4)
+
+    @pytest.mark.parametrize("lo, hi", [([0], [2]), ([2], [5]), ([3], [2])])
+    def test_rejects_bounds_out_of_range(self, lo, hi):
+        with pytest.raises(ValueError, match="1 <= lo <= hi <= n"):
+            IntervalFamily(np.array(lo), np.array(hi), 4)
+
 
 class TestWStat:
     def test_zero_residuals(self):
@@ -226,6 +240,15 @@ class TestRegionSpec:
 
 
 class TestInRegion:
+    @pytest.mark.parametrize("m", [7, 9])
+    def test_rejects_fit_values_of_the_wrong_length(self, m):
+        s = Sample(np.arange(1, 9) / 8, np.zeros(8))
+        family = dyadic_family(8)
+        with pytest.raises(ValueError, match="fit values must match"):
+            in_region(s, np.zeros(m), family, RegionSpec(1.0, 3.0, 8))
+        with pytest.raises(ValueError, match="fit values must match"):
+            all_w_stats(s, np.zeros(m), family)
+
     def test_exact_fit_passes(self, rng):
         n = 64
         y = rng.normal(size=n)

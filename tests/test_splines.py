@@ -12,6 +12,7 @@ from adaptspline import (
     AdaptConfig,
     PenaltyMatrix,
     Sample,
+    SplineFit,
     affine_fit,
     bumps,
     build_penalty,
@@ -25,6 +26,7 @@ from adaptspline import (
     solve_weighted,
 )
 from adaptspline.splines import _shared_design as shared_design
+from adaptspline.splines import check_weights
 
 from conftest import dense_penalty, dense_weighted_fit, jittered_design
 
@@ -210,6 +212,22 @@ class TestSample:
             Sample([0.1, 0.5, 0.9], [1.0, 2.0, 3.0], sigma)
 
 
+class TestSplineFitAndWeights:
+    @pytest.mark.parametrize("lengths", [(4, 3, 4), (4, 4, 5), (3, 4, 4)])
+    def test_spline_fit_rejects_arrays_of_unequal_length(self, lengths):
+        k, v, c = (np.zeros(m) for m in lengths)
+        with pytest.raises(ValueError, match="equal-length"):
+            SplineFit(k, v, c, 0.0)
+
+    def test_check_weights_returns_the_validated_array(self):
+        lam = check_weights([1, 2, 3], 3)
+        assert isinstance(lam, np.ndarray) and lam.dtype == np.float64
+        assert lam.tolist() == [1.0, 2.0, 3.0]
+        # a float array of the right shape is returned as it is
+        given = np.array([0.5, 4.0])
+        assert check_weights(given, 2) is given
+
+
 class TestPenalty:
     def test_rank_one_for_three_points(self):
         k = build_penalty(Sample([0.0, 0.4, 1.0], [0.0, 0.0, 0.0]))
@@ -268,6 +286,18 @@ class TestPenalty:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             PenaltyMatrix(np.array([0.0, 1.0])).quad_form([0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [[0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.4, 1.0]])
+    def test_rejects_knots_that_do_not_increase(self, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PenaltyMatrix(np.array(t))
+
+    @pytest.mark.parametrize("g", [np.zeros(4), np.zeros(6), np.zeros((5, 1))])
+    def test_rejects_a_vector_of_the_wrong_length(self, g):
+        k = PenaltyMatrix(np.linspace(0.0, 1.0, 5))
+        for method in (k.apply, k.quad_form):
+            with pytest.raises(ValueError, match="vector length"):
+                method(g)
 
 
 class TestSolveWeighted:
@@ -431,7 +461,7 @@ class TestPreparedSystem:
         system = prepare_system(Sample(t, np.sin(7.0 * t)))
         assert not math.isfinite(system.q_max / 1e-300)
         # the factorization that scans every entry, as without a bound
-        lu, piv = adaptspline.splines._factor(system, 1.0 / lam)
+        lu, piv = adaptspline.splines._factor(system.band, system.q_max, 1.0 / lam, math.inf)
         x, info = dgbtrs(lu, adaptspline.splines._KL, adaptspline.splines._KU, system.rhs, piv)
         assert info == 0
         scans, isfinite = [], np.isfinite
