@@ -45,6 +45,7 @@ from .splines import (
     SplineSystem,
     affine_fit,
     build_penalty,
+    check_weights,
     evaluate,
     prepare_system,
     roughness_of,
@@ -82,6 +83,7 @@ __all__ = [
     "build_penalty",
     "bumps",
     "calibrate_tau",
+    "check_weights",
     "chisq_quantile",
     "clean_outliers",
     "custom_function",

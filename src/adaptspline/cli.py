@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: fit, robust, scale, calibrate, simulate, spectrum.  Exit
-codes follow one scheme everywhere: 0 success, 2 input/usage error,
-3 procedure finished degenerate or with its iteration budget exhausted.
+codes follow one scheme everywhere: 0 success, 2 input/usage error
+(a path that cannot be read or written among them), 3 procedure finished
+degenerate or with its iteration budget exhausted.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

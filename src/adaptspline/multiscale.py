@@ -171,7 +171,10 @@ def sigma_hat(sample: Sample) -> float:
 
     Uses the first differences at indices 2..n-1 scaled by 1.4826/sqrt(2),
     so the estimate is consistent for the standard deviation under Gaussian
-    noise and biased upwards in the presence of signal.
+    noise and biased upwards in the presence of signal.  It differences y,
+    so a constant a leaves it unchanged, but a trend a + b*t shifts every
+    difference by b*h_i (h_i = t_{i+1} - t_i) and so moves the estimate,
+    and with it every fit that is not given sigma.
     """
     diffs = np.abs(np.diff(sample.y)[: sample.n - 2])
     return SIGMA_SCALE * float(np.median(diffs))

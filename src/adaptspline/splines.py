@@ -44,7 +44,11 @@ The penalty form ``PenaltyMatrix`` (K with g^T K g the roughness of the
 spline interpolating g) reads the same band at infinite weights: there
 Q/lambda = 0, the first block row says g = y, and the second gives the
 second derivatives of the spline through y.  So ``dgbtrf`` / ``dgbtrs``
-are the module's one banded solver.
+are the module's one banded solver.  They are bound from
+``scipy.linalg.lapack`` on their first use (the module's ``__getattr__``),
+so importing the package loads no SciPy; the first solve or penalty form
+does.  Setting ``splines.dgbtrf`` / ``splines.dgbtrs`` replaces the routine
+that every solve calls.
 
 Evaluating a spline at given points also splits into a part that depends
 on the knots only and a part that depends on the fit: ``_locate`` finds
@@ -58,13 +62,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "Sample",
@@ -79,6 +83,20 @@ __all__ = [
     "affine_fit",
     "check_weights",
 ]
+
+# The solver calls ``dgbtrf`` / ``dgbtrs`` as attributes of this module, so
+# that the first call binds them through ``__getattr__``.
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Bind ``dgbtrf`` or ``dgbtrs`` from ``scipy.linalg.lapack`` on its first access."""
+    if name not in ("dgbtrf", "dgbtrs"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import lapack
+
+    routine = globals()[name] = getattr(lapack, name)
+    return routine
 
 
 def _is_count(value, least: int) -> bool:
@@ -448,7 +466,7 @@ def _rhs(y: np.ndarray) -> np.ndarray:
 def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``dgbtrs`` of a factored band (``_factor``) at ``rhs`` (``_rhs``), as
     the knot values g = x[::2] and second derivatives gamma = x[1::2]."""
-    x, info = dgbtrs(lu, _KL, _KU, rhs, piv)
+    x, info = _module.dgbtrs(lu, _KL, _KU, rhs, piv)
     if info != 0:
         raise _singular()
     return x[::2], x[1::2]
@@ -469,7 +487,7 @@ def _factor(band: np.ndarray, q_max: float, d: np.ndarray, d_max: float) -> tupl
     q[2] *= d[2:]
     if not math.isfinite(q_max * d_max) and not np.isfinite(q).all():
         raise ValueError("weighted spline system is not finite; the weights are out of range")
-    lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
+    lu, piv, info = _module.dgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
         raise _singular()
     return lu, piv

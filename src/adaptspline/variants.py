@@ -17,6 +17,10 @@ data (so that its level estimates the local variance, which is what the
 chi-squared test checks); weights on violating intervals grow by the
 factor q, shortest intervals first, and an equal-weights companion run
 provides a smoother fallback exactly as in the mean procedure.
+
+The bands are chi-squared quantiles from ``scipy.special``, which
+``chisq_quantile`` imports on its first call, so importing the package
+loads no SciPy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .adapt import AdaptConfig, TraceEntry, _adapt
 from .multiscale import IntervalFamily, _interval, dyadic_family
@@ -133,6 +136,8 @@ def chisq_quantile(gamma: float, k: float) -> float:
         raise ValueError("gamma must lie strictly between 0 and 1")
     if not (math.isfinite(k) and k >= 1):
         raise ValueError(f"degrees of freedom k must be a finite number of at least 1, got {k!r}")
+    from scipy import special
+
     return float(2.0 * special.gammaincinv(0.5 * k, gamma))
 
 

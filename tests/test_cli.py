@@ -113,6 +113,16 @@ class TestFitCommand:
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_output_in_missing_directory_exit_2(self, noisy_csv, tmp_path, capsys):
+        base = tmp_path / "missing" / "out"
+        assert main(["fit", str(noisy_csv), "--output", str(base)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not base.parent.exists()
+
+    def test_directory_as_input_exit_2(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_blank_lines_are_skipped(self, noisy_csv, tmp_path):
         rows = noisy_csv.read_text().splitlines()
         gapped = tmp_path / "gapped.csv"
@@ -398,6 +408,13 @@ class TestSimulateCommand:
         rows = json.loads(out_json.read_text())
         assert len(rows) == 3
         assert [{k: str(v) for k, v in row.items()} for row in rows] == read_csv(out, csv.DictReader)
+
+    def test_output_in_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "study.csv"
+        rc = main(["simulate", "--preset", "rupcar-hi", "--n-grid", "64", "--replicates", "1", "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.parent.exists()
 
     def test_requires_sigma_without_preset(self, capsys):
         assert main(["simulate", "--function", "sine", "--n-grid", "64", "--replicates", "1"]) == 2

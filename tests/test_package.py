@@ -1,0 +1,71 @@
+"""The package's public names and what importing it loads."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import adaptspline
+from adaptspline import adapt, bench, multiscale, splines, variants
+
+# Run in a fresh interpreter, because the test session has SciPy loaded
+# already.  Each stage prints which of the two SciPy packages are loaded
+# after the calls before it.
+_STAGES = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules)
+
+stages = {}
+import numpy as np
+import adaptspline as a
+from adaptspline import cli
+
+a.calibrate_tau(64, replicates=1000)
+sample = a.make_dataset(a.bumps(), 64, 0.1, seed=0)
+a.sigma_hat(sample)
+line = a.affine_fit(sample.t, 0.0, 0.0)
+a.in_region(sample, line.values, a.dyadic_family(64), a.RegionSpec(0.1, n=64))
+a.rise(a.bumps(), line)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["calibrate", "--n", "64", "--replicates", "1000"]) == 0
+stages["import"] = loaded()
+
+a.solve_weighted(sample, np.ones(64))
+stages["solve_weighted"] = loaded()
+
+a.chisq_quantile(0.5, 3)
+stages["chisq_quantile"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded_after():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adaptspline.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _STAGES], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestImportSurface:
+    def test_import_data_statistics_and_calibrate_load_no_scipy(self, loaded_after):
+        assert loaded_after["import"] == []
+
+    def test_a_solve_loads_the_linear_algebra_only(self, loaded_after):
+        assert loaded_after["solve_weighted"] == ["scipy.linalg"]
+
+    def test_a_chi_squared_quantile_loads_the_special_functions(self, loaded_after):
+        assert loaded_after["chisq_quantile"] == ["scipy.linalg", "scipy.special"]
+
+
+def test_the_package_exports_every_public_name_of_its_modules():
+    modules = (adapt, bench, multiscale, splines, variants)
+    assert sorted(adaptspline.__all__) == sorted(set().union(*(m.__all__ for m in modules)))
+    assert all(getattr(adaptspline, name) is getattr(m, name) for m in modules for name in m.__all__)
