@@ -8,105 +8,18 @@ noise confidence region; a companion run with a single shared weight
 provides the classic one-parameter smoothing family as a fallback, and
 the smoother accepted fit wins.  Robust (running-median cleaned) and
 heteroscedastic-scale variants reuse the same machinery.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.
 """
 
-from .adapt import AdaptConfig, FitReport, TraceEntry, fit, fit_global, fit_local
-from .bench import (
-    SIGMA_PRESETS,
-    StudyConfig,
-    TestFunction,
-    bumps,
-    custom_function,
-    make_dataset,
-    mrise_study,
-    rise,
-    rupcar,
-    sine,
-    study_preset,
-    study_rows_to_csv,
-    study_rows_to_json,
-)
-from .multiscale import (
-    IntervalFamily,
-    RegionReport,
-    RegionSpec,
-    all_w_stats,
-    calibrate_tau,
-    dyadic_family,
-    in_region,
-    min_detectable_delta,
-    sigma_hat,
-    w_stat,
-)
-from .splines import (
-    PenaltyMatrix,
-    Sample,
-    SplineFit,
-    SplineSystem,
-    affine_fit,
-    build_penalty,
-    check_weights,
-    evaluate,
-    prepare_system,
-    roughness_of,
-    solve_weighted,
-)
-from .variants import (
-    ScaleFit,
-    ScaleRegionSpec,
-    chisq_quantile,
-    clean_outliers,
-    scale_fit,
-    v_stat,
-)
+from . import adapt, bench, multiscale, splines, variants
+from .adapt import *  # noqa: F403
+from .bench import *  # noqa: F403
+from .multiscale import *  # noqa: F403
+from .splines import *  # noqa: F403
+from .variants import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptConfig",
-    "FitReport",
-    "IntervalFamily",
-    "PenaltyMatrix",
-    "RegionReport",
-    "RegionSpec",
-    "Sample",
-    "ScaleFit",
-    "ScaleRegionSpec",
-    "SplineFit",
-    "SplineSystem",
-    "StudyConfig",
-    "TestFunction",
-    "TraceEntry",
-    "SIGMA_PRESETS",
-    "affine_fit",
-    "all_w_stats",
-    "build_penalty",
-    "bumps",
-    "calibrate_tau",
-    "check_weights",
-    "chisq_quantile",
-    "clean_outliers",
-    "custom_function",
-    "dyadic_family",
-    "evaluate",
-    "fit",
-    "fit_global",
-    "fit_local",
-    "in_region",
-    "make_dataset",
-    "min_detectable_delta",
-    "mrise_study",
-    "prepare_system",
-    "rise",
-    "roughness_of",
-    "rupcar",
-    "scale_fit",
-    "sigma_hat",
-    "sine",
-    "solve_weighted",
-    "study_preset",
-    "study_rows_to_csv",
-    "study_rows_to_json",
-    "v_stat",
-    "w_stat",
-]
+__all__ = adapt.__all__ + bench.__all__ + multiscale.__all__ + splines.__all__ + variants.__all__

@@ -1,8 +1,8 @@
 """Test functions, noise models, error metrics and the simulation harness.
 
-Provides the two benchmark signals used throughout (a chirp-like envelope
-signal with tunable frequency, and the classic bumps test signal whose
-constants are pinned in a checksummed data file), seeded dataset
+Provides the benchmark signals used throughout (a chirp-like envelope
+signal with tunable frequency, the bumps signal of Donoho & Johnstone
+(1994) with its published constants, and a sine), seeded dataset
 generation on the grid t_i = i/n, root integrated squared error for the
 fit and its first two derivatives, and a study driver that tabulates the
 median RISE over replicates per sample size.
@@ -11,11 +11,9 @@ median RISE over replicates per sample size.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -46,8 +44,6 @@ SIGMA_PRESETS = {
     "bumps-lo": 2.2 / 3,
     "bumps-hi": 2.2 / 7,
 }
-
-_BUMPS_SHA256 = "fb92367cb737b67d21cf671ee9ae944f18781a294f27d764378644adb505ea8d"
 
 _ESTIMATORS = ("wss", "global-only")  # the adaptive fit, or its global branch alone
 _RISE_GRID = 4096
@@ -115,34 +111,23 @@ def rupcar(j: int = 6) -> TestFunction:
     return TestFunction(f"rupcar{j}", f, df, d2f)
 
 
-def _load_bumps_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    data = resources.files("adaptspline").joinpath("bumps_constants.json").read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != _BUMPS_SHA256:
-        raise RuntimeError("bumps constants file is corrupted (checksum mismatch)")
-    obj = json.loads(data)
-    return (
-        np.asarray(obj["locations"], dtype=float),
-        np.asarray(obj["heights"], dtype=float),
-        np.asarray(obj["widths"], dtype=float),
-        float(obj["kernel_exponent"]),
-    )
-
-
 def bumps() -> TestFunction:
-    """The classic bumps signal: scaled kernels (1+|u|)^-4 at 11 locations.
+    """The bumps signal of Donoho & Johnstone (1994), "Ideal spatial
+    adaptation by wavelet shrinkage", Biometrika 81, 425-455.
 
-    The constants are loaded from a checksummed data file shipped with the
-    package so the signal is reproducible without any external library.
+    Bump k is height_k * (1 + |t - centre_k| / width_k)^-4, with the
+    11 centres, heights and widths of their published table.
     The kernel has a kink at each center, so the derivative evaluators use
     central differences (step 1e-6) on the smooth closed form.
     """
-    loc, height, width, expo = _load_bumps_constants()
+    centre = np.array((0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81))
+    height = np.array((4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2))
+    width = np.array((0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008, 0.005))
 
     def raw(x):
         x = np.asarray(x, dtype=float)
-        u = (x[..., None] - loc) / width
-        return np.sum(height * (1.0 + np.abs(u)) ** expo, axis=-1)
+        u = (x[..., None] - centre) / width
+        return np.sum(height * (1.0 + np.abs(u)) ** -4.0, axis=-1)
 
     return custom_function("bumps", raw)
 
@@ -161,6 +146,11 @@ def sine(cycles: float = 1.0) -> TestFunction:
         return -w * w * np.sin(w * np.asarray(x, dtype=float))
 
     return TestFunction("sine", f, df, d2f)
+
+
+# The signals a study can name, each built with its default parameters; a
+# preset names its signal before the "-".
+_SIGNALS = {"rupcar": rupcar, "bumps": bumps, "sine": sine}
 
 
 def make_dataset(fn: TestFunction, n: int, sigma: float, noise: str = "gaussian", seed=0) -> Sample:
@@ -322,7 +312,6 @@ def study_preset(name: str, **overrides) -> StudyConfig:
     """Named study configuration; overrides replace any StudyConfig field."""
     if name not in SIGMA_PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(SIGMA_PRESETS)}")
-    function = rupcar(6) if name.startswith("rupcar") else bumps()
-    params = {"function": function, "sigma": SIGMA_PRESETS[name]}
+    params = {"function": _SIGNALS[name.partition("-")[0]](), "sigma": SIGMA_PRESETS[name]}
     params.update(overrides)
     return StudyConfig(**params)

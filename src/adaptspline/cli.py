@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, fit
-from .bench import _ESTIMATORS, SIGMA_PRESETS, StudyConfig, bumps, mrise_study, rupcar, sine, study_preset
+from .bench import _ESTIMATORS, _SIGNALS, SIGMA_PRESETS, StudyConfig, _design, mrise_study, study_preset
 from .bench import study_rows_to_csv, study_rows_to_json
 from .multiscale import calibrate_tau, sigma_hat
 from .splines import PenaltyMatrix, Sample
@@ -203,13 +203,12 @@ def _cmd_simulate(args) -> int:
                 raise CliError(f"{flag} cannot be combined with --preset, which sets it")
         config = study_preset(args.preset, **shared)
     else:
-        functions = {"rupcar": rupcar(6), "bumps": bumps(), "sine": sine()}
         name = args.function or "rupcar"
-        if name not in functions:
-            raise CliError(f"unknown function {name!r}; choose from {sorted(functions)}")
+        if name not in _SIGNALS:
+            raise CliError(f"unknown function {name!r}; choose from {sorted(_SIGNALS)}")
         if args.sigma is None:
             raise CliError("--sigma is required when no --preset is given")
-        config = StudyConfig(function=functions[name], sigma=args.sigma, **shared)
+        config = StudyConfig(function=_SIGNALS[name](), sigma=args.sigma, **shared)
     rows = mrise_study(config)
     out = Path(args.output) if args.output else Path("mrise_study.csv")
     study_rows_to_csv(rows, out)
@@ -223,8 +222,7 @@ def _cmd_spectrum(args) -> int:
     n = args.n
     if n < 3:
         raise CliError("need n >= 3")
-    t = np.arange(1, n + 1) / n
-    eigenvalues = PenaltyMatrix(t).eigenvalues()
+    eigenvalues = PenaltyMatrix(_design(n)).eigenvalues()
     for value in eigenvalues:
         print(repr(float(value)))
     if args.output:
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the median-RISE simulation study")
     p.add_argument("--preset", choices=SIGMA_PRESETS)
-    p.add_argument("--function", help="signal when no preset: rupcar|bumps|sine (default rupcar)")
+    p.add_argument("--function", help=f"signal when no preset: {'|'.join(_SIGNALS)} (default rupcar)")
     p.add_argument("--sigma", type=float, default=None, help="noise level when no preset")
     p.add_argument("--n-grid", type=int, nargs="+", default=StudyConfig.n_grid)
     p.add_argument("--replicates", type=int, default=StudyConfig.replicates)

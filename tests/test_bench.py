@@ -62,6 +62,21 @@ class TestRupcar:
 
 
 class TestBumps:
+    # The published table of Donoho & Johnstone (1994), Biometrika 81, 425-455.
+    CENTRES = [0.1, 0.13, 0.15, 0.23, 0.25, 0.40, 0.44, 0.65, 0.76, 0.78, 0.81]
+    HEIGHTS = [4, 5, 3, 4, 5, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2]
+    WIDTHS = [0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008, 0.005]
+
+    @classmethod
+    def oracle(cls, t):
+        return sum(h / (1 + abs(t - c) / w) ** 4 for c, h, w in zip(cls.CENTRES, cls.HEIGHTS, cls.WIDTHS))
+
+    @pytest.mark.parametrize("grid", ["centres", "uniform"])
+    def test_matches_the_published_table(self, grid):
+        x = self.CENTRES if grid == "centres" else np.linspace(0.0, 1.0, 4001).tolist()
+        expected = [self.oracle(t) for t in x]
+        np.testing.assert_allclose(bumps().f(np.array(x)), expected, rtol=0, atol=1e-12)
+
     def test_nonnegative(self):
         f = bumps()
         x = np.linspace(0.0, 1.0, 4001)

@@ -69,3 +69,8 @@ def test_the_package_exports_every_public_name_of_its_modules():
     modules = (adapt, bench, multiscale, splines, variants)
     assert sorted(adaptspline.__all__) == sorted(set().union(*(m.__all__ for m in modules)))
     assert all(getattr(adaptspline, name) is getattr(m, name) for m in modules for name in m.__all__)
+
+
+def test_no_two_modules_export_the_same_name():
+    # a name in two lists would be exported once, from the later module
+    assert len(adaptspline.__all__) == len(set(adaptspline.__all__))
