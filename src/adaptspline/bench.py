@@ -54,6 +54,7 @@ _FD_STEP = 1e-6
 class TestFunction:
     """A named signal with evaluators for f, f' and f'' on [0, 1]."""
 
+    __test__ = False  # named like a test class, so pytest would try to collect it
     name: str
     f: callable
     df: callable
@@ -87,23 +88,25 @@ def rupcar(j: int = 6) -> TestFunction:
         with np.errstate(invalid="ignore"):
             return np.sqrt(x * (1.0 - x)) * np.sin(c / (x + a))
 
+    def chain(x):
+        """The envelope u, the phase phi and their first derivatives at x."""
+        u = np.sqrt(x * (1.0 - x))
+        du = (1.0 - 2.0 * x) / (2.0 * u)
+        phi = c / (x + a)
+        dphi = -c / (x + a) ** 2
+        return u, du, phi, dphi
+
     def df(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.sqrt(x * (1.0 - x))
-            du = (1.0 - 2.0 * x) / (2.0 * u)
-            phi = c / (x + a)
-            dphi = -c / (x + a) ** 2
+            u, du, phi, dphi = chain(x)
             return du * np.sin(phi) + u * np.cos(phi) * dphi
 
     def d2f(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.sqrt(x * (1.0 - x))
-            du = (1.0 - 2.0 * x) / (2.0 * u)
+            u, du, phi, dphi = chain(x)
             d2u = -1.0 / (4.0 * u**3)
-            phi = c / (x + a)
-            dphi = -c / (x + a) ** 2
             d2phi = 2.0 * c / (x + a) ** 3
             sv, cv = np.sin(phi), np.cos(phi)
             return d2u * sv + 2.0 * du * cv * dphi + u * (cv * d2phi - sv * dphi * dphi)
@@ -226,15 +229,20 @@ class StudyConfig:
             grid = ()
         if not (grid and all(_is_count(n, 3) for n in grid)):
             raise ValueError(f"n_grid must be a non-empty sequence of integers >= 3, got {self.n_grid!r}")
-        if not _is_count(self.replicates, 1):
-            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         # plain ints, so that the rows of a study serialize to JSON
         object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
-        object.__setattr__(self, "replicates", int(self.replicates))
+        for name, least in (("replicates", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_count(value, least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be a nonnegative finite number")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be {' or '.join(map(repr, _ESTIMATORS))}")
+
+
+_STUDY_COLUMNS = ["function", "n", "sigma", "order", "mrise", "replicates", "seed"]
 
 
 def mrise_study(config: StudyConfig) -> list[dict]:
@@ -278,21 +286,10 @@ def mrise_study(config: StudyConfig) -> list[dict]:
                 for order in (0, 1, 2):
                     errors[order].append(_rise_against(truths[order], loc, report.final_fit, order))
         for order in (0, 1, 2):
-            rows.append(
-                {
-                    "function": config.function.name,
-                    "n": n,
-                    "sigma": config.sigma,
-                    "order": order,
-                    "mrise": float(np.median(errors[order])),
-                    "replicates": config.replicates,
-                    "seed": config.seed,
-                }
-            )
+            mrise = float(np.median(errors[order]))
+            row = (fn.name, n, config.sigma, order, mrise, config.replicates, config.seed)
+            rows.append(dict(zip(_STUDY_COLUMNS, row)))
     return rows
-
-
-_STUDY_COLUMNS = ["function", "n", "sigma", "order", "mrise", "replicates", "seed"]
 
 
 def study_rows_to_csv(rows: list[dict], path) -> None:
@@ -303,8 +300,12 @@ def study_rows_to_csv(rows: list[dict], path) -> None:
 
 
 def study_rows_to_json(rows: list[dict], path) -> None:
+    _write_json(rows, path)
+
+
+def _write_json(doc, path) -> None:
     with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 

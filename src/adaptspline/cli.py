@@ -19,7 +19,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, fit
 from .bench import _ESTIMATORS, _SIGNALS, SIGMA_PRESETS, StudyConfig, _design, mrise_study, study_preset
-from .bench import study_rows_to_csv, study_rows_to_json
+from .bench import _write_json, study_rows_to_csv, study_rows_to_json
 from .multiscale import calibrate_tau, sigma_hat
 from .splines import PenaltyMatrix, Sample
 from .variants import _SCALE_BUDGET, ScaleRegionSpec, clean_outliers, scale_fit
@@ -80,25 +80,31 @@ def _prepare_sample(t_raw: np.ndarray, y: np.ndarray, rescale: bool):
     return Sample(t_raw, y), None
 
 
-def _write_outputs(args, kind: str, json_suffix: str, columns: dict, doc: dict) -> None:
-    """Write the table <base>.<kind>.csv and the report <base><json_suffix>.
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    The base is --output, else the input path without its suffix.  The
-    report names the table under "<kind>_csv".
+
+def _write_outputs(args, kind: str, json_suffix: str, columns: dict, weights, doc: dict) -> int:
+    """Write the table <base>.<kind>.csv and the report <base><json_suffix>,
+    and return the exit code: 0 when the run passed, else 3.
+
+    The base is --output, else the input path without its last suffix.  The
+    table ends with "lambda": ``weights``, or 0 when the run fitted none.
+    The report names the table under "<kind>_csv".
     """
     base = Path(args.output) if args.output else Path(args.input).with_suffix("")
-    csv_path = base.with_suffix(f".{kind}.csv")
-    json_path = base.with_suffix(json_suffix)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in zip(*columns.values()):
-            writer.writerow([repr(float(v)) for v in row])
+    csv_path = base.with_name(f"{base.name}.{kind}.csv")
+    json_path = base.with_name(base.name + json_suffix)
+    lam = weights if weights is not None else np.zeros(len(columns["t"]))
+    rows = ([repr(float(v)) for v in row] for row in zip(*columns.values(), lam))
+    _write_csv(csv_path, [*columns, "lambda"], rows)
     doc[f"{kind}_csv"] = str(csv_path)
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, json_path)
     print(f"wrote {csv_path} and {json_path}")
+    return EXIT_OK if doc["passed"] else EXIT_TRUNCATED
 
 
 def _outcome_keys(args, report, fit_, weights, rescale) -> dict:
@@ -150,15 +156,14 @@ def _cmd_fit(args) -> int:
         "derivative_units": "raw abscissa" if rescale is not None else "unit interval",
         **extra,
     }
-    lam = weights if weights is not None else np.zeros(sample.n)
-    columns = {"t": t_raw, "fit": fit_.values, "d1": d1, "d2": d2, "lambda": lam}
-    _write_outputs(args, "fit", ".report.json", columns, doc)
+    columns = {"t": t_raw, "fit": fit_.values, "d1": d1, "d2": d2}
+    code = _write_outputs(args, "fit", ".report.json", columns, weights, doc)
     if args.plot_data:
         with open(args.plot_data, "w") as fh:
             fh.write("# t y fit d1 d2\n")
             for row in zip(t_raw, sample.y, fit_.values, d1, d2):
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    return EXIT_TRUNCATED if report.truncated else EXIT_OK
+    return code
 
 
 def _cmd_scale(args) -> int:
@@ -173,10 +178,8 @@ def _cmd_scale(args) -> int:
         "floor": result.floor,
         "pinned_intervals": result.pinned_intervals,
     }
-    lam = result.weights if result.weights is not None else np.zeros(sample.n)
-    columns = {"t": t_raw, "scale": result.scale_values(), "lambda": lam}
-    _write_outputs(args, "scale", ".scale.json", columns, doc)
-    return EXIT_TRUNCATED if (result.truncated or result.degenerate) else EXIT_OK
+    columns = {"t": t_raw, "scale": result.scale_values()}
+    return _write_outputs(args, "scale", ".scale.json", columns, result.weights, doc)
 
 
 def _cmd_calibrate(args) -> int:
@@ -226,11 +229,8 @@ def _cmd_spectrum(args) -> int:
     for value in eigenvalues:
         print(repr(float(value)))
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "eigenvalue"])
-            for i, value in enumerate(eigenvalues, start=1):
-                writer.writerow([i, repr(float(value))])
+        rows = ([i, repr(float(value))] for i, value in enumerate(eigenvalues, start=1))
+        _write_csv(args.output, ["index", "eigenvalue"], rows)
     return EXIT_OK
 
 

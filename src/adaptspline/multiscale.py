@@ -136,12 +136,17 @@ def _interval(interval, n: int) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def w_stat(sample: Sample, fit_values, interval) -> float:
-    """Normalized residual sum over one interval (1-based inclusive)."""
-    lo, hi = _interval(interval, sample.n)
+def _fitted(sample: Sample, fit_values) -> np.ndarray:
     g = np.asarray(fit_values, dtype=float)
     if g.shape != (sample.n,):
         raise ValueError("fit values must match the sample size")
+    return g
+
+
+def w_stat(sample: Sample, fit_values, interval) -> float:
+    """Normalized residual sum over one interval (1-based inclusive)."""
+    lo, hi = _interval(interval, sample.n)
+    g = _fitted(sample, fit_values)
     r = sample.y[lo - 1 : hi] - g[lo - 1 : hi]
     return float(np.sum(r) / math.sqrt(hi - lo + 1))
 
@@ -160,10 +165,7 @@ def _w_test(residual: np.ndarray, family: IntervalFamily, threshold: float):
 
 def all_w_stats(sample: Sample, fit_values, family: IntervalFamily) -> np.ndarray:
     """Vector of w statistics, one per interval of the family."""
-    g = np.asarray(fit_values, dtype=float)
-    if g.shape != (sample.n,):
-        raise ValueError("fit values must match the sample size")
-    return _w_test(sample.y - g, family, math.inf)[2]
+    return _w_test(sample.y - _fitted(sample, fit_values), family, math.inf)[2]
 
 
 def sigma_hat(sample: Sample) -> float:
@@ -236,11 +238,8 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
     """
     if spec.n != sample.n:
         raise ValueError(f"spec is for n = {spec.n}, the sample has n = {sample.n}")
-    g = np.asarray(fit_values, dtype=float)
-    if g.shape != (sample.n,):
-        raise ValueError("fit values must match the sample size")
     thr = spec.threshold
-    passed, max_abs, w, bad = _w_test(sample.y - g, family, thr)
+    passed, max_abs, w, bad = _w_test(sample.y - _fitted(sample, fit_values), family, thr)
     bad = np.flatnonzero(bad)
     order = bad[np.argsort(-np.abs(w[bad]), kind="stable")]
     return RegionReport(

@@ -55,21 +55,14 @@ _SCALE_BUDGET = 400
 _TINY = float(np.finfo(float).tiny)
 
 
-def _running_median5(y: np.ndarray) -> np.ndarray:
-    n = y.size
-    med = np.empty(n)
-    med[2:-2] = np.median(np.lib.stride_tricks.sliding_window_view(y, 5), axis=1)
-    med[0] = med[1] = np.median(y[:3])
-    med[-1] = med[-2] = np.median(y[-3:])
-    return med
-
-
-def _running_median_cluster(y: np.ndarray) -> np.ndarray:
-    h = CLUSTER_WINDOW // 2
+def _running_median(y: np.ndarray, width: int, edge: int) -> np.ndarray:
+    """Medians of the centred ``width``-point windows; the ``width // 2``
+    points at each end take the median of the ``edge`` points there."""
+    h = width // 2
     med = np.empty(y.size)
-    med[h:-h] = np.median(np.lib.stride_tricks.sliding_window_view(y, CLUSTER_WINDOW), axis=1)
-    med[:h] = med[h]
-    med[-h:] = med[-h - 1]
+    med[h:-h] = np.median(np.lib.stride_tricks.sliding_window_view(y, width), axis=1)
+    med[:h] = np.median(y[:edge])
+    med[-h:] = np.median(y[-edge:])
     return med
 
 
@@ -103,16 +96,16 @@ def clean_outliers(sample: Sample, sigma: float) -> tuple[Sample, np.ndarray]:
         raise ValueError("need at least 5 data points")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError("sigma must be a positive finite number")
-    sweeps = [_running_median5]
+    windows = [(5, 3)]
     if n >= CLUSTER_WINDOW:
-        sweeps.append(_running_median_cluster)
+        windows.append((CLUSTER_WINDOW, CLUSTER_WINDOW))
     cur = sample.y.copy()
     mask = np.zeros(n, dtype=bool)
     for _ in range(n):
         # the first sweep that replaces anything is applied, then the
         # five-point sweep gets the next turn; stop when none replaces
-        for median in sweeps:
-            med = median(cur)
+        for width, edge in windows:
+            med = _running_median(cur, width, edge)
             bad = np.abs(cur - med) >= OUTLIER_MULTIPLE * sigma
             if bad.any():
                 break
@@ -281,7 +274,10 @@ def scale_fit(
     and the result is the one the full climb would give.  Of ``config`` it
     reads ``q`` and ``max_iterations``: the chi-squared bands fix the
     rest, so a config that sets ``sigma`` or a ``tau`` other than the
-    default raises ``ValueError``.
+    default raises ``ValueError``.  Without a config the budget is 400
+    bumps (``_SCALE_BUDGET``); with one it is that config's
+    ``max_iterations``, which is 200 unless set, so
+    ``config=AdaptConfig(q=3.0)`` runs with a budget of 200.
 
     The band test divides y**2 by the squared scale, so both must be
     representable: ``ValueError`` is raised when the squared floor

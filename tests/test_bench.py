@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ from adaptspline import (
     SIGMA_PRESETS,
     Sample,
     StudyConfig,
+    TestFunction,
     affine_fit,
     bumps,
     clean_outliers,
@@ -76,6 +79,11 @@ class TestBumps:
         x = self.CENTRES if grid == "centres" else np.linspace(0.0, 1.0, 4001).tolist()
         expected = [self.oracle(t) for t in x]
         np.testing.assert_allclose(bumps().f(np.array(x)), expected, rtol=0, atol=1e-12)
+
+    def test_is_a_named_test_function(self):
+        # TestFunction is imported here: pytest must not try to collect it
+        fn = bumps()
+        assert isinstance(fn, TestFunction) and fn.name == "bumps"
 
     def test_nonnegative(self):
         f = bumps()
@@ -292,6 +300,19 @@ class TestStudy:
         rows = mrise_study(config)
         assert [row["n"] for row in rows] == [3, 3, 3, 64, 64, 64]
         study_rows_to_json(rows, tmp_path / "study.json")
+
+    def test_numpy_seed_rows_round_trip_through_json(self, tmp_path):
+        config = StudyConfig(function=sine(), sigma=1.0, n_grid=(16,), replicates=2, seed=np.int64(3))
+        assert type(config.seed) is int and config.seed == 3
+        rows = mrise_study(config)
+        study_rows_to_json(rows, tmp_path / "study.json")
+        assert json.loads((tmp_path / "study.json").read_text()) == rows
+        assert rows == mrise_study(dataclasses.replace(config, seed=3))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_seeds_it_cannot_run(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            StudyConfig(function=sine(), sigma=1.0, seed=seed)
 
 
 class TestSharedDesignInStudies:

@@ -507,3 +507,49 @@ class TestSharedReportKeys:
             assert (last["violations"] == 0) == doc["passed"]
             assert doc["input"] == path
             assert doc["rescale"] == ({"offset": 5.0 + 2.0 / n, "scale": 2.0 - 2.0 / n} if rescale else None)
+
+
+class TestOutputFiles:
+    """Where fit and scale write their table and report, and its lambda column."""
+
+    COMMANDS = [("fit", ".fit.csv", ".report.json"), ("scale", ".scale.csv", ".scale.json")]
+
+    @staticmethod
+    def data(command, seed):
+        n = 128
+        t = np.arange(1, n + 1) / n
+        z = np.random.default_rng(seed).standard_normal(n)
+        return t, (np.sin(2 * np.pi * t) + 0.2 * z if command == "fit" else (0.5 + t) * z)
+
+    @pytest.mark.parametrize("command, table, report", COMMANDS)
+    def test_dotted_inputs_keep_their_whole_base(self, tmp_path, command, table, report):
+        for seed, name in enumerate(("run.1", "run.2")):
+            write_csv(tmp_path / f"{name}.csv", *self.data(command, seed))
+            assert main([command, str(tmp_path / f"{name}.csv")]) == 0
+        written = {p.name for p in tmp_path.iterdir()} - {"run.1.csv", "run.2.csv"}
+        assert written == {f"run.{i}{suffix}" for i in (1, 2) for suffix in (table, report)}
+        for i in (1, 2):
+            doc = json.loads((tmp_path / f"run.{i}{report}").read_text())
+            assert doc["input"] == str(tmp_path / f"run.{i}.csv")
+            assert doc[f"{command}_csv"] == str(tmp_path / f"run.{i}{table}")
+
+    def test_dotted_output_base_is_kept_whole(self, noisy_csv, tmp_path, capsys):
+        base = tmp_path / "out.v1"
+        assert main(["fit", str(noisy_csv), "-o", str(base)]) == 0
+        assert (tmp_path / "out.v1.fit.csv").exists() and (tmp_path / "out.v1.report.json").exists()
+        assert not list(tmp_path.glob("out.fit.csv")) and not list(tmp_path.glob("out.report.json"))
+        assert capsys.readouterr().out == f"wrote {base}.fit.csv and {base}.report.json\n"
+
+    @pytest.mark.parametrize("command, table, report", COMMANDS)
+    def test_an_accepted_line_writes_zero_lambda(self, tmp_path, command, table, report):
+        n = 64
+        t = np.arange(1, n + 1) / n
+        # a line fits itself; homoscedastic noise has a constant scale
+        y = 1.0 + 2.0 * t if command == "fit" else np.random.default_rng(23).standard_normal(n)
+        write_csv(tmp_path / "line.csv", t, y)
+        assert main([command, str(tmp_path / "line.csv")]) == 0
+        doc = json.loads((tmp_path / f"line{report}").read_text())
+        assert doc["passed"] is True and doc["lambda_min"] is None and doc["iterations"] == 0
+        rows = read_csv(tmp_path / f"line{table}")
+        assert rows[0][-1] == "lambda"
+        assert [row[-1] for row in rows[1:]] == ["0.0"] * n

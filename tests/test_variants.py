@@ -22,7 +22,7 @@ from adaptspline import (
     solve_weighted,
     v_stat,
 )
-from adaptspline.variants import SCALE_FLOOR_FRACTION
+from adaptspline.variants import CLUSTER_WINDOW, SCALE_FLOOR_FRACTION
 
 
 def grid_sample(n, y):
@@ -101,17 +101,60 @@ class TestCleanOutliers:
         with pytest.raises(ValueError, match="sigma"):
             clean_outliers(grid_sample(400, np.sin(np.linspace(0, 3, 400))), sigma)
 
+    @staticmethod
+    def five_point_medians(y):
+        """Medians of the centred five-point windows; the two points at
+        each end take the median of the three points at that end."""
+        n = len(y)
+        out = []
+        for i in range(n):
+            if i < 2:
+                window = y[:3]
+            elif i > n - 3:
+                window = y[n - 3:]
+            else:
+                window = y[i - 2 : i + 3]
+            out.append(sorted(window)[len(window) // 2])
+        return out
+
+    @staticmethod
+    def seven_point_medians(y):
+        """Medians of the centred seven-point windows, moved inward to the
+        first or last full window near the ends."""
+        n = len(y)
+        out = []
+        for i in range(n):
+            start = min(max(i - 3, 0), n - 7)
+            out.append(sorted(y[start : start + 7])[3])
+        return out
+
+    def test_running_median_matches_plain_loops(self, rng):
+        running_median = variants_module._running_median
+        for _ in range(300):
+            n = int(rng.integers(5, 41))
+            # few distinct values, so windows hold ties, plus a planted cluster
+            y = rng.integers(-3, 4, n).astype(float)
+            width = int(rng.integers(1, 5))
+            start = int(rng.integers(0, n - width + 1))
+            y[start : start + width] += rng.choice([-50.0, 50.0]) + rng.integers(0, 3, width)
+            ys = y.tolist()
+            np.testing.assert_array_equal(running_median(y, 5, 3), self.five_point_medians(ys))
+            if n >= CLUSTER_WINDOW:
+                np.testing.assert_array_equal(
+                    running_median(y, CLUSTER_WINDOW, CLUSTER_WINDOW), self.seven_point_medians(ys)
+                )
+
     def test_raises_at_the_sweep_cap(self, monkeypatch):
         # a five-point median that always flags the first point never settles
         calls = Counter()
 
-        def restless(y):
+        def restless(y, width, edge):
             calls["sweeps"] += 1
             med = y.copy()
             med[0] += 10.0
             return med
 
-        monkeypatch.setattr(variants_module, "_running_median5", restless)
+        monkeypatch.setattr(variants_module, "_running_median", restless)
         with pytest.raises(RuntimeError, match="after 20 sweeps"):
             clean_outliers(grid_sample(20, np.zeros(20)), 1.0)
         assert calls["sweeps"] == 20
