@@ -20,24 +20,29 @@ weight.  The start weight is found by halving an equal weight from 1
 until the fit hugs the line, at most 60 times; the report says how many
 halvings it took and whether it stopped at that cap.
 
-The local branch (``_branch``) multiplies the weights by q on the points
-covered by the violations of the current sweep group.  The global branch
-(``_bracket``) holds one equal weight on the rungs start * q**k and ends
-on the first rung the test accepts: the mean fits gallop up the rungs
-and bisect, the scale fit, whose verdicts are not monotone, reads every
-rung in turn.  Both stop at ``max_iterations`` bumps, or earlier at the
-last rung that is finite (``_last_rung``), and end truncated there.  The
-scale fit reports only the chosen branch, so once its local branch has
-passed, its climb also stops at the first rejected rung whose roughness
-reaches the local fit's, as no rung above can beat that fit; the mean
-fits report both branches' roughness and verdict, so they search in full.
-Every equal weight is read through one record (``_Equal``), so it is
-solved and tested once, whichever branch or search asks first.
+The equal weights form one ladder, held by the record of the
+equal-weight fits (``_Equal``): rung k is start * q**k, built by
+repeated ``* q``, and the top rung is ``max_iterations``, or the last
+finite rung below it.  Both branches read their equal weights from it by
+rung index, so each is solved and tested once, whichever branch or
+search asks first.  The local branch (``_branch``) multiplies the
+weights by q on the points covered by the violations of the current
+sweep group.  The global branch (``_bracket``) ends on the first rung
+the test accepts: the mean fits gallop up the rungs and bisect, the
+scale fit, whose verdicts are not monotone, reads every rung in turn.
+Both end truncated at the top.  The scale fit reports only the chosen
+branch, so once its local branch has passed, its climb also stops at the
+first rejected rung whose roughness reaches the local fit's, as no rung
+above can beat that fit; the mean fits report both branches' roughness
+and verdict, so they search in full.
 
 The engine alone writes the outcome: a test returns its verdict, its
-mask of violating intervals and its statistic, the engine makes the
-``TraceEntry`` of each examined fit, and ``_adapt`` returns the chosen
-fit with the fields that ``FitReport`` and ``variants.ScaleFit`` share.
+mask of violating intervals and its statistic, and the engine makes the
+``TraceEntry`` of each examined fit.  Each branch returns where it
+stopped (a rung, or the unequal weights and the fit it holds) with its
+verdict and records; ``_adapt`` builds the final fit and weights of the
+chosen branch only and returns them with the fields that ``FitReport``
+and ``variants.ScaleFit`` share.
 """
 
 from __future__ import annotations
@@ -185,7 +190,12 @@ def _judge(test, fit_: SplineFit, weights) -> tuple:
 
 
 class _Equal:
-    """Per-call record of the equal-weight fits, keyed by the weight.
+    """Per-call record of the equal-weight fits, on one ladder of weights.
+
+    ``rung(k)`` is start * q**k, built by repeated ``* q`` and kept in
+    ``rungs`` up to the highest rung read.  ``begin`` sets rung 0, the
+    count of low rungs the start search ``judged`` and the ``top`` rung: the
+    budget, cut at the last finite rung.  Both branches read it by index.
 
     ``judge(lam)`` solves and tests ``lam`` the first time it is asked,
     then reads the stored verdict ``(passed, bad, record)``: the test's
@@ -196,13 +206,32 @@ class _Equal:
     smallest passing weight), each as a ``(lam, fit)`` pair; ``fit(lam)``
     solves any other again.  The start search, the local branch while its
     weights are equal and every rung the global branch reads go through
-    it, so the global branch's final fit is usually kept.
+    it, so the chosen branch's final equal weight is usually kept.
     """
 
-    def __init__(self, system: SplineSystem, test, count: int):
-        self.system, self.test, self.count = system, test, count
+    def __init__(self, system: SplineSystem, test, count: int, q: float, budget: int):
+        self.system, self.test, self.count, self.q = system, test, count, q
         self.verdicts: dict = {}
         self.last = self.passing = None
+        self.rungs, self.judged, self.top = [], 0, budget
+
+    def begin(self, start: float, judged: int) -> None:
+        """Put rung 0 at ``start``, of which the start search judged the
+        lowest ``judged`` rungs, and cut ``top`` at the last finite rung:
+        the rungs are walked only when rung ``top`` may overflow, and then
+        only up to the first that does."""
+        self.rungs, self.judged = [start], judged
+        if math.log(start) + self.top * math.log(self.q) > _LOG_SAFE:
+            lam, k = start, 0
+            while k < self.top and lam * self.q < math.inf:
+                lam, k = lam * self.q, k + 1
+            self.top = k
+
+    def rung(self, k: int) -> float:
+        """The equal weight after k bumps."""
+        while len(self.rungs) <= k:
+            self.rungs.append(self.rungs[-1] * self.q)
+        return self.rungs[k]
 
     def judge(self, lam: float) -> tuple:
         """The verdict on ``lam``."""
@@ -224,76 +253,59 @@ class _Equal:
         return self.last[1]
 
 
-def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float, q: float) -> tuple[float, int, bool, int]:
+def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float) -> tuple[int, bool]:
     """Halve an equal weight from 1 until the fit hugs the least squares line.
 
-    Returns the start weight 2**-halvings, the halvings, whether the
-    search stopped at its cap with the fit still off the line, and how
-    many of the lowest rungs start * q**k it judged.  At q = 2 the
-    halvings are the rungs 0 ... halvings, so each is judged as soon as it
-    is solved; at other q only the start weight, rung 0, is.  Either way
-    the start fit is the record's last fit.
+    Begins ``equal``'s ladder at the start weight 2**-halvings and returns
+    the halvings and whether the search stopped at its cap with the fit
+    still off the line.  At q = 2 the halvings are the rungs
+    0 ... halvings, so each is judged as soon as it is solved; at other q
+    only the start weight, rung 0, is.  Either way the start fit is the
+    record's last fit.
     """
     lam, halvings = 1.0, 0
     while True:
         close = np.max(np.abs(equal.fit(lam).values - line.values)) <= tol_abs
         done = close or halvings == _MAX_HALVINGS
-        if done or q == 2.0:
+        if done or equal.q == 2.0:
             equal.judge(lam)
         if done:
-            return lam, halvings, not close, halvings + 1 if q == 2.0 else 1
+            equal.begin(lam, halvings + 1 if equal.q == 2.0 else 1)
+            return halvings, not close
         lam *= 0.5
         halvings += 1
 
 
-def _last_rung(start: float, q: float, top: int) -> int:
-    """The bumps a run may make: ``top``, cut at the last finite rung.
-
-    Rung k is start * q**k built by repeated ``* q``, as both branches
-    build their weights, so no weight overflows within the bumps returned.
-    The rungs are walked only when rung ``top`` may overflow, and then
-    only up to the first that does.
-    """
-    if math.log(start) + top * math.log(q) <= _LOG_SAFE:
-        return top
-    lam = start
-    for k in range(top):
-        lam *= q
-        if lam == math.inf:
-            return k
-    return top
-
-
 @dataclass(frozen=True)
 class _Branch:
-    """Where one branch ended: fit, weights (None for the accepted line),
-    bumps made, last verdict and the records of every examined fit."""
+    """Where one branch stopped: its rung while its weights are equal,
+    else the ``(fit, weights)`` it holds (weights None for the accepted
+    line); then the bumps made, the last verdict and the records of every
+    examined fit, the last of which judges the final fit."""
 
-    name: str
-    fit: SplineFit
-    weights: np.ndarray | None
+    stop: int | tuple
     iterations: int
     passed: bool
     records: tuple
 
 
-def _branch(equal: _Equal, family, sweep, start: float, q: float, top: int, first) -> _Branch:
-    """The local branch: bump the weights by q from ``start`` until the
-    test accepts or ``top`` bumps are made.
+def _branch(equal: _Equal, family, sweep, first) -> _Branch:
+    """The local branch: bump the weights by q from the start weight until
+    the test accepts or ``equal.top`` bumps are made.
 
     Bump the points in one sweep group's violating intervals until the
     group is clean, then take the next group, wrapping around; stop once
     every group is clean at one fit.  While the weights are equal they are
-    one scalar ``lam``, and the fits and verdicts come from ``equal``; a
-    bump that covers every point is ``lam *= q``.  The first bump that
-    leaves a point uncovered turns the weights into an array, which the
-    branch solves and tests itself.  Each group's mask over the family is
-    built once per call.
+    the rung ``iterations`` of the ladder, and the fits and verdicts come
+    from ``equal``; a bump that covers every point climbs one rung.  The
+    first bump that leaves a point uncovered turns the weights into an
+    array, which the branch solves and tests itself.  Each group's mask
+    over the family is built once per call.
     """
     n, sizes = equal.system.n, family.sizes
     groups = [None if size is None else sizes == size for size in sweep]
-    lam, weights = start, None
-    passed, bad, record = equal.judge(lam)
+    weights = None
+    passed, bad, record = equal.judge(equal.rung(0))
     records = [first, record]
     iterations = clean = group = 0
     while clean < len(groups):
@@ -302,79 +314,65 @@ def _branch(equal: _Equal, family, sweep, start: float, q: float, top: int, firs
             clean += 1
             group = (group + 1) % len(groups)
             continue
-        if iterations >= top:
+        if iterations >= equal.top:
             break
         covered = _covered_mask(n, family.lo[keep], family.hi[keep])
         if weights is None and covered.all():
-            lam *= q
-            passed, bad, record = equal.judge(lam)
+            passed, bad, record = equal.judge(equal.rung(iterations + 1))
         else:
             if weights is None:
-                weights = np.full(n, lam)
-            weights[covered] *= q
+                weights = np.full(n, equal.rung(iterations))
+            weights[covered] *= equal.q
             current = solve_weighted(equal.system, weights)
             passed, bad, record = _judge(equal.test, current, weights)
         iterations += 1
         records.append(record)
         clean = 0
-    if weights is None:
-        current, weights = equal.fit(lam), np.full(n, lam)
-    return _Branch("local", current, weights, iterations, passed, tuple(records))
+    stop = iterations if weights is None else (current, weights)
+    return _Branch(stop, iterations, passed, tuple(records))
 
 
-def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first, ceiling: float) -> _Branch:
+def _bracket(equal: _Equal, first, ceiling: float, monotone: bool) -> _Branch:
     """The global branch: the first passing rung, found by a bracket.
 
-    Rung k is the equal weight after k bumps, start * q**k built by
-    repeated ``* q`` up to the highest rung read.  The search reads the
-    lowest ``judged`` rungs in turn and stops at the first that passes.
-    If none does, it gallops up from the last of them, b, to rungs b + 1,
-    b + 3, b + 7, ..., cut at rung ``top``, until one passes, then bisects
-    between the highest failing rung and that one.  Rungs are read
-    through ``equal.judge``, so a rung judged before costs nothing.  When
-    no rung read up to ``top`` passes, the branch ends truncated there.
-
-    For a ``monotone`` test (the mean fits) ``_adapt`` passes the rungs the
-    start search judged; the answer is the first passing rung whenever no
-    rung fails above a passing one, as held for the w-test on every input
-    probed, at about 2 log2 d rungs read instead of d.  Otherwise (the
-    scale fit) it passes ``top + 1``, so every rung is read in turn.
+    Rung k is the equal weight after k bumps, read by index from
+    ``equal``'s ladder.  The search reads the lowest rungs in turn and
+    stops at the first that passes: for a ``monotone`` test (the mean
+    fits) the rungs the start search judged, otherwise (the scale fit)
+    every rung up to ``equal.top``.  If none does, it gallops up from the
+    last of them, b, to rungs b + 1, b + 3, b + 7, ..., cut at rung
+    ``equal.top``, until one passes, then bisects between the highest
+    failing rung and that one.  Rungs are read through ``equal.judge``, so
+    a rung judged before costs nothing.  When no rung read up to the top
+    passes, the branch ends truncated there.  The answer is the first
+    passing rung whenever no rung fails above a passing one, as held for
+    the w-test on every input probed, at about 2 log2 d rungs read
+    instead of d.
 
     ``ceiling`` is the roughness of an accepted fit the branch must beat
     (``math.inf`` when there is none).  A rung read in turn that fails
     with roughness at or above it ends the branch there, not passed: the
     roughness of an equal-weight fit does not decrease as the weight
     grows, so no rung above it could be smoother than the accepted fit,
-    and ties go to that fit.  Only a rung whose fit is the record's last
-    ends it, so that the end costs no solve; a rung read from the record
-    whose fit is gone leaves the end to the next rung read.  A NaN
-    roughness never ends it.  The records are the line's, then those of
-    the rungs read at or below the final one, by rung.
+    and ties go to that fit.  A NaN roughness never ends it.  The records
+    are the line's, then those of the rungs read at or below the final
+    one, by rung.
     """
-    rungs, read = [start], {}
+    top, read, turn = equal.top, {}, equal.judged if monotone else equal.top + 1
 
     def passes(k: int) -> bool:
-        while len(rungs) <= k:
-            rungs.append(rungs[-1] * q)
-        passed, _, read[k] = equal.judge(rungs[k])
+        passed, _, read[k] = equal.judge(equal.rung(k))
         return passed
 
-    lo, hi = -1, None  # the highest rung read that fails, the lowest that passes
-    for k in range(min(judged, top + 1)):
-        if passes(k):
-            hi = k
-            break
-        lo = k
-        if read[k].roughness >= ceiling and equal.last[0] == rungs[k]:
-            top = k  # no rung above can win: search no further
-            break
-    step = 1
+    lo, hi, step = -1, None, 1  # the highest rung read that fails, the lowest that passes
     while hi is None and lo < top:
         k = min(lo + step, top)
         if passes(k):
             hi = k
-        else:
-            lo, step = k, 2 * step
+        elif k < turn and read[k].roughness >= ceiling:
+            lo = top = k  # no rung above can win: search no further
+        else:  # read in turn, then gallop
+            lo, step = k, 1 if k < turn else 2 * step
     while hi is not None and hi - lo > 1:
         mid = (lo + hi) // 2
         if passes(mid):
@@ -383,7 +381,7 @@ def _bracket(equal: _Equal, start: float, judged: int, q: float, top: int, first
             lo = mid
     k = lo if hi is None else hi
     records = (first,) + tuple(read[j] for j in sorted(read) if j <= k)
-    return _Branch("global", equal.fit(rungs[k]), np.full(equal.system.n, rungs[k]), k, hi is not None, records)
+    return _Branch(k, k, hi is not None, records)
 
 
 def _adapt(
@@ -394,7 +392,8 @@ def _adapt(
 
     Returns the chosen fit and weights, the other fields of the outcome
     that ``FitReport`` and ``variants.ScaleFit`` share, as keyword
-    arguments, and the branches run, by name.
+    arguments, and the branches run, by name (see ``_Branch``).  Only the
+    chosen branch's fit and weights are built.
 
     ``test(fit, weights)`` returns ``(passed, bad, stat)``: the verdict on
     the fit, the boolean mask of its violating intervals over ``family``
@@ -415,25 +414,26 @@ def _adapt(
     passed, _, first = _judge(test, line, 0.0)
     halvings, capped = 0, False
     if passed:
-        done = {name: _Branch(name, line, None, 0, True, (first,)) for name in branches}
+        done = {name: _Branch((line, None), 0, True, (first,)) for name in branches}
     else:
-        equal = _Equal(prepare_system(target), test, len(family))
-        start, halvings, capped, judged = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread(), config.q)
-        top = _last_rung(start, config.q, config.max_iterations)
+        equal = _Equal(prepare_system(target), test, len(family), config.q, config.max_iterations)
+        halvings, capped = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread())
         done, ceiling = {}, math.inf
         for name in branches:
             if name == "local":
-                done[name] = _branch(equal, family, sweep, start, config.q, top, first)
+                done[name] = _branch(equal, family, sweep, first)
                 if chosen_only and done[name].passed:
-                    ceiling = done[name].fit.roughness
+                    ceiling = done[name].records[-1].roughness
             else:
-                done[name] = _bracket(equal, start, judged if monotone else top + 1, config.q, top, first, ceiling)
+                done[name] = _bracket(equal, first, ceiling, monotone)
     # an accepted branch beats a rejected one, then the smaller final
     # roughness wins; min keeps the first of equals, so ties go to local
-    c = min(done.values(), key=lambda b: (not b.passed, b.fit.roughness))
-    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=c.name, trace=c.records,
+    name, c = min(done.items(), key=lambda item: (not item[1].passed, item[1].records[-1].roughness))
+    lam = None if isinstance(c.stop, tuple) else equal.rung(c.stop)
+    fit_, weights = c.stop if lam is None else (equal.fit(lam), np.full(target.n, lam))
+    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=name, trace=c.records,
                   start_halvings=halvings, start_capped=capped)
-    return c.fit, c.weights, shared, done
+    return fit_, weights, shared, done
 
 
 def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
@@ -463,9 +463,8 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
     fit_, weights, shared, done = _adapt(sample, family, test, (None,), config, branches, monotone=True)
     both = {}
     if len(done) == 2:
-        local, glob = done["local"], done["global"]
-        both = dict(roughness_local=local.fit.roughness, roughness_global=glob.fit.roughness,
-                    truncated_local=not local.passed, truncated_global=not glob.passed)
+        for name, b in done.items():
+            both.update({f"roughness_{name}": b.records[-1].roughness, f"truncated_{name}": not b.passed})
     return FitReport(fit_, weights, sigma_used=spec.sigma, threshold_used=threshold, tau=config.tau, **shared, **both)
 
 

@@ -91,11 +91,15 @@ def _write_outputs(args, kind: str, json_suffix: str, columns: dict, weights, do
     """Write the table <base>.<kind>.csv and the report <base><json_suffix>,
     and return the exit code: 0 when the run passed, else 3.
 
-    The base is --output, else the input path without its last suffix.  The
-    table ends with "lambda": ``weights``, or 0 when the run fitted none.
-    The report names the table under "<kind>_csv".
+    The base is the input path without its last suffix, or --output if
+    given; an --output that is a directory holds that input name instead.
+    The table ends with "lambda": ``weights``, or 0 when the run fitted
+    none.  The report names the table under "<kind>_csv".
     """
-    base = Path(args.output) if args.output else Path(args.input).with_suffix("")
+    base = Path(args.input).with_suffix("")
+    if args.output:
+        output = Path(args.output)
+        base = output / base.name if output.is_dir() else output
     csv_path = base.with_name(f"{base.name}.{kind}.csv")
     json_path = base.with_name(base.name + json_suffix)
     lam = weights if weights is not None else np.zeros(len(columns["t"]))
@@ -236,7 +240,7 @@ def _cmd_spectrum(args) -> int:
 
 def _add_data_flags(p: argparse.ArgumentParser, max_iter: int) -> None:
     p.add_argument("input", help="CSV file with two numeric columns t,y")
-    p.add_argument("--output", "-o", help="output base path (default: input stem)")
+    p.add_argument("--output", "-o", help="output base path, or a directory for the input stem (default: input stem)")
     p.add_argument("--q", type=float, default=AdaptConfig.q, help="weight growth factor (default %(default)g)")
     p.add_argument("--max-iter", type=int, default=max_iter, help="iteration budget (default %(default)s)")
     p.add_argument("--rescale", action="store_true", help="map [min t, max t] affinely onto [0, 1]")

@@ -1,6 +1,7 @@
 """Shared test oracles, kept independent of the library internals, and
 fixtures that count the library's calls."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -41,6 +42,31 @@ def dense_weighted_fit(t, y, lam):
 def jittered_design(n, rng):
     """Strictly increasing design points with comfortable spacing."""
     return (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
+
+
+def fingerprint(result):
+    """Every field of a result as bytes or plain values, so that two
+    results compare equal only bit for bit.
+
+    Takes a ``FitReport`` or a ``variants.ScaleFit``, their fits and traces
+    included, and the tuples and dicts that hold them, such as what
+    ``adapt._adapt`` returns.
+    """
+
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        if dataclasses.is_dataclass(value):
+            return type(value).__name__, tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        if isinstance(value, dict):
+            return tuple((key, bits(v)) for key, v in value.items())
+        return value
+
+    return bits(result)
 
 
 @pytest.fixture

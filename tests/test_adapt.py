@@ -25,6 +25,7 @@ from adaptspline import (
     RegionSpec,
     SplineFit,
 )
+from conftest import fingerprint
 
 
 def noise_sample(n, seed):
@@ -616,7 +617,8 @@ class TestEqualWeightRecord:
         t = np.arange(1, self.N + 1) / self.N
         target = Sample(t, 2.0 - t)
         config = AdaptConfig(max_iterations=budget)
-        *_, alone_shared, alone = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config, ("local",))
+        alone_fit, alone_weights, alone_shared, alone = adapt_module._adapt(
+            target, self.FAMILY, self.scripted, (1, 2), config, ("local",))
         # alone, the local branch reads its equal weights 1, 2 and 4 from
         # the record and leaves it at its bump of points 1 and 2
         assert sorted(made[0].verdicts) == [1.0, 2.0, 4.0][: budget + 1]
@@ -624,21 +626,30 @@ class TestEqualWeightRecord:
         assert shared["start_halvings"] == alone_shared["start_halvings"] == 0
         local = branches["local"]
         current, weights, iterations, passed, records = self.reference_local(target, budget)
+        assert np.array_equal(alone_weights, weights)
+        assert np.array_equal(alone_fit.values, current.values)
         for branch in (local, alone["local"]):
-            assert np.array_equal(branch.weights, weights)
+            # the branch stops on a rung (the weight 2**k) while its weights
+            # are equal, and holds its fit and weights once they are not
+            if isinstance(branch.stop, tuple):
+                assert np.array_equal(branch.stop[1], weights)
+                assert np.array_equal(branch.stop[0].values, current.values)
+            else:
+                assert np.array_equal(np.full(self.N, 2.0**branch.stop), weights)
             assert branch.iterations == iterations
             assert branch.passed == passed
             assert branch.records == records
-            assert np.array_equal(branch.fit.values, current.values)
+        assert isinstance(local.stop, tuple) == (budget >= 3)
         glob = branches["global"]
-        assert glob.passed == (budget == 200) and glob.iterations == min(budget, 6)
+        assert glob.passed == (budget == 200) and glob.stop == glob.iterations == min(budget, 6)
 
     def test_keeps_two_fits_at_most(self, made):
         s = make_dataset(rupcar(6), 25600, SIGMA_PRESETS["rupcar-hi"], seed=[12, 25600, 0])
         r = fit(s)
         (equal,) = made
         count = len(dyadic_family(s.n))
-        assert set(vars(equal)) == {"system", "test", "count", "verdicts", "last", "passing"}
+        assert set(vars(equal)) == {"system", "test", "count", "q", "rungs", "judged", "top", "verdicts", "last",
+                                    "passing"}
         assert equal.count == count
         assert len(equal.verdicts) > r.start_halvings + 2
         # per weight a verdict, a trace record and the violations packed
@@ -652,6 +663,68 @@ class TestEqualWeightRecord:
         kept = [pair for pair in (equal.last, equal.passing) if pair is not None]
         assert all(len(pair) == 2 and isinstance(pair[1], SplineFit) for pair in kept)
         assert len(kept) <= 2
+
+    @pytest.mark.parametrize("q", [1.7, 3.0])
+    def test_every_weight_read_is_one_rung_of_the_ladder(self, made, monkeypatch, q):
+        read = []
+
+        class Reading(adapt_module._Equal):
+            def judge(self, lam):
+                read.append(lam)
+                return super().judge(lam)
+
+        monkeypatch.setattr(adapt_module, "_Equal", Reading)
+        s = make_dataset(rupcar(6), 400, SIGMA_PRESETS["rupcar-hi"], seed=[5, 400, 0])
+        r = fit(s, AdaptConfig(q=q))
+        (equal,) = made
+        # rung k is the start weight multiplied by q k times
+        lam = 2.0**-r.start_halvings
+        for rung in equal.rungs:
+            assert rung == lam
+            lam *= q
+        # away from q = 2 the start search judges only rung 0, so every
+        # weight judged is a rung that the local climb or the bracket read,
+        # and each has one verdict
+        assert equal.judged == 1
+        assert set(read) <= set(equal.rungs)
+        assert set(equal.verdicts) == set(read)
+        # the local climb reads the rungs 0 ... m before its weights part,
+        # and the bracket those of the global trace, which wins
+        m = {1.7: 20, 3.0: 10}[q]
+        assert set(equal.rungs[: m + 1]) <= set(read)
+        assert r.chosen_branch == "global" and {e.lambda_min for e in r.trace[1:]} <= set(read)
+
+    def test_ceiling_ends_the_companion_on_a_rung_of_the_start_search(self, made, count_calls):
+        # a curved target, so that the start search halves k times and, at
+        # q = 2, judges the rungs 0 ... k.  Every equal weight fails on point
+        # 1 alone, so the local branch bumps it once and passes
+        t = np.arange(1, self.N + 1) / self.N
+        target = Sample(t, np.sin(3.0 * t))
+        single = (self.FAMILY.lo == 1) & (self.FAMILY.hi == 1)
+
+        def scripted(fit_, weights):
+            bad = single if np.ndim(weights) == 0 else np.zeros(len(self.FAMILY), dtype=bool)
+            return not bad.any(), bad, None
+
+        solves = count_calls(adapt_module, "solve_weighted")
+        outcome = adapt_module._adapt(target, self.FAMILY, scripted, (1, 2), AdaptConfig(), chosen_only=True)
+        equal, (local, glob) = made[0], outcome[3].values()
+        k, ceiling = outcome[2]["start_halvings"], local.records[-1].roughness
+        assert local.passed and local.iterations == 1 and outcome[2]["chosen_branch"] == "local"
+        # rung 1, judged by the start search, fails as rough as the local
+        # fit: the companion stops there, though its fit was not the last
+        # one solved (that is the start fit, rung 0)
+        assert equal.judged == k + 1 > 1 and equal.last[0] == equal.rung(0)
+        assert glob.records[1].roughness < ceiling <= glob.records[2].roughness
+        assert (glob.stop, glob.passed, len(glob.records)) == (1, False, 3)
+        # the start search and the local bump.  A rule that let only the
+        # last fit solved end the climb would read rungs 2 ... k from the
+        # record and end on rung k + 1, one solve more
+        assert k == 3 and solves["solve_weighted"] == (k + 1) + 1
+        solves.clear()
+        full = adapt_module._adapt(target, self.FAMILY, scripted, (1, 2), AdaptConfig(), chosen_only=False)
+        assert fingerprint(outcome[:3]) == fingerprint(full[:3])
+        assert full[3]["global"].stop == 200 and solves["solve_weighted"] == (k + 1) + 1 + (200 - k)
 
 
 class TestTraceViolations:
@@ -767,7 +840,9 @@ class TestWeightOverflow:
          (1.0, 1.5, 1749), (1.0, 1.5, 1750), (1.0, 1.5, 1751), (1.0, 1.0 + 2.0**-40, 10**6)],
     )
     def test_last_rung_is_the_last_finite_one(self, start, q, top):
-        k = adapt_module._last_rung(start, q, top)
+        ladder = adapt_module._Equal(None, None, 0, q, top)
+        ladder.begin(start, 1)
+        k = ladder.top
         lam = start
         for _ in range(k):
             lam *= q

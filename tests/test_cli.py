@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,6 +540,21 @@ class TestOutputFiles:
         assert (tmp_path / "out.v1.fit.csv").exists() and (tmp_path / "out.v1.report.json").exists()
         assert not list(tmp_path.glob("out.fit.csv")) and not list(tmp_path.glob("out.report.json"))
         assert capsys.readouterr().out == f"wrote {base}.fit.csv and {base}.report.json\n"
+
+    @pytest.mark.parametrize("output", ["outdir/", "outdir", "."])
+    @pytest.mark.parametrize("command, table, report", COMMANDS)
+    def test_an_output_directory_holds_the_input_name(self, tmp_path, monkeypatch, command, table, report, output):
+        data, outdir = tmp_path / "data", tmp_path / "outdir"
+        data.mkdir()
+        outdir.mkdir()
+        write_csv(data / "run.1.csv", *self.data(command, 0))
+        monkeypatch.chdir(outdir if output == "." else tmp_path)
+        assert main([command, str(data / "run.1.csv"), "-o", output]) == 0
+        assert {p.name for p in outdir.iterdir()} == {f"run.1{table}", f"run.1{report}"}
+        assert {p.name for p in tmp_path.iterdir()} == {"data", "outdir"}
+        assert {p.name for p in data.iterdir()} == {"run.1.csv"}
+        doc = json.loads((outdir / f"run.1{report}").read_text())
+        assert doc[f"{command}_csv"] == str(Path(output) / f"run.1{table}")
 
     @pytest.mark.parametrize("command, table, report", COMMANDS)
     def test_an_accepted_line_writes_zero_lambda(self, tmp_path, command, table, report):

@@ -23,6 +23,7 @@ from adaptspline import (
     v_stat,
 )
 from adaptspline.variants import CLUSTER_WINDOW, SCALE_FLOOR_FRACTION
+from conftest import fingerprint
 
 
 def grid_sample(n, y):
@@ -590,24 +591,6 @@ class TestScaleFitEngine:
             assert [(e.lambda_min, e.violations, e.roughness) for e in result.trace[1:]] == seen
             truncated += not passed
         assert 0 < truncated < len(cases)
-
-
-def fingerprint(result):
-    """Every field of a ``ScaleFit`` as bytes or plain values, traces
-    included, so that two results compare equal only bit for bit."""
-
-    def bits(value):
-        if isinstance(value, np.ndarray):
-            return value.dtype.str, value.shape, value.tobytes()
-        if isinstance(value, float):
-            return np.float64(value).tobytes()
-        if dataclasses.is_dataclass(value):
-            return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
-        if isinstance(value, tuple):
-            return tuple(bits(v) for v in value)
-        return value
-
-    return bits(result)
 
 
 def without_ceiling(monkeypatch):
