@@ -332,7 +332,7 @@ def _branch(equal: _Equal, family, sweep, first) -> _Branch:
     return _Branch(stop, iterations, passed, tuple(records))
 
 
-def _bracket(equal: _Equal, first, ceiling: float, monotone: bool) -> _Branch:
+def _bracket(equal: _Equal, first, ceiling: float | None, monotone: bool) -> _Branch:
     """The global branch: the first passing rung, found by a bracket.
 
     Rung k is the equal weight after k bumps, read by index from
@@ -350,7 +350,7 @@ def _bracket(equal: _Equal, first, ceiling: float, monotone: bool) -> _Branch:
     instead of d.
 
     ``ceiling`` is the roughness of an accepted fit the branch must beat
-    (``math.inf`` when there is none).  A rung read in turn that fails
+    (None when there is none).  A rung read in turn that fails
     with roughness at or above it ends the branch there, not passed: the
     roughness of an equal-weight fit does not decrease as the weight
     grows, so no rung above it could be smoother than the accepted fit,
@@ -369,7 +369,7 @@ def _bracket(equal: _Equal, first, ceiling: float, monotone: bool) -> _Branch:
         k = min(lo + step, top)
         if passes(k):
             hi = k
-        elif k < turn and read[k].roughness >= ceiling:
+        elif k < turn and ceiling is not None and read[k].roughness >= ceiling:
             lo = top = k  # no rung above can win: search no further
         else:  # read in turn, then gallop
             lo, step = k, 1 if k < turn else 2 * step
@@ -418,7 +418,7 @@ def _adapt(
     else:
         equal = _Equal(prepare_system(target), test, len(family), config.q, config.max_iterations)
         halvings, capped = _initial_lambda(equal, line, _INIT_TOLERANCE * target.spread())
-        done, ceiling = {}, math.inf
+        done, ceiling = {}, None
         for name in branches:
             if name == "local":
                 done[name] = _branch(equal, family, sweep, first)

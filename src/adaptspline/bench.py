@@ -238,6 +238,7 @@ class StudyConfig:
             object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be a nonnegative finite number")
+        object.__setattr__(self, "sigma", float(self.sigma))
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be {' or '.join(map(repr, _ESTIMATORS))}")
 

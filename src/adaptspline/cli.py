@@ -2,8 +2,8 @@
 
 Subcommands: fit, robust, scale, calibrate, simulate, spectrum.  Exit
 codes follow one scheme everywhere: 0 success, 2 input/usage error
-(a path that cannot be read or written among them), 3 procedure finished
-degenerate or with its iteration budget exhausted.
+(an unreadable or unwritable path, or a failed allocation, among them),
+3 procedure finished degenerate or with its iteration budget exhausted.
 """
 
 from __future__ import annotations
@@ -173,12 +173,11 @@ def _cmd_fit(args) -> int:
 def _cmd_scale(args) -> int:
     t_raw, y = _read_xy_csv(args.input)
     sample, rescale = _prepare_sample(t_raw, y, args.rescale)
-    spec = ScaleRegionSpec.for_size(sample.n, args.alpha_n)
-    result = scale_fit(sample, spec, AdaptConfig(q=args.q, max_iterations=args.max_iter))
+    result = scale_fit(sample, alpha_n=args.alpha_n, q=args.q, max_iterations=args.max_iter)
     doc = {
         **_outcome_keys(args, result, result.s, result.weights, rescale),
         "degenerate": result.degenerate,
-        "coverage": spec.coverage,
+        "coverage": ScaleRegionSpec.for_size(sample.n, args.alpha_n).coverage,
         "floor": result.floor,
         "pinned_intervals": result.pinned_intervals,
     }
@@ -301,7 +300,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

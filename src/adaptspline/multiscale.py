@@ -144,7 +144,9 @@ def _fitted(sample: Sample, fit_values) -> np.ndarray:
 
 
 def w_stat(sample: Sample, fit_values, interval) -> float:
-    """Normalized residual sum over one interval (1-based inclusive)."""
+    """Normalized residual sum over one interval (1-based inclusive), summed
+    directly: the tests' reference independent of ``_w_test``, whose prefix
+    sums (the fits' and ``all_w_stats``') can differ from it in the last bits."""
     lo, hi = _interval(interval, sample.n)
     g = _fitted(sample, fit_values)
     r = sample.y[lo - 1 : hi] - g[lo - 1 : hi]
@@ -154,8 +156,9 @@ def w_stat(sample: Sample, fit_values, interval) -> float:
 def _w_test(residual: np.ndarray, family: IntervalFamily, threshold: float):
     """The w statistics of a residual vector and their verdict at ``threshold``.
 
-    The one formula for w.  Returns ``(passed, max_abs_w, w, bad)``:
-    ``bad`` is the boolean mask of the violating intervals over the family.
+    The w of every fit and of ``all_w_stats``, from prefix sums (``w_stat``
+    sums directly).  Returns ``(passed, max_abs_w, w, bad)``: ``bad`` is
+    the boolean mask of the violating intervals over the family.
     """
     w = family.sums(residual) / family._root_sizes
     aw = np.abs(w)

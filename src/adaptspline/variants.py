@@ -135,7 +135,9 @@ def chisq_quantile(gamma: float, k: float) -> float:
 
 
 def v_stat(y, interval, s) -> float:
-    """sum of y_i^2 / s_i^2 over the interval (1-based inclusive)."""
+    """sum of y_i^2 / s_i^2 over the interval (1-based inclusive), summed
+    directly: the tests' reference independent of ``scale_fit``'s band test,
+    whose prefix sums differ from it in the trailing digits on most intervals."""
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
     if y.ndim != 1 or s.shape != y.shape:
@@ -255,9 +257,7 @@ def _band_test(y2: np.ndarray, floor: float, spec: ScaleRegionSpec):
 
 
 def scale_fit(
-    sample: Sample,
-    spec: ScaleRegionSpec | None = None,
-    config: AdaptConfig | None = None,
+    sample: Sample, *, alpha_n: float | None = None, q: float = AdaptConfig.q, max_iterations: int = _SCALE_BUDGET
 ) -> ScaleFit:
     """Fit a smooth positive scale function to mean-zero data.
 
@@ -271,13 +271,12 @@ def scale_fit(
     local branch has passed, the companion stops early, at its first
     rejected rung whose roughness reaches the local fit's: an equal-weight
     fit grows no smoother as its weight grows, so no rung above could win,
-    and the result is the one the full climb would give.  Of ``config`` it
-    reads ``q`` and ``max_iterations``: the chi-squared bands fix the
-    rest, so a config that sets ``sigma`` or a ``tau`` other than the
-    default raises ``ValueError``.  Without a config the budget is 400
-    bumps (``_SCALE_BUDGET``); with one it is that config's
-    ``max_iterations``, which is 200 unless set, so
-    ``config=AdaptConfig(q=3.0)`` runs with a budget of 200.
+    and the result is the one the full climb would give.
+
+    The bands are those of ``ScaleRegionSpec.for_size(sample.n, alpha_n)``.
+    ``q`` and ``max_iterations`` are checked as ``AdaptConfig`` checks them;
+    the budget is 400 bumps by default (``_SCALE_BUDGET``), twice the mean
+    fits', as the length-ordered sweep revisits interval sizes.
 
     The band test divides y**2 by the squared scale, so both must be
     representable: ``ValueError`` is raised when the squared floor
@@ -293,14 +292,8 @@ def scale_fit(
     """
     if sample.n < 8:
         raise ValueError("need at least 8 data points")
-    # the length-ordered sweep revisits interval sizes, so its default
-    # budget is larger than the mean procedure's
-    config = config or AdaptConfig(max_iterations=_SCALE_BUDGET)
-    if config.sigma is not None or config.tau != AdaptConfig.tau:
-        raise ValueError("scale_fit reads only q and max_iterations of its config; its bands set sigma and tau")
-    spec = spec or ScaleRegionSpec.for_size(sample.n)
-    if spec.family.n != sample.n:
-        raise ValueError("family size does not match the sample")
+    spec = ScaleRegionSpec.for_size(sample.n, alpha_n)
+    config = AdaptConfig(q=q, max_iterations=max_iterations)
 
     a = np.abs(sample.y)
     floor = SCALE_FLOOR_FRACTION * float(a.max())

@@ -309,6 +309,13 @@ class TestStudy:
         assert json.loads((tmp_path / "study.json").read_text()) == rows
         assert rows == mrise_study(dataclasses.replace(config, seed=3))
 
+    def test_numpy_sigma_rows_round_trip_through_json(self, tmp_path):
+        config = StudyConfig(function=sine(), sigma=np.float32(0.3), n_grid=(16,), replicates=1)
+        assert type(config.sigma) is float and config.sigma == np.float32(0.3)
+        rows = mrise_study(config)
+        study_rows_to_json(rows, tmp_path / "study.json")
+        assert json.loads((tmp_path / "study.json").read_text()) == rows
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_rejects_seeds_it_cannot_run(self, seed):
         with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):

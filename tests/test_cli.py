@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -10,15 +11,15 @@ from adaptspline import (
     AdaptConfig,
     PenaltyMatrix,
     Sample,
-    ScaleRegionSpec,
     StudyConfig,
+    calibrate_tau,
     fit,
     mrise_study,
     rupcar,
     scale_fit,
     sigma_hat,
 )
-from adaptspline.cli import main
+from adaptspline.cli import build_parser, main
 
 
 def write_csv(path, t, y, header=None):
@@ -332,7 +333,7 @@ class TestScaleCommand:
         assert main(["scale", str(path), "--alpha-n", "0.99"]) == 0
         doc = json.loads((tmp_path / "vol.scale.json").read_text())
         assert doc["coverage"] == 0.99
-        result = scale_fit(Sample(t, y), ScaleRegionSpec.for_size(n, 0.99))
+        result = scale_fit(Sample(t, y), alpha_n=0.99)
         assert doc["roughness"] == result.s.roughness
         assert doc["iterations"] == result.iterations
 
@@ -449,12 +450,52 @@ class TestSpectrumCommand:
         assert captured.out == ""
         assert "need n >= 3" in captured.err
 
+    def test_allocation_failure_exit_2(self, monkeypatch, capsys):
+        def refuse(self):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(PenaltyMatrix, "eigenvalues", refuse)
+        assert main(["spectrum", "--n", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB\n"
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--n", "16", "-o", str(out)]) == 0
         rows = read_csv(out)
         assert rows[0] == ["index", "eigenvalue"]
         assert len(rows) == 17
+
+
+def library_default(source, name):
+    """The default of a config class's field or of a function's parameter."""
+    if isinstance(source, type):
+        return getattr(source, name)
+    return inspect.signature(source).parameters[name].default
+
+
+FIT_DEFAULTS = {"q": "q", "tau": "tau", "max_iter": "max_iterations", "sigma": "sigma"}
+
+
+class TestDefaults:
+    """Each subcommand's defaults are those of the library call it makes."""
+
+    @pytest.mark.parametrize(
+        "argv, source, names",
+        [
+            (["fit", "in.csv"], AdaptConfig, FIT_DEFAULTS),
+            (["robust", "in.csv"], AdaptConfig, FIT_DEFAULTS),
+            (["scale", "in.csv"], scale_fit, {"q": "q", "max_iter": "max_iterations", "alpha_n": "alpha_n"}),
+            (["simulate"], StudyConfig, {name: name for name in ("n_grid", "replicates", "seed", "estimator")}),
+            (["calibrate", "--n", "100"], calibrate_tau, {name: name for name in ("alpha", "replicates", "seed")}),
+        ],
+        ids=["fit", "robust", "scale", "simulate", "calibrate"],
+    )
+    def test_parsed_defaults_are_the_library_defaults(self, argv, source, names):
+        args = build_parser().parse_args(argv)
+        parsed = {flag: getattr(args, flag) for flag in names}
+        assert parsed == {flag: library_default(source, name) for flag, name in names.items()}
 
 
 class TestSharedReportKeys:
@@ -488,8 +529,8 @@ class TestSharedReportKeys:
         if rescale:
             t = (t_raw - t_raw[0]) / (t_raw[-1] - t_raw[0])
             t[0], t[-1] = 0.0, 1.0
-        config = AdaptConfig(max_iterations=max_iter)
-        reports = (fit(Sample(t, mean.y), config), scale_fit(Sample(t, vol.y), config=config))
+        reports = (fit(Sample(t, mean.y), AdaptConfig(max_iterations=max_iter)),
+                   scale_fit(Sample(t, vol.y), max_iterations=max_iter))
         for (code, doc, lam, path), report in zip(runs, reports):
             assert self.SHARED <= set(doc)
             assert doc["n"] == lam.size == n

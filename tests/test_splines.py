@@ -9,7 +9,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 import adaptspline.splines
 from adaptspline import (
     SIGMA_PRESETS,
-    AdaptConfig,
     PenaltyMatrix,
     Sample,
     SplineFit,
@@ -691,8 +690,7 @@ class TestWideWeightSpread:
         n = 256
         t = np.arange(1, n + 1) / n
         z = np.random.default_rng([904, 0]).standard_normal(n)
-        r = scale_fit(Sample(t, np.sin(4 * np.pi * t) ** 2 * z),
-                      config=AdaptConfig(max_iterations=400))
+        r = scale_fit(Sample(t, np.sin(4 * np.pi * t) ** 2 * z), max_iterations=400)
         assert r.start_capped
         assert np.isfinite(r.s.values).all()
         assert r.s.second_derivs[0] == r.s.second_derivs[-1] == 0.0

@@ -290,7 +290,7 @@ class TestScaleFit:
         z = np.random.default_rng([903, 0]).standard_normal(n)
         y = (1.0 + t) * z
         spec = ScaleRegionSpec.for_size(n)
-        result = scale_fit(Sample(t, y), spec)
+        result = scale_fit(Sample(t, y))
         assert result.passed
         sv = result.scale_values()
         floor = result.floor
@@ -325,24 +325,20 @@ class TestScaleFit:
         with pytest.raises(ValueError):
             scale_fit(grid_sample(6, np.ones(6)))
 
-    @pytest.mark.parametrize("config", [AdaptConfig(sigma=2.0), AdaptConfig(tau=50.0),
-                                        AdaptConfig(tau=50.0, sigma=2.0)])
-    def test_rejects_config_fields_it_ignores(self, config):
-        # the chi-squared bands read neither sigma nor tau
-        with pytest.raises(ValueError, match="q and max_iterations"):
-            scale_fit(grid_sample(64, np.ones(64)), config=config)
+    def test_defaults(self):
+        s = scale_sample(256, sin2, 0)
+        assert fingerprint(scale_fit(s)) == fingerprint(scale_fit(s, alpha_n=None, q=2.0, max_iterations=400))
 
-    def test_family_size_must_match(self):
+    @pytest.mark.parametrize("knob", [dict(q=1.0), dict(max_iterations=0), dict(alpha_n=1.5)])
+    def test_rejects_knobs_out_of_range(self, knob):
         with pytest.raises(ValueError):
-            scale_fit(grid_sample(64, np.ones(64)), ScaleRegionSpec.for_size(32))
+            scale_fit(grid_sample(64, np.ones(64)), **knob)
 
     def test_truncation_flag_on_tiny_budget(self):
         n = 256
         t = np.arange(1, n + 1) / n
         z = np.random.default_rng([904, 0]).standard_normal(n)
-        result = scale_fit(
-            Sample(t, np.sin(4 * np.pi * t) ** 2 * z), config=AdaptConfig(max_iterations=1)
-        )
+        result = scale_fit(Sample(t, np.sin(4 * np.pi * t) ** 2 * z), max_iterations=1)
         assert result.truncated and not result.passed
         assert result.iterations == 1
         # truncated is derived from passed and degenerate, never stored
@@ -469,7 +465,7 @@ class TestScaleFitEngine:
     @pytest.mark.parametrize("shape", [sin2, step, lambda t: 1.0 + t])
     def test_fit_is_the_solve_at_its_weights(self, shape, budget):
         s = scale_sample(256, shape, 0)
-        result = scale_fit(s, config=AdaptConfig(max_iterations=budget))
+        result = scale_fit(s, max_iterations=budget)
         if result.weights is None:
             assert result.passed and result.iterations == 0
             return
@@ -484,7 +480,7 @@ class TestScaleFitEngine:
     )
     def test_local_branch_is_the_length_ordered_sweep(self, shape, seed, budget):
         s = scale_sample(256, shape, seed)
-        result = scale_fit(s, config=AdaptConfig(max_iterations=budget))
+        result = scale_fit(s, max_iterations=budget)
         assert result.chosen_branch == "local"
         halvings, weights, iterations, passed = reference_local_sweep(s, budget)
         assert result.start_halvings == halvings
@@ -499,9 +495,9 @@ class TestScaleFitEngine:
         # while a bracket over the rungs ends on a rougher passing rung and
         # leaves the win to the local branch
         s = nonmonotone_sample()
-        result = scale_fit(s, config=AdaptConfig(q=2.0))
+        result = scale_fit(s, q=2.0, max_iterations=200)
         assert (result.chosen_branch, result.iterations, result.passed) == ("global", 23, True)
-        huge = scale_fit(s, config=AdaptConfig(q=2.0, max_iterations=10**6))
+        huge = scale_fit(s, q=2.0, max_iterations=10**6)
         for field in dataclasses.fields(result):
             a, b = getattr(result, field.name), getattr(huge, field.name)
             if field.name == "s":
@@ -513,14 +509,14 @@ class TestScaleFitEngine:
         engine = variants_module._adapt
         monkeypatch.setattr(
             variants_module, "_adapt", lambda *args, **kwargs: engine(*args, **kwargs, monotone=True))
-        bracketed = scale_fit(s, config=AdaptConfig(q=2.0))
+        bracketed = scale_fit(s, q=2.0, max_iterations=200)
         assert (bracketed.chosen_branch, bracketed.iterations) == ("local", 115)
 
     def test_one_start_search_per_fit(self, count_calls):
         counts = count_calls(adapt_module, "_initial_lambda")
         for q in (2.0, 3.0):
             counts.clear()
-            result = scale_fit(scale_sample(256, sin2, 0), config=AdaptConfig(q=q, max_iterations=400))
+            result = scale_fit(scale_sample(256, sin2, 0), q=q, max_iterations=400)
             assert result.start_halvings > 0
             assert counts == {"_initial_lambda": 1}
 
@@ -545,7 +541,7 @@ class TestScaleFitEngine:
     def test_trace_judges_every_examined_fit(self, shape, budget):
         # on 1 + t the line of y**2 is accepted
         s = scale_sample(256, shape, 1)
-        result = scale_fit(s, config=AdaptConfig(max_iterations=budget))
+        result = scale_fit(s, max_iterations=budget)
         band = band_violations(s)
         # the least squares line of y**2, at weight 0, then one entry per
         # examined fit: the start fit and one per bump, for either branch
@@ -579,7 +575,7 @@ class TestScaleFitEngine:
             cases.append((nonmonotone_sample(), 2.0, 400))
         truncated = 0
         for s, q, budget in cases:
-            result = scale_fit(s, config=AdaptConfig(q=q, max_iterations=budget))
+            result = scale_fit(s, q=q, max_iterations=budget)
             current, lam, bumps, passed, seen = reference_climb(s, budget, q)
             assert result.chosen_branch == "global"
             assert np.array_equal(result.s.values, current.values)
@@ -608,29 +604,28 @@ class TestCompanionCeiling:
     @staticmethod
     def cases():
         shapes = [sin2, step, lambda t: 1.0 + t, lambda t: sin2(t) + 0.05]
-        configs = [AdaptConfig(max_iterations=400), AdaptConfig(q=3.0, max_iterations=400),
-                   AdaptConfig(max_iterations=7)]
-        cases = [(scale_sample(n, shape, seed), config)
-                 for n in (64, 256) for shape in shapes for seed in (0, 1) for config in configs]
+        knobs = [dict(max_iterations=400), dict(q=3.0, max_iterations=400), dict(max_iterations=7)]
+        cases = [(scale_sample(n, shape, seed), knob)
+                 for n in (64, 256) for shape in shapes for seed in (0, 1) for knob in knobs]
         # its companion wins, at rung 23: the ceiling must not end it sooner
-        cases.append((nonmonotone_sample(), AdaptConfig(max_iterations=400)))
+        cases.append((nonmonotone_sample(), dict(max_iterations=400)))
         # the local branch is cut off and the companion passes, rougher than
         # it: a local fit that failed sets no ceiling
-        cases += [(scale_sample(64, step, seed), AdaptConfig(max_iterations=30)) for seed in (0, 1)]
+        cases += [(scale_sample(64, step, seed), dict(max_iterations=30)) for seed in (0, 1)]
         return cases
 
     def test_the_ceiling_changes_no_result(self, monkeypatch, count_calls):
         counts = count_calls(adapt_module, "solve_weighted")
         pruned, solves = [], []
-        for s, config in self.cases():
+        for s, knob in self.cases():
             counts.clear()
-            pruned.append(fingerprint(scale_fit(s, config=config)))
+            pruned.append(fingerprint(scale_fit(s, **knob)))
             solves.append(counts["solve_weighted"])
         without_ceiling(monkeypatch)
         full, full_solves = [], []
-        for s, config in self.cases():
+        for s, knob in self.cases():
             counts.clear()
-            full.append(fingerprint(scale_fit(s, config=config)))
+            full.append(fingerprint(scale_fit(s, **knob)))
             full_solves.append(counts["solve_weighted"])
         assert len(pruned) == 51
         for a, b in zip(pruned, full):
