@@ -386,7 +386,7 @@ def _bracket(equal: _Equal, first, ceiling: float | None, monotone: bool) -> _Br
 
 def _adapt(
     target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), monotone=False,
-    chosen_only=False,
+    chosen_only=False, unit=0,
 ) -> tuple:
     """Run the named branches on ``target`` from one shared start.
 
@@ -409,6 +409,10 @@ def _adapt(
     when it passes, its roughness is then the global branch's ceiling (see
     ``_bracket``), so the companion stops once it can no longer win.  The
     chosen branch is the same as without the ceiling.
+
+    ``target`` is the data / 2**``unit``; the branches test and compare on
+    it, and the chosen fit and trace return in data units (roughness times
+    4**unit, the rest times 2**unit): exact in range, ``inf`` past it.
     """
     line = _ls_line(target)
     passed, _, first = _judge(test, line, 0.0)
@@ -431,7 +435,12 @@ def _adapt(
     name, c = min(done.items(), key=lambda item: (not item[1].passed, item[1].records[-1].roughness))
     lam = None if isinstance(c.stop, tuple) else equal.rung(c.stop)
     fit_, weights = c.stop if lam is None else (equal.fit(lam), np.full(target.n, lam))
-    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=name, trace=c.records,
+    with np.errstate(over="ignore"):  # in data units
+        fit_ = SplineFit(fit_.knots, np.ldexp(fit_.values, unit), np.ldexp(fit_.second_derivs, unit),
+                         np.ldexp(fit_.roughness, 2 * unit))
+        trace = tuple(TraceEntry(None if e.max_abs_w is None else float(np.ldexp(e.max_abs_w, unit)), e.violations,
+                                 e.lambda_min, e.lambda_max, float(np.ldexp(e.roughness, 2 * unit))) for e in c.records)
+    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=name, trace=trace,
                   start_halvings=halvings, start_capped=capped)
     return fit_, weights, shared, done
 
@@ -454,18 +463,22 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
         raise ValueError(f"noise scale is 0 ({source}); pass a positive sigma")
     spec = RegionSpec(sigma=sigma, tau=config.tau, n=sample.n)
     family = dyadic_family(sample.n)
-    threshold = spec.threshold
+    e = math.frexp(float(np.max(np.abs(sample.y))))[1]  # fit y / 2**e, all within (-1, 1)
+    target, threshold = Sample(sample.t, np.ldexp(sample.y, -e)), float(np.ldexp(spec.threshold, -e))
 
     def test(fit_: SplineFit, weights):
-        passed, max_abs, _, bad = _w_test(sample.y - fit_.values, family, threshold)
+        passed, max_abs, _, bad = _w_test(target.y - fit_.values, family, threshold)
         return passed, bad, max_abs
 
-    fit_, weights, shared, done = _adapt(sample, family, test, (None,), config, branches, monotone=True)
+    fit_, weights, shared, done = _adapt(target, family, test, (None,), config, branches, monotone=True, unit=e)
     both = {}
     if len(done) == 2:
-        for name, b in done.items():
-            both.update({f"roughness_{name}": b.records[-1].roughness, f"truncated_{name}": not b.passed})
-    return FitReport(fit_, weights, sigma_used=spec.sigma, threshold_used=threshold, tau=config.tau, **shared, **both)
+        with np.errstate(over="ignore"):  # in data units, as _adapt reports the chosen fit
+            for name, b in done.items():
+                roughness = float(np.ldexp(b.records[-1].roughness, 2 * e))
+                both.update({f"roughness_{name}": roughness, f"truncated_{name}": not b.passed})
+    return FitReport(fit_, weights, sigma_used=spec.sigma, threshold_used=spec.threshold, tau=config.tau, **shared,
+                     **both)
 
 
 def fit_local(sample: Sample, config: AdaptConfig | None = None) -> FitReport:

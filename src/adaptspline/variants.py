@@ -50,9 +50,6 @@ CLUSTER_WINDOW = 7
 # that not even the clipped scale could meet are exempt from enforcement.
 SCALE_FLOOR_FRACTION = 2e-3
 _SCALE_BUDGET = 400
-# The smallest normal double: the squared floor must reach it, or the band
-# test's sums lose their digits.
-_TINY = float(np.finfo(float).tiny)
 
 
 def _running_median(y: np.ndarray, width: int, edge: int) -> np.ndarray:
@@ -278,36 +275,26 @@ def scale_fit(
     the budget is 400 bumps by default (``_SCALE_BUDGET``), twice the mean
     fits', as the length-ordered sweep revisits interval sizes.
 
-    The band test divides y**2 by the squared scale, so both must be
-    representable: ``ValueError`` is raised when the squared floor
-    (``SCALE_FLOOR_FRACTION`` * max |y|)**2 is below the smallest normal
-    double, max |y| < 7.46e-152, or when the sum of y**2 overflows.  The
-    lower bound is conservative: data near it, such as max |y| of about
-    3e-152, fit correctly but are rejected too.  Rescale such data first;
-    the fitted scale is proportional to it.  An all-zero input is no
-    error and returns the degenerate fit.  Above max |y| of about 1e77 the
-    roughness of ``s``, which grows as y**4, overflows to NaN with numpy
-    warnings, and the smoother-branch choice then always takes the local
-    branch.
+    It fits (y / 2**e)**2, with e the binary exponent of max |y|, and
+    reports ``s``, ``floor`` and the trace in data units (see
+    ``adapt._adapt``).  ``s`` is in units of y**2, so max |y| must lie in
+    [2**-503, 2**512), about [3.82e-152, 1.34e+154); ``ValueError`` is
+    raised otherwise.  An all-zero input is no error and returns the
+    degenerate fit.
     """
     if sample.n < 8:
         raise ValueError("need at least 8 data points")
     spec = ScaleRegionSpec.for_size(sample.n, alpha_n)
     config = AdaptConfig(q=q, max_iterations=max_iterations)
 
-    a = np.abs(sample.y)
-    floor = SCALE_FLOOR_FRACTION * float(a.max())
-    with np.errstate(over="ignore"):  # an overflow raises just below
-        y2 = a * a
-        total = float(y2.sum())
-    if floor > 0.0 and not (floor * floor >= _TINY and math.isfinite(total)):
-        raise ValueError(
-            f"scale_fit needs max |y| of at least {math.sqrt(_TINY) / SCALE_FLOOR_FRACTION:.3g} and a finite "
-            f"sum of y**2 (max |y| below about {math.sqrt(np.finfo(float).max / sample.n):.3g} at n = {sample.n})"
-        )
+    top = float(np.max(np.abs(sample.y)))
+    e = math.frexp(top)[1]
+    if not -502 <= e <= 512:
+        raise ValueError(f"scale_fit needs max |y| in [2**-503, 2**512), about [3.82e-152, 1.34e+154); got {top:.3g}")
+    y2, floor = np.ldexp(sample.y, -e) ** 2, SCALE_FLOOR_FRACTION * top
     # an all-zero input has nothing to test (its empty mask counts as all
     # pinned); otherwise every interval may be pinned, leaving nothing to fit
-    test, pinned = _band_test(y2, floor, spec) if floor > 0.0 else (None, np.zeros(0, dtype=bool))
+    test, pinned = _band_test(y2, math.ldexp(floor, -e), spec) if floor > 0.0 else (None, np.zeros(0, dtype=bool))
     if pinned.all():
         zero = affine_fit(sample.t, 0.0, 0.0)
         return ScaleFit(zero, None, False, 0, True, floor, pinned_intervals=int(pinned.sum()))
@@ -317,6 +304,6 @@ def scale_fit(
     # the mean fits' bracket would skip to a rougher passing rung.  Only
     # the chosen branch is reported, so the climb may stop once it cannot win
     fit_, weights, shared, _ = _adapt(
-        Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config, chosen_only=True
+        Sample(sample.t, y2), spec.family, test, np.unique(spec.family.sizes), config, chosen_only=True, unit=2 * e
     )
     return ScaleFit(fit_, weights, degenerate=False, floor=floor, pinned_intervals=int(pinned.sum()), **shared)

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import adaptspline.adapt
 import adaptspline.splines
 
 
@@ -124,3 +125,24 @@ def count_lapack(monkeypatch):
     for name in ("dgbtrf", "dgbtrs"):
         monkeypatch.setattr(adaptspline.splines, name, counting(name, getattr(adaptspline.splines, name)))
     return counts
+
+
+@pytest.fixture
+def every_roughness(monkeypatch):
+    """Make every fit the weight loop solves report one roughness.
+
+    The fixture's value is a function: ``every_roughness(value)`` wraps
+    ``adapt.solve_weighted`` so that each fit it returns has roughness
+    ``value`` (an ``inf`` or NaN, say, as a roughness past the double
+    range could read), until the test ends.
+    """
+
+    def patch(value):
+        real = adaptspline.adapt.solve_weighted
+
+        def solve(system, weights):
+            return dataclasses.replace(real(system, weights), roughness=value)
+
+        monkeypatch.setattr(adaptspline.adapt, "solve_weighted", solve)
+
+    return patch

@@ -525,16 +525,16 @@ class TestGlobalBracket:
         assert (huge.roughness_global, huge.chosen_branch) == (base.roughness_global, base.chosen_branch)
 
     @pytest.mark.parametrize("k", [510, 520, 530])
-    def test_an_overflowed_roughness_sets_no_ceiling(self, k):
-        # at 2**k times the data the roughness of a rung overflows to inf;
-        # with no accepted fit to beat, that must not end the branch
+    def test_an_overflowed_roughness_sets_no_ceiling(self, k, every_roughness):
+        # every rung's roughness reads inf, as an overflowed one would; with
+        # no accepted fit to beat, that must not end the branch
         s = make_dataset(bumps(), 400, SIGMA_PRESETS["bumps-hi"], seed=[5, 400, 0])
         base = fit_global(s)
         assert base.passed and base.iterations == 34
         scaled = Sample(s.t, 2.0**k * s.y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            glob = fit_global(scaled)
-            both = fit(scaled)
+        every_roughness(math.inf)
+        glob = fit_global(scaled)
+        both = fit(scaled)
         assert (glob.iterations, glob.passed) == (base.iterations, base.passed)
         assert np.array_equal(glob.final_fit.values, 2.0**k * base.final_fit.values)
         assert np.array_equal(glob.final_weights, base.final_weights)
