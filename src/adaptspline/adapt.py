@@ -24,31 +24,31 @@ The equal weights form one ladder, held by the record of the
 equal-weight fits (``_Equal``): rung k is start * q**k, built by
 repeated ``* q``, and the top rung is ``max_iterations``, or the last
 finite rung below it.  Both branches read their equal weights from it by
-rung index, so each is solved and tested once, whichever branch or
-search asks first.  The local branch (``_branch``) multiplies the
-weights by q on the points covered by the violations of the current
-sweep group.  The global branch (``_bracket``) ends on the first rung
-the test accepts: the mean fits gallop up the rungs and bisect, the
-scale fit, whose verdicts are not monotone, reads every rung in turn.
-Both end truncated at the top.  The scale fit reports only the chosen
-branch, so once its local branch has passed, its climb also stops at the
-first rejected rung whose roughness reaches the local fit's, as no rung
-above can beat that fit; the mean fits report both branches' roughness
-and verdict, so they search in full.
+rung index, so each is tested once, whichever branch or search asks
+first, and only the fit last solved is kept.  The local branch
+(``_branch``) multiplies the weights by q on the points covered by the
+violations of the current sweep group.  The global branch (``_bracket``)
+ends on the first rung the test accepts: the mean fits gallop up the
+rungs and bisect, the scale fit, whose verdicts are not monotone, reads
+every rung in turn.  Both end truncated at the top.  The scale fit reports
+only the chosen branch, so once its local branch has passed, its climb
+also stops at the first rejected rung whose roughness reaches the local
+fit's, as no rung above can beat that fit; the mean fits report both
+branches' roughness and verdict, so they search in full.
 
 The engine alone writes the outcome: a test returns its verdict, its
 mask of violating intervals and its statistic, and the engine makes the
-``TraceEntry`` of each examined fit.  Each branch returns where it
-stopped (a rung, or the unequal weights and the fit it holds) with its
-verdict and records; ``_adapt`` builds the final fit and weights of the
-chosen branch only and returns them with the fields that ``FitReport``
-and ``variants.ScaleFit`` share.
+``TraceEntry`` of each examined fit.  Each branch returns its bumps,
+verdict and records, and the fit and weights it ``held`` once they are
+unequal; ``_adapt`` builds the final fit and weights of the chosen branch
+only, returns them with the fields that ``FitReport`` and
+``variants.ScaleFit`` share and converts every record to data units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,17 +202,15 @@ class _Equal:
     verdict, its boolean mask of violating intervals over the family and
     its trace record.  The mask is stored packed (``np.packbits``: one bit
     for each of the ``count`` intervals of the family).  Of the fits it
-    keeps two, ``last`` (the last one solved) and ``passing`` (that of the
-    smallest passing weight), each as a ``(lam, fit)`` pair; ``fit(lam)``
-    solves any other again.  The start search, the local branch while its
-    weights are equal and every rung the global branch reads go through
-    it, so the chosen branch's final equal weight is usually kept.
+    keeps one, ``last``, the ``(lam, fit)`` pair last solved; ``fit(lam)``
+    solves any other weight again.  The start search, the local branch
+    while its weights are equal and every rung the global branch reads go
+    through it.
     """
 
     def __init__(self, system: SplineSystem, test, count: int, q: float, budget: int):
         self.system, self.test, self.count, self.q = system, test, count, q
-        self.verdicts: dict = {}
-        self.last = self.passing = None
+        self.verdicts, self.last = {}, None
         self.rungs, self.judged, self.top = [], 0, budget
 
     def begin(self, start: float, judged: int) -> None:
@@ -236,20 +234,15 @@ class _Equal:
     def judge(self, lam: float) -> tuple:
         """The verdict on ``lam``."""
         if lam not in self.verdicts:
-            fit_ = self.fit(lam)
-            passed, bad, record = _judge(self.test, fit_, lam)
+            passed, bad, record = _judge(self.test, self.fit(lam), lam)
             self.verdicts[lam] = (passed, np.packbits(bad), record)
-            if passed and (self.passing is None or lam < self.passing[0]):
-                self.passing = (lam, fit_)
         passed, packed, record = self.verdicts[lam]
         return passed, np.unpackbits(packed, count=self.count).view(bool), record
 
     def fit(self, lam: float) -> SplineFit:
-        """The fit of ``lam``, solved again unless the record keeps it."""
-        for kept in (self.last, self.passing):
-            if kept is not None and kept[0] == lam:
-                return kept[1]
-        self.last = (lam, solve_weighted(self.system, np.full(self.system.n, lam)))
+        """The fit of ``lam``, solved again unless it was the last one solved."""
+        if self.last is None or self.last[0] != lam:
+            self.last = (lam, solve_weighted(self.system, np.full(self.system.n, lam)))
         return self.last[1]
 
 
@@ -278,12 +271,12 @@ def _initial_lambda(equal: _Equal, line: SplineFit, tol_abs: float) -> tuple[int
 
 @dataclass(frozen=True)
 class _Branch:
-    """Where one branch stopped: its rung while its weights are equal,
-    else the ``(fit, weights)`` it holds (weights None for the accepted
-    line); then the bumps made, the last verdict and the records of every
-    examined fit, the last of which judges the final fit."""
+    """Where one branch stopped: the bumps made, its last verdict, the
+    records of every examined fit (the last judges the final fit) and the
+    ``(fit, weights)`` it ``held`` once its weights are unequal (weights None
+    for the accepted line), None while it stands on rung ``iterations``."""
 
-    stop: int | tuple
+    held: tuple | None
     iterations: int
     passed: bool
     records: tuple
@@ -328,8 +321,7 @@ def _branch(equal: _Equal, family, sweep, first) -> _Branch:
         iterations += 1
         records.append(record)
         clean = 0
-    stop = iterations if weights is None else (current, weights)
-    return _Branch(stop, iterations, passed, tuple(records))
+    return _Branch(None if weights is None else (current, weights), iterations, passed, tuple(records))
 
 
 def _bracket(equal: _Equal, first, ceiling: float | None, monotone: bool) -> _Branch:
@@ -381,7 +373,7 @@ def _bracket(equal: _Equal, first, ceiling: float | None, monotone: bool) -> _Br
             lo = mid
     k = lo if hi is None else hi
     records = (first,) + tuple(read[j] for j in sorted(read) if j <= k)
-    return _Branch(k, k, hi is not None, records)
+    return _Branch(None, k, hi is not None, records)
 
 
 def _adapt(
@@ -411,8 +403,8 @@ def _adapt(
     chosen branch is the same as without the ceiling.
 
     ``target`` is the data / 2**``unit``; the branches test and compare on
-    it, and the chosen fit and trace return in data units (roughness times
-    4**unit, the rest times 2**unit): exact in range, ``inf`` past it.
+    it.  The chosen fit and all records return in data units (roughness
+    times 4**unit, the rest times 2**unit): exact in range, ``inf`` past it.
     """
     line = _ls_line(target)
     passed, _, first = _judge(test, line, 0.0)
@@ -433,14 +425,16 @@ def _adapt(
     # an accepted branch beats a rejected one, then the smaller final
     # roughness wins; min keeps the first of equals, so ties go to local
     name, c = min(done.items(), key=lambda item: (not item[1].passed, item[1].records[-1].roughness))
-    lam = None if isinstance(c.stop, tuple) else equal.rung(c.stop)
-    fit_, weights = c.stop if lam is None else (equal.fit(lam), np.full(target.n, lam))
+    lam = None if c.held else equal.rung(c.iterations)
+    fit_, weights = c.held or (equal.fit(lam), np.full(target.n, lam))
     with np.errstate(over="ignore"):  # in data units
         fit_ = SplineFit(fit_.knots, np.ldexp(fit_.values, unit), np.ldexp(fit_.second_derivs, unit),
                          np.ldexp(fit_.roughness, 2 * unit))
-        trace = tuple(TraceEntry(None if e.max_abs_w is None else float(np.ldexp(e.max_abs_w, unit)), e.violations,
-                                 e.lambda_min, e.lambda_max, float(np.ldexp(e.roughness, 2 * unit))) for e in c.records)
-    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=name, trace=trace,
+        done = {key: replace(b, records=tuple(
+            TraceEntry(None if e.max_abs_w is None else float(np.ldexp(e.max_abs_w, unit)), e.violations,
+                       e.lambda_min, e.lambda_max, float(np.ldexp(e.roughness, 2 * unit))) for e in b.records))
+                for key, b in done.items()}
+    shared = dict(iterations=c.iterations, passed=c.passed, chosen_branch=name, trace=done[name].records,
                   start_halvings=halvings, start_capped=capped)
     return fit_, weights, shared, done
 
@@ -471,14 +465,10 @@ def _fit(sample: Sample, config: AdaptConfig | None, branches) -> FitReport:
         return passed, bad, max_abs
 
     fit_, weights, shared, done = _adapt(target, family, test, (None,), config, branches, monotone=True, unit=e)
-    both = {}
     if len(done) == 2:
-        with np.errstate(over="ignore"):  # in data units, as _adapt reports the chosen fit
-            for name, b in done.items():
-                roughness = float(np.ldexp(b.records[-1].roughness, 2 * e))
-                both.update({f"roughness_{name}": roughness, f"truncated_{name}": not b.passed})
-    return FitReport(fit_, weights, sigma_used=spec.sigma, threshold_used=spec.threshold, tau=config.tau, **shared,
-                     **both)
+        for name, b in done.items():
+            shared.update({f"roughness_{name}": b.records[-1].roughness, f"truncated_{name}": not b.passed})
+    return FitReport(fit_, weights, sigma_used=spec.sigma, threshold_used=spec.threshold, tau=config.tau, **shared)
 
 
 def fit_local(sample: Sample, config: AdaptConfig | None = None) -> FitReport:

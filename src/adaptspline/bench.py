@@ -294,14 +294,18 @@ def mrise_study(config: StudyConfig) -> list[dict]:
 
 
 def study_rows_to_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_STUDY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, _STUDY_COLUMNS, ([row[key] for key in _STUDY_COLUMNS] for row in rows))
 
 
 def study_rows_to_json(rows: list[dict], path) -> None:
     _write_json(rows, path)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(doc, path) -> None:

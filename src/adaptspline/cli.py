@@ -19,7 +19,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, fit
 from .bench import _ESTIMATORS, _SIGNALS, SIGMA_PRESETS, StudyConfig, _design, mrise_study, study_preset
-from .bench import _write_json, study_rows_to_csv, study_rows_to_json
+from .bench import _write_csv, _write_json, study_rows_to_csv, study_rows_to_json
 from .multiscale import calibrate_tau, sigma_hat
 from .splines import PenaltyMatrix, Sample
 from .variants import _SCALE_BUDGET, ScaleRegionSpec, clean_outliers, scale_fit
@@ -34,28 +34,27 @@ class CliError(Exception):
 
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two numeric columns, comma separated, optional single header row."""
+    """Two numeric columns, comma separated; blank lines are skipped, and
+    the first other row may be a header.  A UTF-8 byte-order mark is
+    dropped.  Errors name the physical line."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"input file not found: {path}")
     ts, ys = [], []
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise CliError(f"{path}:{lineno}: expected two comma-separated columns")
-            try:
-                tv, yv = float(row[0]), float(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise CliError(
-                    f"{path}:{lineno}: expected two numeric columns, got {row[:2]!r}"
-                ) from None
-            ts.append(tv)
-            ys.append(yv)
+    with open(p, newline="", encoding="utf-8-sig") as fh:
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                if row and (len(row) > 1 or row[0].strip())]
+    for index, (lineno, row) in enumerate(rows):
+        if len(row) < 2:
+            raise CliError(f"{path}:{lineno}: expected two comma-separated columns")
+        try:
+            tv, yv = float(row[0]), float(row[1])
+        except ValueError:
+            if index == 0:
+                continue  # header row
+            raise CliError(f"{path}:{lineno}: expected two numeric columns, got {row[:2]!r}") from None
+        ts.append(tv)
+        ys.append(yv)
     if len(ts) < 3:
         raise CliError(f"{path}: need at least 3 data rows")
     return np.asarray(ts), np.asarray(ys)
@@ -78,13 +77,6 @@ def _prepare_sample(t_raw: np.ndarray, y: np.ndarray, rescale: bool):
     if t_raw[0] < 0.0 or t_raw[-1] > 1.0:
         raise CliError("t values fall outside [0, 1]; pass --rescale to map them affinely")
     return Sample(t_raw, y), None
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _write_outputs(args, kind: str, json_suffix: str, columns: dict, weights, doc: dict) -> int:

@@ -268,9 +268,10 @@ class TestSharedStart:
         s = Sample(t, np.sin(2 * np.pi * t) + 0.3 * np.random.default_rng([806, n]).standard_normal(n))
         config = AdaptConfig(tau=100.0, max_iterations=max_iterations)
         glob = fit_global(s, config)
-        # the search solved every rung; the record keeps the fit of the
-        # smallest passing one, and a rung the budget cuts off is solved again
-        assert counts["solve_weighted"] == glob.start_halvings + 1 + (not glob.passed)
+        # the search solved every rung, and the final rung, passing or cut
+        # off by the budget, is solved again: the record keeps only the last
+        # fit solved, the start fit
+        assert counts["solve_weighted"] == glob.start_halvings + 2
         r = fit(s, config)
         assert glob.iterations < glob.start_halvings
         assert glob.passed == (max_iterations == 200)
@@ -647,25 +648,24 @@ class TestEqualWeightRecord:
         for branch in (local, alone["local"]):
             # the branch stops on a rung (the weight 2**k) while its weights
             # are equal, and holds its fit and weights once they are not
-            if isinstance(branch.stop, tuple):
-                assert np.array_equal(branch.stop[1], weights)
-                assert np.array_equal(branch.stop[0].values, current.values)
+            if branch.held is not None:
+                assert np.array_equal(branch.held[1], weights)
+                assert np.array_equal(branch.held[0].values, current.values)
             else:
-                assert np.array_equal(np.full(self.N, 2.0**branch.stop), weights)
+                assert np.array_equal(np.full(self.N, 2.0**branch.iterations), weights)
             assert branch.iterations == iterations
             assert branch.passed == passed
             assert branch.records == records
-        assert isinstance(local.stop, tuple) == (budget >= 3)
+        assert (local.held is not None) == (budget >= 3)
         glob = branches["global"]
-        assert glob.passed == (budget == 200) and glob.stop == glob.iterations == min(budget, 6)
+        assert glob.passed == (budget == 200) and glob.held is None and glob.iterations == min(budget, 6)
 
-    def test_keeps_two_fits_at_most(self, made):
+    def test_keeps_one_fit(self, made):
         s = make_dataset(rupcar(6), 25600, SIGMA_PRESETS["rupcar-hi"], seed=[12, 25600, 0])
         r = fit(s)
         (equal,) = made
         count = len(dyadic_family(s.n))
-        assert set(vars(equal)) == {"system", "test", "count", "q", "rungs", "judged", "top", "verdicts", "last",
-                                    "passing"}
+        assert set(vars(equal)) == {"system", "test", "count", "q", "rungs", "judged", "top", "verdicts", "last"}
         assert equal.count == count
         assert len(equal.verdicts) > r.start_halvings + 2
         # per weight a verdict, a trace record and the violations packed
@@ -676,9 +676,7 @@ class TestEqualWeightRecord:
             judged, bad, again = equal.judge(lam)
             assert (judged, again) == (passed, record)
             assert bad.dtype == bool and bad.shape == (count,) and np.count_nonzero(bad) == record.violations
-        kept = [pair for pair in (equal.last, equal.passing) if pair is not None]
-        assert all(len(pair) == 2 and isinstance(pair[1], SplineFit) for pair in kept)
-        assert len(kept) <= 2
+        assert len(equal.last) == 2 and isinstance(equal.last[1], SplineFit)
 
     @pytest.mark.parametrize("q", [1.7, 3.0])
     def test_every_weight_read_is_one_rung_of_the_ladder(self, made, monkeypatch, q):
@@ -732,7 +730,7 @@ class TestEqualWeightRecord:
         # one solved (that is the start fit, rung 0)
         assert equal.judged == k + 1 > 1 and equal.last[0] == equal.rung(0)
         assert glob.records[1].roughness < ceiling <= glob.records[2].roughness
-        assert (glob.stop, glob.passed, len(glob.records)) == (1, False, 3)
+        assert (glob.held, glob.iterations, glob.passed, len(glob.records)) == (None, 1, False, 3)
         # the start search and the local bump.  A rule that let only the
         # last fit solved end the climb would read rungs 2 ... k from the
         # record and end on rung k + 1, one solve more
@@ -740,7 +738,8 @@ class TestEqualWeightRecord:
         solves.clear()
         full = adapt_module._adapt(target, self.FAMILY, scripted, (1, 2), AdaptConfig(), chosen_only=False)
         assert fingerprint(outcome[:3]) == fingerprint(full[:3])
-        assert full[3]["global"].stop == 200 and solves["solve_weighted"] == (k + 1) + 1 + (200 - k)
+        glob = full[3]["global"]
+        assert glob.held is None and glob.iterations == 200 and solves["solve_weighted"] == (k + 1) + 1 + (200 - k)
 
 
 class TestTraceViolations:

@@ -135,6 +135,32 @@ class TestFitCommand:
         assert doc["n"] == plain["n"] == len(rows) - 1
         assert doc["trace"] == plain["trace"]
 
+    def test_header_may_follow_blank_lines(self, noisy_csv, tmp_path, capsys):
+        rows = noisy_csv.read_text().splitlines()
+        late = tmp_path / "late.csv"
+        late.write_text("\n".join(["", "  "] + rows) + "\n")
+        assert main(["fit", str(noisy_csv)]) == main(["fit", str(late)]) == 0
+        assert (tmp_path / "late.fit.csv").read_bytes() == (tmp_path / "data.fit.csv").read_bytes()
+        # only the first row that is not blank may be a header, and errors
+        # name the physical line
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\n".join(["", "", rows[0], rows[0]] + rows[1:]) + "\n")
+        assert main(["fit", str(twice)]) == 2
+        assert "twice.csv:4: expected two numeric columns, got ['t', 'y']" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_part_of_the_data(self, tmp_path):
+        n = 40
+        t = np.arange(1, n + 1) / n
+        y = np.sin(6.0 * t) + 0.1 * np.random.default_rng([40, n]).standard_normal(n)
+        body = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, y))
+        inputs = {"plain": body, "marked": "\ufeff" + body, "marked_header": "\ufefft,y\n" + body}
+        for name, text in inputs.items():
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+            assert main(["fit", str(tmp_path / f"{name}.csv")]) == 0
+        assert [json.loads((tmp_path / f"{name}.report.json").read_text())["n"] for name in inputs] == [n] * 3
+        tables = [(tmp_path / f"{name}.fit.csv").read_bytes() for name in inputs]
+        assert tables[1] == tables[0] == tables[2]
+
     def test_one_column_row_names_line(self, tmp_path, capsys):
         path = tmp_path / "narrow.csv"
         path.write_text("0.1,1.0\n0.2\n0.3,3.0\n0.4,1.0\n")

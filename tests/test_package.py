@@ -1,9 +1,12 @@
 """The package's public names and what importing it loads."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +77,16 @@ def test_the_package_exports_every_public_name_of_its_modules():
 def test_no_two_modules_export_the_same_name():
     # a name in two lists would be exported once, from the later module
     assert len(adaptspline.__all__) == len(set(adaptspline.__all__))
+
+
+def test_the_benchmark_tracer_names_callables_of_the_package():
+    # perfbench/tracing.py wraps the functions of LAYER_FUNCTIONS by name,
+    # so a rename inside the package would leave a layer unmeasured
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PACKAGE == "adaptspline" and tracing.LAYER_FUNCTIONS
+    for qualified in tracing.LAYER_FUNCTIONS:
+        module, attr = qualified.split(".")
+        assert callable(getattr(importlib.import_module(f"adaptspline.{module}"), attr, None)), qualified

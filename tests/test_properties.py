@@ -24,8 +24,9 @@ with warnings.catch_warnings():
     except ImportError:  # without libcst, hypothesis reports no patch
         pass
 
-from adaptspline import AdaptConfig, Sample, dyadic_family, fit, scale_fit, solve_weighted
+from adaptspline import AdaptConfig, Sample, dyadic_family, fit, fit_global, fit_local, scale_fit, solve_weighted
 from adaptspline.adapt import _covered_mask
+from test_adapt import assert_global_is_the_climb
 
 U = 2.0**-53
 
@@ -138,3 +139,44 @@ def test_scale_fit_follows_the_units(case):
     assert np.array_equal(r.scale_values(), np.ldexp(base.scale_values(), k))
     assert outcome(r, r.weights) == outcome(base, base.weights)
     assert not any(math.isnan(e.roughness) for e in r.trace)
+
+
+@st.composite
+def noisy_samples(draw):
+    """A sine of drawn amplitude and frequency on a grid of 8 to 64 points,
+    plus unit Gaussian noise from a drawn seed."""
+    n = draw(st.integers(8, 64))
+    amplitude, cycles = draw(st.floats(0.0, 100.0)), draw(st.floats(0.25, 8.0))
+    t = np.arange(1, n + 1) / n
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    return Sample(t, amplitude * np.sin(2.0 * np.pi * cycles * t) + z)
+
+
+@bounded(100)
+@given(noisy_samples(), st.sampled_from([2.0, 3.0]))
+def test_final_fit_is_the_solve_at_the_final_weights(sample, q):
+    # the engine solves on y / 2**e and reports in data units; the solve at
+    # the reported weights on the data must give the reported fit bit for bit
+    for run in (fit, fit_local, fit_global):
+        r = run(sample, AdaptConfig(q=q, sigma=1.0))
+        last = r.trace[-1]
+        assert last.roughness == r.roughness
+        if r.final_weights is None:  # the accepted line
+            assert len(r.trace) == 1
+            continue
+        refit = solve_weighted(sample, r.final_weights)
+        assert np.array_equal(r.final_fit.values, refit.values)
+        assert np.array_equal(r.final_fit.second_derivs, refit.second_derivs)
+        assert r.roughness == refit.roughness
+        assert (last.lambda_min, last.lambda_max) == (r.final_weights.min(), r.final_weights.max())
+
+
+@bounded(100)
+@given(noisy_samples(), st.sampled_from([2.0, 3.0]), st.sampled_from([3, 200]))
+def test_global_fit_ends_where_the_climb_ends(sample, q, budget):
+    config = AdaptConfig(q=q, max_iterations=budget, sigma=1.0)
+    glob = fit_global(sample, config)
+    if glob.final_weights is None:  # the line is accepted, and no rung is read
+        assert (glob.iterations, len(glob.trace), glob.passed) == (0, 1, True)
+    else:
+        assert_global_is_the_climb(glob, sample, config)
