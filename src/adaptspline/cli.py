@@ -33,10 +33,19 @@ class CliError(Exception):
     """Input or usage problem; maps to exit code 2."""
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Two numeric columns, comma separated; blank lines are skipped, and
-    the first other row may be a header.  A UTF-8 byte-order mark is
-    dropped.  Errors name the physical line."""
+    the first other row is a header when neither of its two cells is a
+    number, so a mistyped first data row is an error, not a header.  A
+    UTF-8 byte-order mark is dropped.  Errors name the physical line."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"input file not found: {path}")
@@ -50,7 +59,7 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         try:
             tv, yv = float(row[0]), float(row[1])
         except ValueError:
-            if index == 0:
+            if index == 0 and not any(_is_number(cell) for cell in row[:2]):
                 continue  # header row
             raise CliError(f"{path}:{lineno}: expected two numeric columns, got {row[:2]!r}") from None
         ts.append(tv)

@@ -11,6 +11,14 @@ blocks of length 1, 2, 4, ... starting from the first index, a trailing
 shorter block whenever the level does not divide n, and the full range on
 top.  The threshold constant tau can be calibrated by simulation so that
 pure Gaussian white noise is accepted with a prescribed probability.
+
+The fits' tests sum a family through prefix sums (``IntervalFamily.sums``).
+The calibration sums the dyadic family as a pairwise pyramid instead
+(``_pyramid_maxima``): the family nests, so each interval's sum is a
+pairwise sum of its own entries, with error at most
+gamma_ceil(log2 |I|) * sum_{i in I} |x_i| (Higham, Accuracy and Stability
+of Numerical Algorithms, section 4.2).  Other families keep prefix sums,
+read run by run (``_runs``).
 """
 
 from __future__ import annotations
@@ -255,8 +263,8 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
     )
 
 
-# Bytes of prefix sums and interval sums one block of calibration
-# replicates holds at most; a block has at least one row whatever n is.
+# Bytes of the sums one block of calibration replicates holds at most;
+# a block has at least one row whatever n is.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -285,6 +293,62 @@ def _runs(family: IntervalFamily):
     return first, counts, sizes[first], step
 
 
+def _pyramid_levels(rows: int, n: int) -> list[np.ndarray]:
+    """Arrays for the levels of the pyramid above the first, of shapes
+    (rows, ceil(n/2)), (rows, ceil(n/4)), ..., (rows, 1).
+
+    Each level is an array of its own: numpy copies the operands of an
+    addition whose output may overlap them, as two column slices of one
+    buffer would.
+    """
+    levels, count = [], n
+    while count > 1:
+        count -= count // 2
+        levels.append(np.empty((rows, count)))
+    return levels
+
+
+def _pyramid_maxima(x: np.ndarray, levels: list[np.ndarray] | None = None) -> np.ndarray:
+    """The largest |sum| / sqrt(|I|) over ``dyadic_family(n)``, for each
+    row of the (rows, n) block x.
+
+    The sums form a pyramid: level 1 is x itself, block j of level 2k is
+    blocks 2j and 2j + 1 of level k added, and when a level has an odd
+    count its trailing block carries up unchanged, so the top is [1, n].
+    The levels list the family's intervals in its order, and each sum is a
+    pairwise sum of its own entries, so its error is at most
+    gamma_ceil(log2 |I|) * sum_{i in I} |x_i|.  A level gives two values
+    per row: the largest |sum| over its blocks of size k, times 1/sqrt(k),
+    and the |sum| of a shorter trailing block, times one over the root of
+    its size.
+
+    The levels above the first are written to ``levels``, as laid out by
+    ``_pyramid_levels`` (allocated when not given).
+    """
+    n = x.shape[1]
+    if levels is None:
+        levels = _pyramid_levels(x.shape[0], n)
+    best = np.maximum(x.max(axis=1), -x.min(axis=1))
+    level, size = x, 1
+    for upper in levels:
+        count = level.shape[1]
+        pairs = count // 2
+        np.add(level[:, 0 : 2 * pairs : 2], level[:, 1 : 2 * pairs : 2], out=upper[:, :pairs])
+        if count % 2:
+            upper[:, pairs] = level[:, -1]
+        level, size = upper, 2 * size
+        if n >= size:
+            full = level[:, : n // size]
+            peak = np.maximum(full.max(axis=1), -full.min(axis=1))
+            peak *= 1.0 / math.sqrt(size)
+            np.maximum(best, peak, out=best)
+        if n % size:
+            peak = np.abs(level[:, -1])
+            peak *= 1.0 / math.sqrt(n % size)
+            np.maximum(best, peak, out=best)
+    return best
+
+
 def calibrate_tau(
     n: int,
     alpha: float = 0.95,
@@ -301,19 +365,21 @@ def calibrate_tau(
 
     with the quantile taken as the order statistic at ceil(alpha*replicates).
     Replicate j draws from an independent generator seeded by (seed, j), so
-    the result does not depend on execution order.
+    the result does not depend on execution order; ``seed`` is an integer
+    >= 0.
 
-    The replicates run in blocks: each draws into one row of a buffer of
-    prefix sums, and one ``cumsum`` per block turns the rows into prefix
-    sums c.  The family is read run by run (``_runs``): the sums of a run
-    of intervals of size s and step p are one subtraction of two column
-    slices of c with stride p, its largest |sum| per row is the larger of
-    the row's max and -min, and one multiplication by 1/sqrt(s) gives the
-    run's largest |w|.  Each sum is c[hi] - c[lo - 1], as in
-    ``IntervalFamily.sums``, and rounding is monotone, so the maxima equal
-    those of the family-wide w vector bit for bit.  A block holds at most
-    ``_BLOCK_BYTES`` of prefix and interval sums, and one row at an n past
-    that, so the memory does not grow with the replicate count.
+    The replicates run in blocks, one replicate drawn into each row.  For
+    the dyadic family (the default) a block's rows are summed as a pairwise
+    pyramid (``_pyramid_maxima``): each interval's sum then has error at
+    most gamma_ceil(log2 |I|) * sum_{i in I} |Z_i|, where the prefix sums
+    of ``IntervalFamily.sums`` carry the rounding of the running total, so
+    the maxima can differ from the fits' w vector in the last bits.
+    Another family is read from prefix sums c, run by run (``_runs``): the
+    sums of a run of intervals of size s and step p are one subtraction of
+    two column slices of c with stride p, each c[hi] - c[lo - 1] as in
+    ``IntervalFamily.sums``.  A block holds at most ``_BLOCK_BYTES`` of
+    sums, and one row at an n past that, so the memory does not grow with
+    the replicate count.
     """
     if not _is_count(n, 2):
         raise ValueError(f"need an integer n >= 2 (tau divides by log n), got {n!r}")
@@ -321,31 +387,48 @@ def calibrate_tau(
         raise ValueError("alpha must lie strictly between 0 and 1")
     if not _is_count(replicates, 1000):
         raise ValueError(f"need an integer of at least 1000 replicates, got {replicates!r}")
+    if not _is_count(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    dyadic = dyadic_family(n)
     if family is None:
-        family = dyadic_family(n)
+        family = dyadic
     if family.n != n:
         raise ValueError(f"the family is for n = {family.n}, not n = {n}")
-    first, counts, sizes, steps = _runs(family)
-    runs = list(zip(family._starts[first].tolist(), sizes.tolist(), steps.tolist(), counts.tolist(),
-                    (1.0 / family._root_sizes[first]).tolist()))
-    rows = max(1, min(replicates, _BLOCK_BYTES // (16 * (n + 1))))
-    prefix = np.zeros((rows, n + 1))
-    diffs = np.empty(rows * int(counts.max()))
-    maxima = np.zeros(replicates)
+    pyramid = np.array_equal(family.lo, dyadic.lo) and np.array_equal(family.hi, dyadic.hi)
+    # a row holds the draws and the pyramid's levels above them: the sums
+    # of the family; or else a zero, the draws, and room for one run's sums
+    row_bytes = 8 * len(dyadic) if pyramid else 16 * (n + 1)
+    rows = max(1, min(replicates, _BLOCK_BYTES // row_bytes))
+    if pyramid:
+        draws, levels = np.empty((rows, n)), _pyramid_levels(rows, n)
+
+        def block_maxima(m):
+            return _pyramid_maxima(draws[:m], [level[:m] for level in levels])
+    else:
+        first, counts, sizes, steps = _runs(family)
+        runs = list(zip(family._starts[first].tolist(), sizes.tolist(), steps.tolist(), counts.tolist(),
+                        (1.0 / family._root_sizes[first]).tolist()))
+        prefix = np.zeros((rows, n + 1))
+        draws, diffs = prefix[:, 1:], np.empty(rows * int(counts.max()))
+
+        def block_maxima(m):
+            block = prefix[:m]
+            np.cumsum(block, axis=1, out=block)
+            best = np.zeros(m)
+            for start, size, step, count, inv_root in runs:
+                stop = start + (count - 1) * step + 1
+                d = np.subtract(block[:, start + size : stop + size : step], block[:, start:stop:step],
+                                out=diffs[: m * count].reshape(m, count))
+                w = np.maximum(d.max(axis=1), -d.min(axis=1))
+                w *= inv_root
+                np.maximum(best, w, out=best)
+            return best
+    maxima = np.empty(replicates)
     for begin in range(0, replicates, rows):
-        block = prefix[: min(rows, replicates - begin)]
-        m = block.shape[0]
-        for i, row in enumerate(block):
-            np.random.default_rng([seed, begin + i]).standard_normal(n, out=row[1:])
-        np.cumsum(block, axis=1, out=block)
-        best = maxima[begin : begin + m]
-        for start, size, step, count, inv_root in runs:
-            stop = start + (count - 1) * step + 1
-            d = np.subtract(block[:, start + size : stop + size : step], block[:, start:stop:step],
-                            out=diffs[: m * count].reshape(m, count))
-            w = np.maximum(d.max(axis=1), -d.min(axis=1))
-            w *= inv_root
-            np.maximum(best, w, out=best)
+        m = min(rows, replicates - begin)
+        for i, row in enumerate(draws[:m]):
+            np.random.default_rng([seed, begin + i]).standard_normal(n, out=row)
+        maxima[begin : begin + m] = block_maxima(m)
     maxima.sort()
     idx = math.ceil(alpha * replicates)
     q = maxima[idx - 1]

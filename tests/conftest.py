@@ -45,6 +45,27 @@ def jittered_design(n, rng):
     return (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
 
 
+def pyramid_sums(x):
+    """The sums of the dyadic family over x, level by level in pairs.
+
+    Each level adds its entries two by two, and an odd last entry carries
+    up alone, until one sum is left; the levels, concatenated, list the
+    intervals of ``dyadic_family(len(x))`` in its order.
+    """
+    levels = [np.asarray(x, dtype=float)]
+    while levels[-1].size > 1:
+        level = levels[-1]
+        upper = level[0::2].copy()
+        upper[: level.size // 2] += level[1::2]
+        levels.append(upper)
+    return np.concatenate(levels)
+
+
+def pyramid_maxima(x, sizes):
+    """max |sum| / sqrt(|I|) over the dyadic family of x, from ``pyramid_sums``."""
+    return float(np.max(np.abs(pyramid_sums(x)) * (1.0 / np.sqrt(sizes))))
+
+
 def fingerprint(result):
     """Every field of a result as bytes or plain values, so that two
     results compare equal only bit for bit.

@@ -148,6 +148,20 @@ class TestFitCommand:
         assert main(["fit", str(twice)]) == 2
         assert "twice.csv:4: expected two numeric columns, got ['t', 'y']" in capsys.readouterr().err
 
+    def test_mistyped_first_row_is_not_a_header(self, tmp_path, capsys):
+        # 1.O with the letter O: a header has no number in either cell
+        path = tmp_path / "typo.csv"
+        path.write_text("0.1,1.O\n0.2,2.0\n0.3,3.0\n0.4,1.0\n0.5,2.0\n")
+        assert main(["fit", str(path)]) == 2
+        assert "typo.csv:1: expected two numeric columns, got ['0.1', '1.O']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("typo.*.*"))
+
+    def test_named_header_still_reads(self, tmp_path):
+        path = tmp_path / "named.csv"
+        path.write_text("t,y\n0.1,1.0\n0.2,2.0\n0.3,3.0\n0.4,1.0\n0.5,2.0\n")
+        assert main(["fit", str(path)]) == 0
+        assert json.loads((tmp_path / "named.report.json").read_text())["n"] == 5
+
     def test_byte_order_mark_is_not_part_of_the_data(self, tmp_path):
         n = 40
         t = np.arange(1, n + 1) / n

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from adaptspline import (
     w_stat,
 )
 import adaptspline.multiscale
-from adaptspline.multiscale import _runs, _w_test
+from adaptspline.multiscale import _pyramid_levels, _pyramid_maxima, _runs, _w_test
+from conftest import pyramid_maxima, pyramid_sums
 
 
 class TestDyadicFamily:
@@ -347,18 +349,28 @@ class TestCalibrateTau:
         b = calibrate_tau(64, 0.9, replicates=1500, seed=42)
         assert a == b
 
+    @staticmethod
+    def pyramid_row_at_a_time(n, alpha, replicates, seed):
+        """tau from each replicate on its own, its dyadic sums a pairwise pyramid."""
+        sizes = dyadic_family(n).sizes
+        maxima = [pyramid_maxima(np.random.default_rng([seed, j]).standard_normal(n), sizes)
+                  for j in range(replicates)]
+        q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
+        return q * q / math.log(n)
+
     def test_equals_row_at_a_time_recomputation(self):
         # the reference recomputes each replicate on its own, at an n where
         # the family has thousands of intervals
         n, alpha, replicates, seed = 3000, 0.9, 1000, 17
-        fam = dyadic_family(n)
-        inv_sqrt = 1.0 / np.sqrt(fam.sizes)
-        maxima = []
-        for j in range(replicates):
-            c = np.concatenate(([0.0], np.cumsum(np.random.default_rng([seed, j]).standard_normal(n))))
-            maxima.append(float(np.max(np.abs(c[fam.hi] - c[fam.lo - 1]) * inv_sqrt)))
-        q = sorted(maxima)[math.ceil(alpha * replicates) - 1]
-        assert calibrate_tau(n, alpha, replicates=replicates, seed=seed) == q * q / math.log(n)
+        assert calibrate_tau(n, alpha, replicates=replicates, seed=seed) == self.pyramid_row_at_a_time(
+            n, alpha, replicates, seed)
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (3000, 17)])
+    def test_pyramid_tau_is_close_to_the_prefix_sum_tau(self, n, seed):
+        # the same draws summed through prefix sums: the two orders of
+        # summation move tau only in its last bits
+        tau = calibrate_tau(n, 0.9, replicates=1000, seed=seed)
+        assert tau == pytest.approx(self.row_at_a_time(n, 0.9, dyadic_family(n), 1000, seed), rel=1e-13, abs=0)
 
     def test_custom_family_equals_row_at_a_time_recomputation(self):
         # all length-4 windows at n = 50: not a dyadic family
@@ -400,18 +412,55 @@ class TestCalibrateTau:
         assert calibrate_tau(n, 0.9, family=family, replicates=1000, seed=8) == self.row_at_a_time(
             n, 0.9, family, 1000, 8)
 
-    @pytest.mark.parametrize("budget, rows", [(16 * 65 * 7, [7] * 142 + [6]), (16 * 65 - 1, [1] * 1000)])
+    @pytest.mark.parametrize("budget, rows", [(16 * 65 * 7, [7] * 142 + [6]), (16 * 65 - 1, [1] * 1000),
+                                              (8 * 127 - 1, [1] * 1000)])
     def test_blocks_of_few_rows_equal_row_at_a_time_recomputation(self, budget, rows, monkeypatch):
-        # 7 rows of n = 64 leave a last block of 1000 % 7 = 6 rows; a budget
-        # below one row, as for any n past the real budget, leaves blocks of
-        # one row
-        n, family = 64, dyadic_family(64)
+        # a row at n = 64 holds the 127 sums of the family, 1016 bytes: 7
+        # rows leave a last block of 1000 % 7 = 6 rows; a budget of one row,
+        # or below one row as for any n past the real budget, leaves blocks
+        # of one row
+        n = 64
         monkeypatch.setattr(adaptspline.multiscale, "_BLOCK_BYTES", budget)
-        blocks, cumsum = [], np.cumsum
-        monkeypatch.setattr(adaptspline.multiscale.np, "cumsum", lambda a, **kw: blocks.append(len(a)) or cumsum(a, **kw))
+        blocks, pyramid = [], _pyramid_maxima
+        monkeypatch.setattr(adaptspline.multiscale, "_pyramid_maxima",
+                            lambda x, levels: blocks.append(len(x)) or pyramid(x, levels))
         tau = calibrate_tau(n, 0.9, replicates=1000, seed=4)
         assert blocks == rows
-        assert tau == self.row_at_a_time(n, 0.9, family, 1000, 4)
+        assert tau == self.pyramid_row_at_a_time(n, 0.9, 1000, 4)
+
+    def test_pyramid_levels_hold_the_family_sums_in_order(self, rng):
+        # the draws and the levels above them hold the family's sums in the
+        # family's order; equal entries peak on [1, n], which is a trailing
+        # block unless n is a power of two, and growing ones on a trailing
+        # block of some level
+        for n in (2, 7, 64, 1000):
+            x = np.stack([rng.normal(size=n), np.ones(n), np.arange(n) ** 4.0])
+            levels = _pyramid_levels(3, n)
+            best = _pyramid_maxima(x, levels)
+            sums = np.concatenate([x, *levels], axis=1)
+            for row, sums_row, peak in zip(x, sums, best):
+                assert np.array_equal(sums_row, pyramid_sums(row))
+                assert peak == pyramid_maxima(row, dyadic_family(n).sizes)
+            np.testing.assert_allclose(sums, [dyadic_family(n).sums(row) for row in x], rtol=1e-15, atol=1e-12)
+            assert best[1] == pytest.approx(math.sqrt(n), rel=1e-15)
+
+    def test_memory_is_bounded_by_the_block_budget(self):
+        # a block holds at most _BLOCK_BYTES of sums, and numpy's ufunc
+        # buffers (3 operands of 8192 doubles at most) come on top; past the
+        # maxima (8 bytes a replicate) the peak does not grow with the
+        # replicate count
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                calibrate_tau(10000, replicates=replicates)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        calibrate_tau(10000, replicates=1000)  # the cached family is not part of a call's cost
+        small, large = peak(1000), peak(3000)
+        assert small <= adaptspline.multiscale._BLOCK_BYTES + 8 * 1000 + 3 * 8 * 8192 + (16 << 10)
+        assert large - small <= 8 * 2000
 
     @pytest.mark.parametrize("name, runs", [("dyadic 10000", 24), ("all-intervals", 100), ("half-overlapping", 6)])
     def test_runs_cover_the_family_in_order(self, name, runs):
@@ -443,6 +492,12 @@ class TestCalibrateTau:
         taus = [calibrate_tau(n, 0.95, replicates=4000, seed=11) for n in (100, 1000, 10000)]
         assert taus[0] > taus[1] - 0.02
         assert taus[1] > taus[2] - 0.02
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1])
+    def test_rejects_a_seed_that_is_not_a_count(self, seed):
+        # True used to run as seed 1, and numpy raised on 1.5 (TypeError) and -1
+        with pytest.raises(ValueError, match="seed"):
+            calibrate_tau(64, seed=seed, replicates=1000)
 
     def test_validation(self):
         with pytest.raises(ValueError):

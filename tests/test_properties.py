@@ -26,6 +26,8 @@ with warnings.catch_warnings():
 
 from adaptspline import AdaptConfig, Sample, dyadic_family, fit, fit_global, fit_local, scale_fit, solve_weighted
 from adaptspline.adapt import _covered_mask
+from adaptspline.multiscale import _pyramid_maxima
+from conftest import pyramid_maxima
 from test_adapt import assert_global_is_the_climb
 
 U = 2.0**-53
@@ -99,6 +101,36 @@ def test_family_sums_stay_within_the_prefix_sum_bound(x):
 
 def gamma(k):
     return k * U / (1.0 - k * U)
+
+
+@st.composite
+def blocks(draw):
+    """A few rows of signed terms whose magnitudes span up to 10**spread."""
+    rows, n = draw(st.integers(1, 3)), draw(st.integers(2, 2000))
+    seed, spread = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(0.0, spread, (rows, n))
+
+
+@bounded(50)
+@given(blocks())
+def test_pyramid_maxima_stay_within_the_pairwise_bound(x):
+    # a pairwise sum over I is off by at most gamma_ceil(log2 |I|) times
+    # the sum of its magnitudes (Higham, section 4.2); the scaling by
+    # 1/sqrt(|I|) and the exact reference's own w each add up to gamma_3
+    n = x.shape[1]
+    family = dyadic_family(n)
+    got = _pyramid_maxima(x)
+    for row, peak in zip(x, got):
+        assert peak == pyramid_maxima(row, family.sizes)
+        exact, slack = [], []
+        for lo, hi in family:
+            size, terms = hi - lo + 1, row[lo - 1 : hi]
+            s = math.fsum(terms)
+            exact.append(abs(s) / math.sqrt(size))
+            error = gamma((size - 1).bit_length()) * math.fsum(np.abs(terms)) * (1.0 + gamma(3))
+            slack.append((error + 2.0 * gamma(3) * abs(s)) / math.sqrt(size))
+        assert abs(peak - max(exact)) <= max(slack) * (1.0 + 8.0 * U)
 
 
 @st.composite
