@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import fit, fit_global
-from .splines import Sample, SplineFit, _combine, _is_count, _locate, _shared_design
+from .splines import Sample, SplineFit, _check_order, _combine, _is_count, _locate, _shared_design
 
 __all__ = [
     "TestFunction",
@@ -192,8 +192,7 @@ def rise(fn: TestFunction, fit_: SplineFit, order: int = 0, grid: int = _RISE_GR
     derivatives at the interval ends, so the quadrature nodes exclude them.
     The rule needs two nodes, so ``grid`` is an integer of at least 2.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+    _check_order(order)
     if not _is_count(grid, 2):
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     x = _rise_grid(grid)

@@ -17,8 +17,8 @@ The calibration sums the dyadic family as a pairwise pyramid instead
 (``_pyramid_maxima``): the family nests, so each interval's sum is a
 pairwise sum of its own entries, with error at most
 gamma_ceil(log2 |I|) * sum_{i in I} |x_i| (Higham, Accuracy and Stability
-of Numerical Algorithms, section 4.2).  Other families keep prefix sums,
-read run by run (``_runs``).
+of Numerical Algorithms, section 4.2).  Other families are read row by
+row through ``IntervalFamily.sums``, as the fits read them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 SIGMA_SCALE = 1.4826 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalFamily:
     """Index intervals [lo, hi], 1-based inclusive, over {1, ..., n}.
 
@@ -55,14 +55,14 @@ class IntervalFamily:
     of another type raise ``ValueError`` rather than being truncated.  It
     also keeps the 0-based starts lo - 1, which ``sums`` reads, and the
     roots of the sizes, sqrt(hi - lo + 1), which the w statistics divide
-    by.
+    by.  Families with the same n, lo and hi are equal and hash alike.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     n: int
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _root_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False)
+    _root_sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not _is_count(self.n, 1):
@@ -86,6 +86,14 @@ class IntervalFamily:
     @property
     def sizes(self) -> np.ndarray:
         return self.hi - self.lo + 1
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalFamily):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+
+    def __hash__(self):
+        return hash((self.n, self.lo.tobytes(), self.hi.tobytes()))
 
     def __len__(self) -> int:
         return self.lo.size
@@ -263,34 +271,9 @@ def in_region(sample: Sample, fit_values, family: IntervalFamily, spec: RegionSp
     )
 
 
-# Bytes of the sums one block of calibration replicates holds at most;
-# a block has at least one row whatever n is.
+# Bytes of the draws and sums one block of calibration replicates holds
+# at most; a block has at least one row whatever n is.
 _BLOCK_BYTES = 2 << 20
-
-
-def _runs(family: IntervalFamily):
-    """The family split into runs: stretches of consecutive intervals of
-    one size whose starts advance by one positive step.
-
-    Returns per run the index of its first interval, its interval count,
-    the size and the step (1 for a run of one interval).  A run ends where
-    the size changes, where a start does not advance, or where the step
-    differs from the one before it; so an interval that ends one step and
-    begins another stays with the first.  The dyadic family has one run
-    per level, one per trailing block and one for the full range: 24 at
-    n = 10000.
-    """
-    sizes = family.sizes
-    steps = np.diff(family.lo)
-    link = (sizes[1:] == sizes[:-1]) & (steps > 0)  # interval i + 1 may follow i
-    turn = np.zeros_like(link)
-    turn[1:] = link[:-1] & (steps[1:] != steps[:-1])
-    first = np.flatnonzero(np.concatenate(([True], ~link | turn)))
-    counts = np.diff(first, append=len(family))
-    step = np.ones_like(first)
-    many = counts > 1
-    step[many] = steps[first[many]]
-    return first, counts, sizes[first], step
 
 
 def _pyramid_levels(rows: int, n: int) -> list[np.ndarray]:
@@ -374,12 +357,11 @@ def calibrate_tau(
     most gamma_ceil(log2 |I|) * sum_{i in I} |Z_i|, where the prefix sums
     of ``IntervalFamily.sums`` carry the rounding of the running total, so
     the maxima can differ from the fits' w vector in the last bits.
-    Another family is read from prefix sums c, run by run (``_runs``): the
-    sums of a run of intervals of size s and step p are one subtraction of
-    two column slices of c with stride p, each c[hi] - c[lo - 1] as in
-    ``IntervalFamily.sums``.  A block holds at most ``_BLOCK_BYTES`` of
-    sums, and one row at an n past that, so the memory does not grow with
-    the replicate count.
+    Another family is read row by row through ``IntervalFamily.sums``, the
+    prefix sums that the fits' tests read, so its maxima are those of the
+    fits' w vector.  A block holds at most ``_BLOCK_BYTES`` of draws and
+    pyramid sums, and one row at an n past that, so the memory does not
+    grow with the replicate count.
     """
     if not _is_count(n, 2):
         raise ValueError(f"need an integer n >= 2 (tau divides by log n), got {n!r}")
@@ -394,41 +376,25 @@ def calibrate_tau(
         family = dyadic
     if family.n != n:
         raise ValueError(f"the family is for n = {family.n}, not n = {n}")
-    pyramid = np.array_equal(family.lo, dyadic.lo) and np.array_equal(family.hi, dyadic.hi)
-    # a row holds the draws and the pyramid's levels above them: the sums
-    # of the family; or else a zero, the draws, and room for one run's sums
-    row_bytes = 8 * len(dyadic) if pyramid else 16 * (n + 1)
+    pyramid = family == dyadic
+    # a row holds the draws and, for the pyramid, the sums above them
+    row_bytes = 8 * len(dyadic) if pyramid else 8 * n
     rows = max(1, min(replicates, _BLOCK_BYTES // row_bytes))
+    draws = np.empty((rows, n))
     if pyramid:
-        draws, levels = np.empty((rows, n)), _pyramid_levels(rows, n)
-
-        def block_maxima(m):
-            return _pyramid_maxima(draws[:m], [level[:m] for level in levels])
+        levels = _pyramid_levels(rows, n)
     else:
-        first, counts, sizes, steps = _runs(family)
-        runs = list(zip(family._starts[first].tolist(), sizes.tolist(), steps.tolist(), counts.tolist(),
-                        (1.0 / family._root_sizes[first]).tolist()))
-        prefix = np.zeros((rows, n + 1))
-        draws, diffs = prefix[:, 1:], np.empty(rows * int(counts.max()))
-
-        def block_maxima(m):
-            block = prefix[:m]
-            np.cumsum(block, axis=1, out=block)
-            best = np.zeros(m)
-            for start, size, step, count, inv_root in runs:
-                stop = start + (count - 1) * step + 1
-                d = np.subtract(block[:, start + size : stop + size : step], block[:, start:stop:step],
-                                out=diffs[: m * count].reshape(m, count))
-                w = np.maximum(d.max(axis=1), -d.min(axis=1))
-                w *= inv_root
-                np.maximum(best, w, out=best)
-            return best
+        inv_root = 1.0 / family._root_sizes
     maxima = np.empty(replicates)
     for begin in range(0, replicates, rows):
         m = min(rows, replicates - begin)
-        for i, row in enumerate(draws[:m]):
+        block = draws[:m]
+        for i, row in enumerate(block):
             np.random.default_rng([seed, begin + i]).standard_normal(n, out=row)
-        maxima[begin : begin + m] = block_maxima(m)
+        if pyramid:
+            maxima[begin : begin + m] = _pyramid_maxima(block, [level[:m] for level in levels])
+        else:
+            maxima[begin : begin + m] = [np.max(np.abs(family.sums(row)) * inv_root) for row in block]
     maxima.sort()
     idx = math.ceil(alpha * replicates)
     q = maxima[idx - 1]

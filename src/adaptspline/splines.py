@@ -570,9 +570,13 @@ def evaluate(fit: SplineFit, x, order: int = 0):
     second derivatives; ``_combine`` is the one copy of the cubic formulas,
     and it computes their factors for the order it evaluates.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+    _check_order(order)
     return _combine(_locate(fit.knots, x), fit.values, fit.second_derivs, order)
+
+
+def _check_order(order) -> None:
+    if not (_is_count(order, 0) and order <= 2):
+        raise ValueError("order must be 0, 1 or 2")
 
 
 @dataclass(frozen=True)

@@ -179,8 +179,12 @@ class TestRise:
 
     def test_order_validation(self):
         t = np.arange(1, 11) / 10
-        with pytest.raises(ValueError):
-            rise(sine(), affine_fit(t, 0.0, 1.0), 3)
+        # the order rule is evaluate's: a float order used to fail indexing
+        # the truth's derivatives with a TypeError
+        for order in (3, -1, True, 1.0):
+            with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+                rise(sine(), affine_fit(t, 0.0, 1.0), order)
+        assert rise(sine(), affine_fit(t, 0.0, 1.0), np.int64(1)) == rise(sine(), affine_fit(t, 0.0, 1.0), 1)
         # the trapezoid rule needs two nodes
         for grid in (0, 1, 2.5, True):
             with pytest.raises(ValueError, match="grid"):

@@ -24,7 +24,7 @@ from adaptspline import (
     w_stat,
 )
 import adaptspline.multiscale
-from adaptspline.multiscale import _pyramid_levels, _pyramid_maxima, _runs, _w_test
+from adaptspline.multiscale import _pyramid_levels, _pyramid_maxima, _w_test
 from conftest import pyramid_maxima, pyramid_sums
 
 
@@ -143,6 +143,35 @@ class TestIntervalFamily:
     def test_rejects_bounds_out_of_range(self, lo, hi):
         with pytest.raises(ValueError, match="1 <= lo <= hi <= n"):
             IntervalFamily(np.array(lo), np.array(hi), 4)
+
+    def test_equal_to_a_copy_of_its_bounds(self):
+        family = dyadic_family(8)
+        copy = IntervalFamily(family.lo.copy(), family.hi.copy(), 8)
+        assert family == copy and not family != copy
+        assert hash(family) == hash(copy)
+        assert IntervalFamily(family.lo.astype(np.int32), family.hi, 8) == family
+
+    def test_unequal_in_one_bound_or_in_n(self):
+        family = dyadic_family(8)
+        lo, hi = family.lo.copy(), family.hi.copy()
+        hi[-1] = 7
+        assert family != IntervalFamily(family.lo, hi, 8)
+        lo[3] = 3
+        assert family != IntervalFamily(lo, family.hi, 8)
+        assert family != IntervalFamily(family.lo, family.hi, 9)
+        assert family != IntervalFamily(family.lo[:-1], family.hi[:-1], 8)
+
+    def test_not_equal_to_other_types(self):
+        family = IntervalFamily([1, 2], [2, 3], 3)
+        assert family != [(1, 2), (2, 3)]
+        assert family.__eq__((family.lo, family.hi, 3)) is NotImplemented
+
+    def test_works_as_a_dict_key(self):
+        family = dyadic_family(8)
+        table = {family: "dyadic", IntervalFamily([1], [8], 8): "full range"}
+        assert table[IntervalFamily(family.lo.copy(), family.hi.copy(), 8)] == "dyadic"
+        assert table[IntervalFamily(np.array([1]), np.array([8]), 8)] == "full range"
+        assert IntervalFamily([1], [8], 9) not in table
 
 
 class TestWStat:
@@ -462,15 +491,39 @@ class TestCalibrateTau:
         assert small <= adaptspline.multiscale._BLOCK_BYTES + 8 * 1000 + 3 * 8 * 8192 + (16 << 10)
         assert large - small <= 8 * 2000
 
-    @pytest.mark.parametrize("name, runs", [("dyadic 10000", 24), ("all-intervals", 100), ("half-overlapping", 6)])
-    def test_runs_cover_the_family_in_order(self, name, runs):
-        family = dyadic_family(10000) if name == "dyadic 10000" else self.FAMILIES[name][1]
-        first, counts, sizes, steps = _runs(family)
-        assert first.size == runs
-        k = np.arange(len(family)) - np.repeat(first, counts)
-        lo = np.repeat(family.lo[first], counts) + k * np.repeat(steps, counts)
-        assert np.array_equal(lo, family.lo)
-        assert np.array_equal(lo + np.repeat(sizes, counts) - 1, family.hi)
+    def test_memory_of_another_family_is_bounded_by_the_block_budget(self):
+        # a block of another family holds only draws (_BLOCK_BYTES at most),
+        # the maxima take 8 bytes a replicate, and one row's ``sums`` and
+        # its maximum hold at most the n + 1 prefix sums and four vectors
+        # over the family at once: with 2499 windows of 8 at step 4 at
+        # n = 10000, 8 * (10001 + 4 * 2499) = 159,976 bytes.  Past the
+        # maxima the peak does not grow with the replicate count.
+        n = 10000
+        family = IntervalFamily(np.arange(1, n - 6, 4), np.arange(8, n + 1, 4), n)
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                calibrate_tau(n, family=family, replicates=replicates)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        calibrate_tau(n, replicates=1000)  # the cached dyadic family is not part of a call's cost
+        row_sums = 8 * (n + 1 + 4 * len(family))
+        small, large = peak(1000), peak(3000)
+        assert small <= adaptspline.multiscale._BLOCK_BYTES + 8 * 1000 + row_sums + (16 << 10)
+        assert large - small <= 8 * 2000
+
+    def test_a_copy_of_the_dyadic_family_takes_the_pyramid(self, monkeypatch):
+        family = dyadic_family(64)
+        copy = IntervalFamily(family.lo.copy(), family.hi.copy(), 64)
+        tau = calibrate_tau(64, 0.9, replicates=1000, seed=4)
+        blocks, pyramid = [], _pyramid_maxima
+        monkeypatch.setattr(adaptspline.multiscale, "_pyramid_maxima",
+                            lambda x, levels: blocks.append(len(x)) or pyramid(x, levels))
+        assert calibrate_tau(64, 0.9, family=copy, replicates=1000, seed=4) == tau
+        assert blocks
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_rejects_fewer_than_two_points(self, n):

@@ -1,5 +1,6 @@
 """The package's public names and what importing it loads."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -90,3 +91,33 @@ def test_the_benchmark_tracer_names_callables_of_the_package():
     for qualified in tracing.LAYER_FUNCTIONS:
         module, attr = qualified.split(".")
         assert callable(getattr(importlib.import_module(f"adaptspline.{module}"), attr, None)), qualified
+
+
+def test_every_private_module_level_name_is_used_in_the_package():
+    # a private helper that only tests reach is a second path for what the
+    # package does elsewhere; a name counts as used when a top-level
+    # statement other than its own definition, in any module, names it
+    package = Path(adaptspline.__file__).parent
+    statements = [(path.name, stmt) for path in sorted(package.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+
+    def named(stmt):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    def defined(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return [stmt.name]
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+
+    uses = [set(named(stmt)) for _, stmt in statements]
+    unused = [f"{module}: {name}" for i, (module, stmt) in enumerate(statements) for name in defined(stmt)
+              if name.startswith("_") and not name.startswith("__")
+              and not any(name in used for j, used in enumerate(uses) if j != i)]
+    assert unused == []

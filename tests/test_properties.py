@@ -24,7 +24,18 @@ with warnings.catch_warnings():
     except ImportError:  # without libcst, hypothesis reports no patch
         pass
 
-from adaptspline import AdaptConfig, Sample, dyadic_family, fit, fit_global, fit_local, scale_fit, solve_weighted
+from adaptspline import (
+    AdaptConfig,
+    IntervalFamily,
+    Sample,
+    calibrate_tau,
+    dyadic_family,
+    fit,
+    fit_global,
+    fit_local,
+    scale_fit,
+    solve_weighted,
+)
 from adaptspline.adapt import _covered_mask
 from adaptspline.multiscale import _pyramid_maxima
 from conftest import pyramid_maxima
@@ -131,6 +142,35 @@ def test_pyramid_maxima_stay_within_the_pairwise_bound(x):
             error = gamma((size - 1).bit_length()) * math.fsum(np.abs(terms)) * (1.0 + gamma(3))
             slack.append((error + 2.0 * gamma(3) * abs(s)) / math.sqrt(size))
         assert abs(peak - max(exact)) <= max(slack) * (1.0 + 8.0 * U)
+
+
+@st.composite
+def families(draw):
+    """A family of 1 to 40 intervals in any order, repeats allowed, over n
+    points with n from 2 to 300."""
+    n = draw(st.integers(2, 300))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).map(sorted), min_size=1, max_size=40))
+    lo, hi = zip(*pairs)
+    return IntervalFamily(np.array(lo), np.array(hi), n)
+
+
+@bounded(30)
+@given(families(), st.integers(0, 2**32 - 1))
+def test_calibrate_tau_reads_another_family_as_the_fits_do(family, seed):
+    # tau equals a recomputation that takes each replicate on its own and
+    # sums the family from prefix sums, as ``IntervalFamily.sums`` does;
+    # the dyadic family alone is summed as a pairwise pyramid
+    n, replicates = family.n, 1000
+    maxima = []
+    for j in range(replicates):
+        z = np.random.default_rng([seed, j]).standard_normal(n)
+        if family == dyadic_family(n):
+            maxima.append(pyramid_maxima(z, family.sizes))
+        else:
+            c = np.concatenate(([0.0], np.cumsum(z)))
+            maxima.append(np.max(np.abs(c[family.hi] - c[family.lo - 1]) * (1 / np.sqrt(family.hi - family.lo + 1))))
+    q = sorted(maxima)[math.ceil(0.95 * replicates) - 1]
+    assert calibrate_tau(n, 0.95, family=family, replicates=replicates, seed=seed) == q * q / math.log(n)
 
 
 @st.composite

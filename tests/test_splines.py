@@ -825,6 +825,17 @@ class TestEvaluate:
                     assert type(got) is type(expected)
                     assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("order", [True, 1.0, 3, -1, "1"])
+    def test_rejects_an_order_that_is_not_0_1_or_2(self, order):
+        # a bool or a float order used to run as order 1
+        fit = affine_fit(np.linspace(0.0, 1.0, 5), 0.0, 1.0)
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            evaluate(fit, 0.5, order)
+
+    def test_accepts_a_numpy_integer_order(self):
+        fit = affine_fit(np.linspace(0.0, 1.0, 5), 2.0, -3.0)
+        assert evaluate(fit, 0.5, np.int64(1)) == evaluate(fit, 0.5, 1) == pytest.approx(-3.0)
+
     def test_rejects_points_outside_domain(self):
         fit = affine_fit(np.linspace(0.0, 1.0, 5), 0.0, 1.0)
         with pytest.raises(ValueError):
