@@ -378,7 +378,7 @@ def _bracket(equal: _Equal, first, ceiling: float | None, monotone: bool) -> _Br
 
 def _adapt(
     target: Sample, family, test, sweep, config: AdaptConfig, branches=("local", "global"), monotone=False,
-    chosen_only=False, unit=0,
+    chosen_only=False, *, unit,
 ) -> tuple:
     """Run the named branches on ``target`` from one shared start.
 

@@ -61,15 +61,17 @@ class TestFunction:
     d2f: callable
 
 
-def custom_function(name: str, f, df=None, d2f=None, step: float = _FD_STEP) -> TestFunction:
-    """Wrap a callable, filling missing derivatives by central differences."""
-    if df is None:
-        def df(x, _f=f, _h=step):
-            return (_f(np.asarray(x) + _h) - _f(np.asarray(x) - _h)) / (2.0 * _h)
-    if d2f is None:
-        def d2f(x, _f=f, _h=step):
-            x = np.asarray(x)
-            return (_f(x + _h) - 2.0 * _f(x) + _f(x - _h)) / (_h * _h)
+def custom_function(name: str, f) -> TestFunction:
+    """Wrap f with derivatives by central differences of step ``_FD_STEP``."""
+    h = _FD_STEP
+
+    def df(x):
+        return (f(np.asarray(x) + h) - f(np.asarray(x) - h)) / (2.0 * h)
+
+    def d2f(x):
+        x = np.asarray(x)
+        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
     return TestFunction(name, f, df, d2f)
 
 

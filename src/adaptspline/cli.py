@@ -178,7 +178,7 @@ def _cmd_scale(args) -> int:
     doc = {
         **_outcome_keys(args, result, result.s, result.weights, rescale),
         "degenerate": result.degenerate,
-        "coverage": ScaleRegionSpec.for_size(sample.n, args.alpha_n).coverage,
+        "coverage": ScaleRegionSpec(sample.n, args.alpha_n).coverage,
         "floor": result.floor,
         "pinned_intervals": result.pinned_intervals,
     }

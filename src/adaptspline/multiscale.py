@@ -154,8 +154,8 @@ def _interval(interval, n: int) -> tuple[int, int]:
 
 def _fitted(sample: Sample, fit_values) -> np.ndarray:
     g = np.asarray(fit_values, dtype=float)
-    if g.shape != (sample.n,):
-        raise ValueError("fit values must match the sample size")
+    if g.shape != (sample.n,) or not np.isfinite(g).all():
+        raise ValueError("fit values must match the sample size and be finite")
     return g
 
 
@@ -291,7 +291,7 @@ def _pyramid_levels(rows: int, n: int) -> list[np.ndarray]:
     return levels
 
 
-def _pyramid_maxima(x: np.ndarray, levels: list[np.ndarray] | None = None) -> np.ndarray:
+def _pyramid_maxima(x: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
     """The largest |sum| / sqrt(|I|) over ``dyadic_family(n)``, for each
     row of the (rows, n) block x.
 
@@ -305,12 +305,9 @@ def _pyramid_maxima(x: np.ndarray, levels: list[np.ndarray] | None = None) -> np
     and the |sum| of a shorter trailing block, times one over the root of
     its size.
 
-    The levels above the first are written to ``levels``, as laid out by
-    ``_pyramid_levels`` (allocated when not given).
+    The levels above the first are written to ``levels`` (see ``_pyramid_levels``).
     """
     n = x.shape[1]
-    if levels is None:
-        levels = _pyramid_levels(x.shape[0], n)
     best = np.maximum(x.max(axis=1), -x.min(axis=1))
     level, size = x, 1
     for upper in levels:

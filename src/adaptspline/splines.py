@@ -325,7 +325,7 @@ class SplineSystem:
     band: np.ndarray
     rhs: np.ndarray
     q_max: float
-    factors: dict | None = None
+    factors: dict | None
 
     @property
     def n(self) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, TraceEntry, _adapt
 from .multiscale import IntervalFamily, _interval, dyadic_family
-from .splines import Sample, SplineFit, affine_fit, evaluate
+from .splines import Sample, SplineFit, _is_count, affine_fit, evaluate
 
 __all__ = [
     "ScaleRegionSpec",
@@ -137,8 +137,8 @@ def v_stat(y, interval, s) -> float:
     whose prefix sums differ from it in the trailing digits on most intervals."""
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
-    if y.ndim != 1 or s.shape != y.shape:
-        raise ValueError("y and s must be 1-D arrays of one length")
+    if y.ndim != 1 or s.shape != y.shape or not (np.isfinite(y).all() and np.isfinite(s).all()):
+        raise ValueError("y and s must be finite 1-D arrays of one length")
     lo, hi = _interval(interval, y.size)
     seg = s[lo - 1 : hi]
     if np.any(seg <= 0.0):
@@ -149,27 +149,27 @@ def v_stat(y, interval, s) -> float:
 
 @dataclass(frozen=True)
 class ScaleRegionSpec:
-    """Interval family plus the per-test two-sided coverage for scale fits.
+    """The dyadic family over n points and the two-sided coverage of the
+    scale fits' chi-squared bands; ``alpha_n=None`` means 1 - n^{-1.5}."""
 
-    ``alpha_n=None`` uses the default coverage 1 - n^{-1.5}.
-    """
-
-    family: IntervalFamily
+    n: int
     alpha_n: float | None = None
 
     def __post_init__(self):
+        if not _is_count(self.n, 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if self.alpha_n is not None and not 0.0 < self.alpha_n < 1.0:
             raise ValueError("alpha_n must lie strictly between 0 and 1")
 
-    @classmethod
-    def for_size(cls, n: int, alpha_n: float | None = None) -> "ScaleRegionSpec":
-        return cls(dyadic_family(n), alpha_n)
+    @property
+    def family(self) -> IntervalFamily:
+        return dyadic_family(self.n)
 
     @property
     def coverage(self) -> float:
         if self.alpha_n is not None:
             return self.alpha_n
-        return 1.0 - self.family.n ** -1.5
+        return 1.0 - self.n ** -1.5
 
     def bounds(self, size: int) -> tuple[float, float]:
         """Two-sided chi-squared band for an interval of the given size."""
@@ -211,11 +211,11 @@ class ScaleFit:
     iterations: int
     degenerate: bool
     floor: float
-    chosen_branch: str = "local"
-    pinned_intervals: int = 0
-    start_halvings: int = 0
-    start_capped: bool = False
-    trace: tuple[TraceEntry, ...] = ()
+    chosen_branch: str
+    pinned_intervals: int
+    start_halvings: int
+    start_capped: bool
+    trace: tuple[TraceEntry, ...]
 
     @property
     def truncated(self) -> bool:
@@ -270,7 +270,7 @@ def scale_fit(
     fit grows no smoother as its weight grows, so no rung above could win,
     and the result is the one the full climb would give.
 
-    The bands are those of ``ScaleRegionSpec.for_size(sample.n, alpha_n)``.
+    The bands are those of ``ScaleRegionSpec(sample.n, alpha_n)``.
     ``q`` and ``max_iterations`` are checked as ``AdaptConfig`` checks them;
     the budget is 400 bumps by default (``_SCALE_BUDGET``), twice the mean
     fits', as the length-ordered sweep revisits interval sizes.
@@ -284,7 +284,7 @@ def scale_fit(
     """
     if sample.n < 8:
         raise ValueError("need at least 8 data points")
-    spec = ScaleRegionSpec.for_size(sample.n, alpha_n)
+    spec = ScaleRegionSpec(sample.n, alpha_n)
     config = AdaptConfig(q=q, max_iterations=max_iterations)
 
     top = float(np.max(np.abs(sample.y)))
@@ -297,7 +297,8 @@ def scale_fit(
     test, pinned = _band_test(y2, math.ldexp(floor, -e), spec) if floor > 0.0 else (None, np.zeros(0, dtype=bool))
     if pinned.all():
         zero = affine_fit(sample.t, 0.0, 0.0)
-        return ScaleFit(zero, None, False, 0, True, floor, pinned_intervals=int(pinned.sum()))
+        return ScaleFit(zero, None, False, 0, True, floor, chosen_branch="local", pinned_intervals=int(pinned.sum()),
+                        start_halvings=0, start_capped=False, trace=())
 
     # the global branch reads its rungs in turn (not ``monotone``): the
     # chi-squared verdicts can pass on a rung below a failing one, where

@@ -1,7 +1,8 @@
-"""Shared test oracles, kept independent of the library internals, and
-fixtures that count the library's calls."""
+"""Shared test oracles, kept independent of the library internals,
+fixtures that count the library's calls, and a per-test time limit."""
 
 import dataclasses
+import signal
 from collections import Counter
 
 import numpy as np
@@ -89,6 +90,35 @@ def fingerprint(result):
         return value
 
     return bits(result)
+
+
+# Wall-clock seconds that one test may run: well above the slowest test
+# (about 5 s on 2 cores), so that only a test that never ends reaches it.
+TEST_TIME_LIMIT = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``TEST_TIME_LIMIT`` seconds instead of
+    letting it hang the run.
+
+    A SIGALRM timer raises ``TimeoutError`` in the main thread, where
+    pytest runs the test, at the next Python bytecode (a long call into C
+    finishes first).  The old handler and timer are restored when the
+    test ends.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the test ran past its {TEST_TIME_LIMIT} s limit")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    timer = signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        signal.setitimer(signal.ITIMER_REAL, *timer)
 
 
 @pytest.fixture

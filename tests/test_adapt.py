@@ -635,11 +635,11 @@ class TestEqualWeightRecord:
         target = Sample(t, 2.0 - t)
         config = AdaptConfig(max_iterations=budget)
         alone_fit, alone_weights, alone_shared, alone = adapt_module._adapt(
-            target, self.FAMILY, self.scripted, (1, 2), config, ("local",))
+            target, self.FAMILY, self.scripted, (1, 2), config, ("local",), unit=0)
         # alone, the local branch reads its equal weights 1, 2 and 4 from
         # the record and leaves it at its bump of points 1 and 2
         assert sorted(made[0].verdicts) == [1.0, 2.0, 4.0][: budget + 1]
-        *_, shared, branches = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config)
+        *_, shared, branches = adapt_module._adapt(target, self.FAMILY, self.scripted, (1, 2), config, unit=0)
         assert shared["start_halvings"] == alone_shared["start_halvings"] == 0
         local = branches["local"]
         current, weights, iterations, passed, records = self.reference_local(target, budget)
@@ -721,7 +721,7 @@ class TestEqualWeightRecord:
             return not bad.any(), bad, None
 
         solves = count_calls(adapt_module, "solve_weighted")
-        outcome = adapt_module._adapt(target, self.FAMILY, scripted, (1, 2), AdaptConfig(), chosen_only=True)
+        outcome = adapt_module._adapt(target, self.FAMILY, scripted, (1, 2), AdaptConfig(), chosen_only=True, unit=0)
         equal, (local, glob) = made[0], outcome[3].values()
         k, ceiling = outcome[2]["start_halvings"], local.records[-1].roughness
         assert local.passed and local.iterations == 1 and outcome[2]["chosen_branch"] == "local"
@@ -736,7 +736,7 @@ class TestEqualWeightRecord:
         # record and end on rung k + 1, one solve more
         assert k == 3 and solves["solve_weighted"] == (k + 1) + 1
         solves.clear()
-        full = adapt_module._adapt(target, self.FAMILY, scripted, (1, 2), AdaptConfig(), chosen_only=False)
+        full = adapt_module._adapt(target, self.FAMILY, scripted, (1, 2), AdaptConfig(), chosen_only=False, unit=0)
         assert fingerprint(outcome[:3]) == fingerprint(full[:3])
         glob = full[3]["global"]
         assert glob.held is None and glob.iterations == 200 and solves["solve_weighted"] == (k + 1) + 1 + (200 - k)

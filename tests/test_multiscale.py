@@ -174,6 +174,18 @@ class TestIntervalFamily:
         assert IntervalFamily([1], [8], 9) not in table
 
 
+def probe_sample(n=64):
+    t = np.arange(1, n + 1) / n
+    return Sample(t, np.sin(6.0 * t))
+
+
+def probe_fit(value, n=64):
+    """Fit values 0 but for ``value`` at point 6."""
+    g = np.zeros(n)
+    g[5] = value
+    return g
+
+
 class TestWStat:
     def test_zero_residuals(self):
         s = Sample([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0])
@@ -212,6 +224,13 @@ class TestWStat:
         for g in (np.zeros(1), np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(ValueError, match="sample size"):
                 w_stat(s, g, (1, 3))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_fit_values_that_are_not_finite(self, value):
+        # [9, 16] does not hold point 6: the fit is rejected as a whole
+        s, g = probe_sample(), probe_fit(value)
+        with pytest.raises(ValueError, match="be finite"):
+            w_stat(s, g, (9, 16))
 
 
 class TestSigmaHat:
@@ -261,6 +280,10 @@ class TestRegionSpec:
         with pytest.raises(ValueError, match="n must be an integer"):
             RegionSpec(sigma=1.0, n=n)
 
+    def test_noise_free_data_have_threshold_zero(self):
+        # sigma = 0 is allowed: the region is then the data themselves
+        assert RegionSpec(0.0, 3.0, 10).threshold == 0.0
+
     @pytest.mark.parametrize("field", ["sigma", "tau"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):
@@ -279,6 +302,20 @@ class TestInRegion:
             in_region(s, np.zeros(m), family, RegionSpec(1.0, 3.0, 8))
         with pytest.raises(ValueError, match="fit values must match"):
             all_w_stats(s, np.zeros(m), family)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_all_w_stats_rejects_fit_values_that_are_not_finite(self, value):
+        # the prefix sums would carry one NaN into 119 of the 127 w statistics
+        s = probe_sample()
+        with pytest.raises(ValueError, match="be finite"):
+            all_w_stats(s, probe_fit(value), dyadic_family(s.n))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_in_region_rejects_fit_values_that_are_not_finite(self, value):
+        # the report would read max |w| = nan and list only 4 violations
+        s = probe_sample()
+        with pytest.raises(ValueError, match="be finite"):
+            in_region(s, probe_fit(value), dyadic_family(s.n), RegionSpec(1.0, 3.0, s.n))
 
     def test_exact_fit_passes(self, rng):
         n = 64

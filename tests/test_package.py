@@ -1,10 +1,12 @@
-"""The package's public names and what importing it loads."""
+"""The package's public names, what importing it loads, and the suite's
+per-test time limit."""
 
 import ast
 import importlib
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 
 import adaptspline
 from adaptspline import adapt, bench, multiscale, splines, variants
+from conftest import TEST_TIME_LIMIT
 
 # Run in a fresh interpreter, because the test session has SciPy loaded
 # already.  Each stage prints which of the two SciPy packages are loaded
@@ -121,3 +124,11 @@ def test_every_private_module_level_name_is_used_in_the_package():
               if name.startswith("_") and not name.startswith("__")
               and not any(name in used for j, used in enumerate(uses) if j != i)]
     assert unused == []
+
+
+def test_each_test_runs_under_the_time_limit():
+    # the autouse fixture armed a timer whose handler fails the test
+    remaining, interval = signal.getitimer(signal.ITIMER_REAL)
+    assert 0.0 < remaining <= TEST_TIME_LIMIT and interval == 0.0
+    with pytest.raises(TimeoutError, match=f"past its {TEST_TIME_LIMIT} s limit"):
+        signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)

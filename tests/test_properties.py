@@ -37,7 +37,7 @@ from adaptspline import (
     solve_weighted,
 )
 from adaptspline.adapt import _covered_mask
-from adaptspline.multiscale import _pyramid_maxima
+from adaptspline.multiscale import _pyramid_levels, _pyramid_maxima
 from conftest import pyramid_maxima
 from test_adapt import assert_global_is_the_climb
 
@@ -131,7 +131,7 @@ def test_pyramid_maxima_stay_within_the_pairwise_bound(x):
     # 1/sqrt(|I|) and the exact reference's own w each add up to gamma_3
     n = x.shape[1]
     family = dyadic_family(n)
-    got = _pyramid_maxima(x)
+    got = _pyramid_maxima(x, _pyramid_levels(*x.shape))
     for row, peak in zip(x, got):
         assert peak == pyramid_maxima(row, family.sizes)
         exact, slack = [], []

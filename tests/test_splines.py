@@ -218,6 +218,13 @@ class TestSplineFitAndWeights:
         with pytest.raises(ValueError, match="equal-length"):
             SplineFit(k, v, c, 0.0)
 
+    def test_two_knots_are_enough(self):
+        # the smallest spline: a line through its two knots
+        line = SplineFit([0.0, 1.0], [1.0, 3.0], [0.0, 0.0], 0.0)
+        assert line.knots.size == 2
+        np.testing.assert_allclose(line([0.0, 0.25, 1.0]), [1.0, 1.5, 3.0], rtol=0, atol=1e-15)
+        assert line(0.5, 1) == pytest.approx(2.0, rel=1e-15) and line(0.5, 2) == 0.0
+
     def test_check_weights_returns_the_validated_array(self):
         lam = check_weights([1, 2, 3], 3)
         assert isinstance(lam, np.ndarray) and lam.dtype == np.float64

@@ -14,6 +14,7 @@ from adaptspline import (
     ScaleRegionSpec,
     chisq_quantile,
     clean_outliers,
+    dyadic_family,
     fit,
     make_dataset,
     scale_fit,
@@ -94,6 +95,9 @@ class TestCleanOutliers:
     def test_needs_five_points(self):
         with pytest.raises(ValueError):
             clean_outliers(Sample([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]), 1.0)
+        # five points are enough: the five-point sweep runs alone
+        cleaned, mask = clean_outliers(Sample([0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0]), 1.0)
+        assert cleaned.y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0] and not mask.any()
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_needs_positive_finite_sigma(self, sigma):
@@ -193,6 +197,9 @@ class TestChisqQuantile:
             chisq_quantile(0.0, 5)
         with pytest.raises(ValueError):
             chisq_quantile(0.5, 0)
+        # the quantile at 1 is infinite
+        with pytest.raises(ValueError, match="gamma must lie strictly between 0 and 1"):
+            chisq_quantile(1.0, 5)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf])
     def test_rejects_degrees_of_freedom_that_are_not_finite(self, k):
@@ -233,20 +240,38 @@ class TestVStat:
             with pytest.raises(ValueError, match="1-D"):
                 v_stat(y, (1, 5), s)
 
+    @pytest.mark.parametrize("where", ["y", "s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_values_that_are_not_finite(self, where, value):
+        # a NaN scale passes the check seg <= 0 and would give nan
+        y, s = np.ones(8), np.ones(8)
+        (y if where == "y" else s)[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            v_stat(y, (1, 8), s)
+
 
 class TestScaleRegionSpec:
     def test_default_coverage(self):
-        spec = ScaleRegionSpec.for_size(1024)
+        spec = ScaleRegionSpec(1024)
         assert spec.coverage == pytest.approx(1.0 - 1024.0 ** -1.5, rel=1e-12)
 
     def test_bounds_bracket_the_mean(self):
-        spec = ScaleRegionSpec.for_size(256)
+        spec = ScaleRegionSpec(256)
         lo, hi = spec.bounds(64)
         assert lo < 64.0 < hi
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ScaleRegionSpec.for_size(64, alpha_n=1.5)
+        for alpha_n in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="alpha_n must lie strictly between 0 and 1"):
+                ScaleRegionSpec(64, alpha_n=alpha_n)
+
+    @pytest.mark.parametrize("n", [0, 2.5, 64.0, True])
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ScaleRegionSpec(n)
+
+    def test_family_is_the_dyadic_family(self):
+        assert ScaleRegionSpec(100, 0.9).family is dyadic_family(100)
 
 
 class TestScaleFit:
@@ -283,13 +308,17 @@ class TestScaleFit:
     def test_all_zero_input_flags_degenerate(self):
         result = scale_fit(grid_sample(64, np.zeros(64)))
         assert result.degenerate and not result.passed and not result.truncated
+        # no search ran: the start fields and the trace say so
+        assert result.start_halvings == 0 and result.start_capped is False and result.trace == ()
+        assert result.chosen_branch == "local"
+        assert (result.iterations, result.weights, result.pinned_intervals) == (0, None, 0)
 
     def test_pass_verified_by_independent_recomputation(self):
         n = 512
         t = np.arange(1, n + 1) / n
         z = np.random.default_rng([903, 0]).standard_normal(n)
         y = (1.0 + t) * z
-        spec = ScaleRegionSpec.for_size(n)
+        spec = ScaleRegionSpec(n)
         result = scale_fit(Sample(t, y))
         assert result.passed
         sv = result.scale_values()
@@ -363,7 +392,7 @@ def band_violations(sample):
     docstring: the mask of the enforceable intervals whose sum of y**2 over
     the squared scale of a fit to y**2 leaves its band."""
     n, y2 = sample.n, sample.y * sample.y
-    spec = ScaleRegionSpec.for_size(n)
+    spec = ScaleRegionSpec(n)
     lo, hi = spec.family.lo, spec.family.hi
     sizes = hi - lo + 1
     lower = np.array([spec.bounds(k)[0] for k in sizes])
@@ -405,7 +434,7 @@ def reference_local_sweep(sample, budget, q=2.0):
     whether every enforceable band holds.
     """
     n, target = sample.n, Sample(sample.t, sample.y * sample.y)
-    spec = ScaleRegionSpec.for_size(n)
+    spec = ScaleRegionSpec(n)
     lo, hi = spec.family.lo, spec.family.hi
     sizes = hi - lo + 1
     band = band_violations(sample)
