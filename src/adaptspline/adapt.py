@@ -48,7 +48,7 @@ only, returns them with the fields that ``FitReport`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -156,8 +156,9 @@ class FitReport:
     roughness_global: float | None = None
     truncated_local: bool | None = None
     truncated_global: bool | None = None
-    start_halvings: int = 0
-    start_capped: bool = False
+    _: KW_ONLY
+    start_halvings: int
+    start_capped: bool
 
     @property
     def roughness(self) -> float:

@@ -186,18 +186,16 @@ def _noisy(t: np.ndarray, signal: np.ndarray, sigma: float, noise: str, seed) ->
     return Sample(t, signal + sigma * z)
 
 
-def rise(fn: TestFunction, fit_: SplineFit, order: int = 0, grid: int = _RISE_GRID) -> float:
+def rise(fn: TestFunction, fit_: SplineFit, order: int = 0) -> float:
     """Root integrated squared error between the truth and a fitted spline.
 
-    Composite trapezoid quadrature on a ``grid``-point uniform grid kept
-    strictly inside (0, 1): the benchmark signals have unbounded
-    derivatives at the interval ends, so the quadrature nodes exclude them.
-    The rule needs two nodes, so ``grid`` is an integer of at least 2.
+    Composite trapezoid quadrature on a uniform grid of ``_RISE_GRID``
+    (4096) points kept strictly inside (0, 1), the grid ``mrise_study``
+    uses: the benchmark signals have unbounded derivatives at the interval
+    ends, so the quadrature nodes exclude them.
     """
     _check_order(order)
-    if not _is_count(grid, 2):
-        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
-    x = _rise_grid(grid)
+    x = _rise_grid(_RISE_GRID)
     return _rise_against((fn.f, fn.df, fn.d2f)[order](x), _locate(fit_.knots, x), fit_, order)
 
 

@@ -203,11 +203,11 @@ def sigma_hat(sample: Sample) -> float:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Everything needed to test membership in the residual region."""
+    """Everything needed to test membership in the residual region (the default tau is ``AdaptConfig.tau``)."""
 
     sigma: float
-    tau: float = 3.0
-    n: int = 0
+    tau: float
+    n: int
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -398,9 +398,7 @@ def calibrate_tau(
     return float(q * q / math.log(n))
 
 
-def min_detectable_delta(
-    n: int, interval_size: int, sigma: float, tau: float, scheme: str = "dyadic"
-) -> float:
+def min_detectable_delta(n: int, interval_size: int, sigma: float, tau: float, scheme: str) -> float:
     """Smallest deviation over an interval guaranteed detectable.
 
     With the family of all intervals the bound is
@@ -408,7 +406,7 @@ def min_detectable_delta(
     guarantees a covered sub-block of at least half the size, which costs an
     extra factor sqrt(2) (with tau calibrated for the dyadic family).
     The interval size is an integer from 1 to n, sigma is nonnegative and
-    finite, and tau positive and finite.
+    finite, tau positive and finite, and ``scheme`` is "all" or "dyadic".
     """
     if not (_is_count(n, 1) and _is_count(interval_size, 1) and interval_size <= n):
         raise ValueError(f"need integers 1 <= interval_size <= n, got {interval_size!r} and n = {n!r}")

@@ -79,7 +79,6 @@ __all__ = [
     "prepare_system",
     "solve_weighted",
     "evaluate",
-    "roughness_of",
     "affine_fit",
     "check_weights",
 ]
@@ -644,15 +643,8 @@ def _combine(loc: _Located, values: np.ndarray, second_derivs: np.ndarray, order
     return float(out[0]) if loc.scalar else out
 
 
-def roughness_of(fit: SplineFit) -> float:
-    """Exact integral of the squared second derivative of the fitted spline.
-
-    The second derivative is piecewise linear between knots, so each cell
-    contributes h * (c_i^2 + c_i c_{i+1} + c_{i+1}^2) / 3 exactly.
-    """
-    return _roughness(np.diff(fit.knots), fit.second_derivs)
-
-
 def _roughness(h: np.ndarray, c: np.ndarray) -> float:
+    """Exact integral of g''^2 for knot spacings h and second derivatives c:
+    g'' is linear on each cell, which adds h * (c_i^2 + c_i c_{i+1} + c_{i+1}^2) / 3."""
     c0, c1 = c[:-1], c[1:]
     return float(h @ (c0 * c0 + c0 * c1 + c1 * c1)) / 3.0

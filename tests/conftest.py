@@ -1,12 +1,16 @@
-"""Shared test oracles, kept independent of the library internals,
-fixtures that count the library's calls, and a per-test time limit."""
+"""Shared test oracles, kept independent of the library internals (the
+dense penalty and the numeric references of a fit: in mpmath, in
+double-double and by refined banded solves), fixtures that count the
+library's calls, and a per-test time limit."""
 
 import dataclasses
 import signal
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import adaptspline.adapt
 import adaptspline.splines
@@ -39,6 +43,158 @@ def dense_weighted_fit(t, y, lam):
     """Generic dense solution of the weighted normal equations."""
     k = dense_penalty(t)
     return np.linalg.solve(np.diag(lam) + k, np.asarray(lam) * np.asarray(y))
+
+
+def mp_fit(t, y, lam, dps=60):
+    """Knot values of the weighted spline in ``dps`` digits.
+
+    Solves Reinsch's normal equations (R + Q^T diag(1/lam) Q) gamma = Q^T y
+    densely with mpmath, then g = y - diag(1/lam) Q gamma.  Their squared
+    conditioning costs digits, not the answer, at this precision.
+    """
+    with mpmath.workdps(dps):
+        tt, yy = [mpmath.mpf(v) for v in t], [mpmath.mpf(v) for v in y]
+        d = [1 / mpmath.mpf(v) for v in lam]
+        n, m = len(tt), len(tt) - 2
+        h = [tt[i + 1] - tt[i] for i in range(n - 1)]
+        q = [{j: 1 / h[j], j + 1: -1 / h[j] - 1 / h[j + 1], j + 2: 1 / h[j + 1]} for j in range(m)]
+        mat = mpmath.matrix(m, m)
+        for j in range(m):
+            mat[j, j] = (h[j] + h[j + 1]) / 3
+            if j + 1 < m:
+                mat[j, j + 1] = mat[j + 1, j] = h[j + 1] / 6
+            for k in range(max(0, j - 2), min(m, j + 3)):
+                mat[j, k] += sum(q[j][i] * q[k][i] * d[i] for i in q[j] if i in q[k])
+        gamma = mpmath.lu_solve(mat, mpmath.matrix([sum(c * yy[i] for i, c in qj.items()) for qj in q]))
+        g = list(yy)
+        for j in range(m):
+            for i, c in q[j].items():
+                g[i] -= d[i] * c * gamma[j]
+        return np.array([float(v) for v in g])
+
+
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    p = a * b
+    x = _SPLIT * a
+    ah = x - (x - a)
+    x = _SPLIT * b
+    bh = x - (x - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class DoubleDouble:
+    """Unevaluated sums hi + lo of doubles, elementwise over arrays.
+
+    Error-free sums and products (Ogita, Rump & Oishi 2005) give about 32
+    significant digits; used for the reference residual where long double
+    is plain double.
+    """
+
+    def __init__(self, hi, lo=None):
+        self.hi = np.asarray(hi, dtype=float)
+        self.lo = np.zeros_like(self.hi) if lo is None else lo
+
+    def __getitem__(self, k):
+        return DoubleDouble(self.hi[k], self.lo[k])
+
+    def __neg__(self):
+        return DoubleDouble(-self.hi, -self.lo)
+
+    def __add__(self, o):
+        o = o if isinstance(o, DoubleDouble) else DoubleDouble(o)
+        s, e = _two_sum(self.hi, o.hi)
+        return DoubleDouble(*_two_sum(s, e + self.lo + o.lo))
+
+    def __sub__(self, o):
+        return self + -(o if isinstance(o, DoubleDouble) else DoubleDouble(o))
+
+    def __mul__(self, o):
+        o = o if isinstance(o, DoubleDouble) else DoubleDouble(o)
+        p, e = _two_prod(self.hi, o.hi)
+        return DoubleDouble(*_two_sum(p, e + self.hi * o.lo + self.lo * o.hi))
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __rtruediv__(self, num):
+        r = DoubleDouble(num / self.hi)  # one Newton step from the double quotient
+        return r + r * (num - self * r)
+
+    def pad(self, before, after):
+        return DoubleDouble(np.pad(self.hi, (before, after)), np.pad(self.lo, (before, after)))
+
+    def astype(self, dtype):
+        return (self.hi + self.lo).astype(dtype)
+
+
+def long_double(x):
+    return np.asarray(x, dtype=np.longdouble)
+
+
+WIDE = long_double if np.finfo(np.longdouble).nmant > 52 else DoubleDouble
+
+
+def _pad(x, before, after):
+    return x.pad(before, after) if isinstance(x, DoubleDouble) else np.pad(x, (before, after))
+
+
+def augmented_band(t, y, lam):
+    """The system g + diag(1/lam) Q gamma = y, Q^T g - R gamma = 0 in the
+    order g_1, g_2, gamma_1, g_3, ..., gamma_{n-2}, g_n, as ``solve_banded``
+    storage with three diagonals on either side, and its right-hand side."""
+    n = t.size
+    h = np.diff(t)
+    a, c = 1.0 / h[:-1], 1.0 / h[1:]
+    b = -(a + c)
+    d = 1.0 / lam
+    gp = np.r_[0, 1:2 * n - 2:2]
+    cp = np.arange(2, 2 * n - 2, 2)
+    ab = np.zeros((7, 2 * n - 2))
+    for rows, cols, vals in [
+        (gp, gp, 1.0),
+        (gp[:-2], cp, d[:-2] * a), (gp[1:-1], cp, d[1:-1] * b), (gp[2:], cp, d[2:] * c),
+        (cp, gp[:-2], a), (cp, gp[1:-1], b), (cp, gp[2:], c),
+        (cp, cp, -(h[:-1] + h[1:]) / 3.0),
+        (cp[:-1], cp[1:], -h[1:-1] / 6.0), (cp[1:], cp[:-1], -h[1:-1] / 6.0),
+    ]:
+        ab[3 + rows - cols, cols] = vals
+    rhs = np.zeros(2 * n - 2)
+    rhs[gp] = y
+    return ab, rhs
+
+
+def augmented_residual(t, y, lam, g, gamma, wide):
+    """Right-hand side minus the augmented system applied to (g, gamma),
+    with every coefficient and sum formed in the precision of ``wide``."""
+    h = wide(t[1:]) - wide(t[:-1])
+    a, c = 1 / h[:-1], 1 / h[1:]
+    b = -(a + c)
+    gw, cw = wide(g), wide(gamma)
+    q_gamma = _pad(a * cw, 0, 2) + _pad(b * cw, 1, 1) + _pad(c * cw, 2, 0)
+    r_gamma6 = (h[:-1] + h[1:]) * cw * 2 + _pad(h[1:-1] * cw[1:], 0, 1) + _pad(h[1:-1] * cw[:-1], 1, 0)
+    rg = (wide(y) - gw - q_gamma * (1 / wide(lam))).astype(float)
+    rc = (r_gamma6 * (1 / wide(6.0)) - (a * gw[:-2] + b * gw[1:-1] + c * gw[2:])).astype(float)
+    return np.concatenate((rg[:1], np.column_stack((rg[1:-1], rc)).ravel(), rg[-1:]))
+
+
+def refined_fit(t, y, lam, wide=WIDE, sweeps=3):
+    """Knot values from ``solve_banded`` on the augmented system, refined
+    ``sweeps`` times with the residual in extended precision."""
+    ab, rhs = augmented_band(t, y, lam)
+    x = solve_banded((3, 3), ab, rhs)
+    for _ in range(sweeps):
+        x = x + solve_banded((3, 3), ab, augmented_residual(t, y, lam, x[np.r_[0, 1:x.size:2]], x[2::2], wide))
+    return x[np.r_[0, 1:x.size:2]]
 
 
 def jittered_design(n, rng):

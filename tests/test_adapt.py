@@ -813,6 +813,17 @@ class TestStartWeightReport:
         r = fit(Sample(t, 1.0 + t))
         assert (r.start_halvings, r.start_capped) == (0, False)
 
+    def test_the_start_fields_are_keyword_only_and_required(self):
+        # a default of 0 / False would stand in for a fit that never set them
+        r = fit(bumps_hi(64))
+        fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+        for name in ("start_halvings", "start_capped"):
+            with pytest.raises(TypeError, match=name):
+                adapt_module.FitReport(**{k: v for k, v in fields.items() if k != name})
+        with pytest.raises(TypeError, match="positional"):
+            adapt_module.FitReport(*fields.values())
+        assert fingerprint(adapt_module.FitReport(**fields)) == fingerprint(r)
+
 
 class TestCoveredMask:
     @pytest.mark.parametrize("seed", range(6))

@@ -274,11 +274,17 @@ class TestRegionSpec:
             RegionSpec(sigma=1.0, tau=0.0, n=10)
         with pytest.raises(ValueError):
             RegionSpec(sigma=1.0, tau=3.0, n=0)
+        # every field is required: tau's one default is AdaptConfig.tau, and
+        # a missing n used to read as 0 and raise "n must be an integer >= 1"
+        with pytest.raises(TypeError, match="'tau' and 'n'"):
+            RegionSpec(sigma=1.0)
+        with pytest.raises(TypeError, match="'tau'"):
+            RegionSpec(1.0, n=8)
 
     @pytest.mark.parametrize("n", [2.5, 10.0, True])
     def test_rejects_a_size_that_is_not_an_integer(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
-            RegionSpec(sigma=1.0, n=n)
+            RegionSpec(sigma=1.0, tau=3.0, n=n)
 
     def test_noise_free_data_have_threshold_zero(self):
         # sigma = 0 is allowed: the region is then the data themselves
@@ -613,21 +619,23 @@ class TestMinDetectableDelta:
             min_detectable_delta(1000, 24, 1.0, 3.0, "hexadic")
         with pytest.raises(ValueError):
             min_detectable_delta(1000, 24.0, 1.0, 3.0, "all")
+        with pytest.raises(TypeError, match="scheme"):
+            min_detectable_delta(1000, 24, 1.0, 3.0)
 
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
     def test_rejects_a_bad_sigma(self, sigma):
         # -1 gave -2.70 and NaN gave NaN
         with pytest.raises(ValueError, match="sigma must be a nonnegative finite number"):
-            min_detectable_delta(100, 10, sigma, 3.0)
+            min_detectable_delta(100, 10, sigma, 3.0, "dyadic")
 
     @pytest.mark.parametrize("tau", [-3.0, 0.0, math.nan, math.inf])
     def test_rejects_a_bad_tau(self, tau):
         # -3 raised "math domain error", which does not name tau
         with pytest.raises(ValueError, match="tau must be a positive finite number"):
-            min_detectable_delta(100, 10, 1.0, tau)
+            min_detectable_delta(100, 10, 1.0, tau, "dyadic")
 
     @pytest.mark.parametrize("size", [101, 500])
     def test_rejects_an_interval_longer_than_n(self, size):
         with pytest.raises(ValueError, match="interval_size <= n"):
-            min_detectable_delta(100, size, 1.0, 3.0)
-        assert min_detectable_delta(100, 100, 1.0, 3.0) > 0.0
+            min_detectable_delta(100, size, 1.0, 3.0, "dyadic")
+        assert min_detectable_delta(100, 100, 1.0, 3.0, "dyadic") > 0.0

@@ -1,9 +1,7 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import adaptspline.splines
@@ -19,7 +17,6 @@ from adaptspline import (
     fit_local,
     make_dataset,
     prepare_system,
-    roughness_of,
     rupcar,
     scale_fit,
     solve_weighted,
@@ -27,159 +24,16 @@ from adaptspline import (
 from adaptspline.splines import _shared_design as shared_design
 from adaptspline.splines import check_weights
 
-from conftest import dense_penalty, dense_weighted_fit, jittered_design
-
-
-def mp_fit(t, y, lam, dps=60):
-    """Knot values of the weighted spline in ``dps`` digits.
-
-    Solves Reinsch's normal equations (R + Q^T diag(1/lam) Q) gamma = Q^T y
-    densely with mpmath, then g = y - diag(1/lam) Q gamma.  Their squared
-    conditioning costs digits, not the answer, at this precision.
-    """
-    with mpmath.workdps(dps):
-        tt, yy = [mpmath.mpf(v) for v in t], [mpmath.mpf(v) for v in y]
-        d = [1 / mpmath.mpf(v) for v in lam]
-        n, m = len(tt), len(tt) - 2
-        h = [tt[i + 1] - tt[i] for i in range(n - 1)]
-        q = [{j: 1 / h[j], j + 1: -1 / h[j] - 1 / h[j + 1], j + 2: 1 / h[j + 1]} for j in range(m)]
-        mat = mpmath.matrix(m, m)
-        for j in range(m):
-            mat[j, j] = (h[j] + h[j + 1]) / 3
-            if j + 1 < m:
-                mat[j, j + 1] = mat[j + 1, j] = h[j + 1] / 6
-            for k in range(max(0, j - 2), min(m, j + 3)):
-                mat[j, k] += sum(q[j][i] * q[k][i] * d[i] for i in q[j] if i in q[k])
-        gamma = mpmath.lu_solve(mat, mpmath.matrix([sum(c * yy[i] for i, c in qj.items()) for qj in q]))
-        g = list(yy)
-        for j in range(m):
-            for i, c in q[j].items():
-                g[i] -= d[i] * c * gamma[j]
-        return np.array([float(v) for v in g])
-
-
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_prod(a, b):
-    p = a * b
-    x = _SPLIT * a
-    ah = x - (x - a)
-    x = _SPLIT * b
-    bh = x - (x - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-class DoubleDouble:
-    """Unevaluated sums hi + lo of doubles, elementwise over arrays.
-
-    Error-free sums and products (Ogita, Rump & Oishi 2005) give about 32
-    significant digits; used for the reference residual where long double
-    is plain double.
-    """
-
-    def __init__(self, hi, lo=None):
-        self.hi = np.asarray(hi, dtype=float)
-        self.lo = np.zeros_like(self.hi) if lo is None else lo
-
-    def __getitem__(self, k):
-        return DoubleDouble(self.hi[k], self.lo[k])
-
-    def __neg__(self):
-        return DoubleDouble(-self.hi, -self.lo)
-
-    def __add__(self, o):
-        o = o if isinstance(o, DoubleDouble) else DoubleDouble(o)
-        s, e = _two_sum(self.hi, o.hi)
-        return DoubleDouble(*_two_sum(s, e + self.lo + o.lo))
-
-    def __sub__(self, o):
-        return self + -(o if isinstance(o, DoubleDouble) else DoubleDouble(o))
-
-    def __mul__(self, o):
-        o = o if isinstance(o, DoubleDouble) else DoubleDouble(o)
-        p, e = _two_prod(self.hi, o.hi)
-        return DoubleDouble(*_two_sum(p, e + self.hi * o.lo + self.lo * o.hi))
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __rtruediv__(self, num):
-        r = DoubleDouble(num / self.hi)  # one Newton step from the double quotient
-        return r + r * (num - self * r)
-
-    def pad(self, before, after):
-        return DoubleDouble(np.pad(self.hi, (before, after)), np.pad(self.lo, (before, after)))
-
-    def astype(self, dtype):
-        return (self.hi + self.lo).astype(dtype)
-
-
-def _long_double(x):
-    return np.asarray(x, dtype=np.longdouble)
-
-
-WIDE = _long_double if np.finfo(np.longdouble).nmant > 52 else DoubleDouble
-
-
-def _pad(x, before, after):
-    return x.pad(before, after) if isinstance(x, DoubleDouble) else np.pad(x, (before, after))
-
-
-def augmented_band(t, y, lam):
-    """The system g + diag(1/lam) Q gamma = y, Q^T g - R gamma = 0 in the
-    order g_1, g_2, gamma_1, g_3, ..., gamma_{n-2}, g_n, as ``solve_banded``
-    storage with three diagonals on either side, and its right-hand side."""
-    n = t.size
-    h = np.diff(t)
-    a, c = 1.0 / h[:-1], 1.0 / h[1:]
-    b = -(a + c)
-    d = 1.0 / lam
-    gp = np.r_[0, 1:2 * n - 2:2]
-    cp = np.arange(2, 2 * n - 2, 2)
-    ab = np.zeros((7, 2 * n - 2))
-    for rows, cols, vals in [
-        (gp, gp, 1.0),
-        (gp[:-2], cp, d[:-2] * a), (gp[1:-1], cp, d[1:-1] * b), (gp[2:], cp, d[2:] * c),
-        (cp, gp[:-2], a), (cp, gp[1:-1], b), (cp, gp[2:], c),
-        (cp, cp, -(h[:-1] + h[1:]) / 3.0),
-        (cp[:-1], cp[1:], -h[1:-1] / 6.0), (cp[1:], cp[:-1], -h[1:-1] / 6.0),
-    ]:
-        ab[3 + rows - cols, cols] = vals
-    rhs = np.zeros(2 * n - 2)
-    rhs[gp] = y
-    return ab, rhs
-
-
-def augmented_residual(t, y, lam, g, gamma, wide):
-    """Right-hand side minus the augmented system applied to (g, gamma),
-    with every coefficient and sum formed in the precision of ``wide``."""
-    h = wide(t[1:]) - wide(t[:-1])
-    a, c = 1 / h[:-1], 1 / h[1:]
-    b = -(a + c)
-    gw, cw = wide(g), wide(gamma)
-    q_gamma = _pad(a * cw, 0, 2) + _pad(b * cw, 1, 1) + _pad(c * cw, 2, 0)
-    r_gamma6 = (h[:-1] + h[1:]) * cw * 2 + _pad(h[1:-1] * cw[1:], 0, 1) + _pad(h[1:-1] * cw[:-1], 1, 0)
-    rg = (wide(y) - gw - q_gamma * (1 / wide(lam))).astype(float)
-    rc = (r_gamma6 * (1 / wide(6.0)) - (a * gw[:-2] + b * gw[1:-1] + c * gw[2:])).astype(float)
-    return np.concatenate((rg[:1], np.column_stack((rg[1:-1], rc)).ravel(), rg[-1:]))
-
-
-def refined_fit(t, y, lam, wide=WIDE, sweeps=3):
-    """Knot values from ``solve_banded`` on the augmented system, refined
-    ``sweeps`` times with the residual in extended precision."""
-    ab, rhs = augmented_band(t, y, lam)
-    x = solve_banded((3, 3), ab, rhs)
-    for _ in range(sweeps):
-        x = x + solve_banded((3, 3), ab, augmented_residual(t, y, lam, x[np.r_[0, 1:x.size:2]], x[2::2], wide))
-    return x[np.r_[0, 1:x.size:2]]
+from conftest import (
+    DoubleDouble,
+    augmented_residual,
+    dense_penalty,
+    dense_weighted_fit,
+    jittered_design,
+    long_double,
+    mp_fit,
+    refined_fit,
+)
 
 
 class TestSample:
@@ -745,7 +599,7 @@ class TestLargeN:
         y = rng.normal(size=200)
         lam = 10.0 ** rng.uniform(-8, 0, 200)
         args = (t, y, lam, y, rng.normal(size=198))
-        wide = augmented_residual(*args, _long_double)
+        wide = augmented_residual(*args, long_double)
         dd = augmented_residual(*args, DoubleDouble)
         assert np.max(np.abs(dd - wide)) <= 1e-15 * np.max(np.abs(wide))
 
@@ -786,11 +640,22 @@ def reference_evaluate(fit, x, order):
 
 class TestEvaluate:
     def test_knot_values_exact(self, rng):
-        t = jittered_design(9, rng)
-        y = rng.normal(size=9)
-        fit = solve_weighted(Sample(t, y), np.full(9, 2.0))
-        for i in range(9):
-            assert evaluate(fit, t[i], 0) == pytest.approx(fit.values[i], abs=1e-14)
+        # SplineFit's claim: at a knot, alpha is 1 and beta 0 exactly, so
+        # evaluation returns the stored value bit for bit
+        for n in np.repeat([3, 9, 64, 300], 5):
+            t = jittered_design(n, rng)
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+            fit = solve_weighted(Sample(t, y), 10.0 ** rng.uniform(-6, 6, n))
+            assert np.array_equal(evaluate(fit, t, 0), fit.values)
+            assert np.array_equal(evaluate(fit, t), fit.values)  # order defaults to 0
+            assert all(evaluate(fit, t[i], 0) == fit.values[i] for i in (0, n // 2, n - 1))
+
+    def test_scale_at_the_knots_is_the_scale_values(self):
+        n = 256
+        t = (np.arange(n) + 0.5) / n
+        z = np.random.default_rng([1, n, 0]).standard_normal(n)
+        r = scale_fit(Sample(t, (np.sin(4 * np.pi * t) ** 2 + 0.05) * z))
+        assert np.array_equal(r.scale_at(r.s.knots), r.scale_values())
 
     def test_line_second_derivative_zero(self):
         fit = affine_fit(np.linspace(0.1, 0.9, 7), 1.0, -2.0)
@@ -855,14 +720,14 @@ class TestEvaluate:
 
 class TestRoughness:
     def test_affine_fit_zero(self):
-        assert roughness_of(affine_fit(np.linspace(0, 1, 6), 2.0, 1.0)) == 0.0
+        assert affine_fit(np.linspace(0, 1, 6), 2.0, 1.0).roughness == 0.0
 
     def test_parabola_interpolation_approaches_four(self):
         # integral of (d2 t^2)^2 = 4; near-interpolation at n=200 gets within 1%
         n = 200
         t = np.arange(1, n + 1) / n
         fit = solve_weighted(Sample(t, t**2), np.full(n, 1e10))
-        assert roughness_of(fit) == pytest.approx(4.0, rel=0.01)
+        assert fit.roughness == pytest.approx(4.0, rel=0.01)
 
     def test_matches_quadrature_of_second_derivative(self, rng):
         t = jittered_design(20, rng)
@@ -872,7 +737,7 @@ class TestRoughness:
         d2 = evaluate(fit, xs, 2)
         quad = np.trapezoid(d2 * d2, xs)
         assert fit.roughness == pytest.approx(quad, rel=1e-8)
-        assert roughness_of(fit) == pytest.approx(fit.roughness, rel=1e-12)
+        assert PenaltyMatrix(t).quad_form(fit.values) == pytest.approx(fit.roughness, rel=1e-12)
 
     def test_stored_roughness_equals_penalty_form(self, rng):
         t = jittered_design(30, rng)

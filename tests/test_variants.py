@@ -675,6 +675,21 @@ class TestCompanionCeiling:
         assert counts["solve_weighted"] == made
         assert fingerprint(pruned) == fingerprint(full)
 
+    def test_a_rung_as_rough_as_the_local_fit_ends_the_companion(self, monkeypatch, count_calls, every_roughness):
+        # every fit's roughness reads 1.0, so the companion's first rejected
+        # rung ties with the accepted local fit; ties go to that fit, so the
+        # climb ends there ("at or above" the ceiling, not only above it)
+        s = scale_sample(64, sin2, 0)
+        counts = count_calls(adapt_module, "solve_weighted")
+        every_roughness(1.0)
+        pruned = scale_fit(s)
+        made = counts["solve_weighted"]
+        assert pruned.passed and pruned.chosen_branch == "local"
+        without_ceiling(monkeypatch)
+        counts.clear()
+        assert fingerprint(scale_fit(s)) == fingerprint(pruned)
+        assert made < counts["solve_weighted"]
+
     def test_exact_solve_count(self, monkeypatch, count_calls):
         # one input of the variants benchmark's kind: the full companion
         # climb made 186 solves, the ceiling leaves 172
