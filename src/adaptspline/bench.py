@@ -186,7 +186,7 @@ def _noisy(t: np.ndarray, signal: np.ndarray, sigma: float, noise: str, seed) ->
     return Sample(t, signal + sigma * z)
 
 
-def rise(fn: TestFunction, fit_: SplineFit, order: int = 0) -> float:
+def rise(fn: TestFunction, fit_: SplineFit, order: int) -> float:
     """Root integrated squared error between the truth and a fitted spline.
 
     Composite trapezoid quadrature on a uniform grid of ``_RISE_GRID``

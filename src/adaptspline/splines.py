@@ -193,7 +193,7 @@ class SplineFit:
         object.__setattr__(self, "second_derivs", c)
         object.__setattr__(self, "roughness", float(self.roughness))
 
-    def __call__(self, x, order: int = 0):
+    def __call__(self, x, order: int):
         return evaluate(self, x, order)
 
 
@@ -558,7 +558,7 @@ def solve_weighted(sample: Sample | SplineSystem, weights) -> SplineFit:
     return SplineFit(system.t.copy(), g, c, _roughness(system.h, c))
 
 
-def evaluate(fit: SplineFit, x, order: int = 0):
+def evaluate(fit: SplineFit, x, order: int):
     """Evaluate a fitted spline or its first two derivatives.
 
     ``x`` may be a scalar or an array; every point must lie in [0, 1].

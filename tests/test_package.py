@@ -36,7 +36,7 @@ sample = a.make_dataset(a.bumps(), 64, 0.1, seed=0)
 a.sigma_hat(sample)
 line = a.affine_fit(sample.t, 0.0, 0.0)
 a.in_region(sample, line.values, a.dyadic_family(64), a.RegionSpec(0.1, 3.0, 64))
-a.rise(a.bumps(), line)
+a.rise(a.bumps(), line, 0)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["--help"]) == 0
     assert cli.main(["calibrate", "--n", "64", "--replicates", "1000"]) == 0

@@ -76,7 +76,7 @@ class TestSplineFitAndWeights:
         # the smallest spline: a line through its two knots
         line = SplineFit([0.0, 1.0], [1.0, 3.0], [0.0, 0.0], 0.0)
         assert line.knots.size == 2
-        np.testing.assert_allclose(line([0.0, 0.25, 1.0]), [1.0, 1.5, 3.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(line([0.0, 0.25, 1.0], 0), [1.0, 1.5, 3.0], rtol=0, atol=1e-15)
         assert line(0.5, 1) == pytest.approx(2.0, rel=1e-15) and line(0.5, 2) == 0.0
 
     def test_check_weights_returns_the_validated_array(self):
@@ -144,8 +144,11 @@ class TestPenalty:
         assert np.all(ratios <= 100.0)
 
     def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            PenaltyMatrix(np.array([0.0, 1.0])).quad_form([0.0, 0.0])
+        # two knots, or a matrix, must each be rejected on construction:
+        # increasing knots pass the check after this one
+        for t in ([0.0, 1.0], [[0.0, 0.5, 1.0], [0.1, 0.6, 0.9]]):
+            with pytest.raises(ValueError, match="need at least 3 knots"):
+                PenaltyMatrix(np.array(t))
 
     @pytest.mark.parametrize("t", [[0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.4, 1.0]])
     def test_rejects_knots_that_do_not_increase(self, t):
@@ -647,7 +650,6 @@ class TestEvaluate:
             y = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
             fit = solve_weighted(Sample(t, y), 10.0 ** rng.uniform(-6, 6, n))
             assert np.array_equal(evaluate(fit, t, 0), fit.values)
-            assert np.array_equal(evaluate(fit, t), fit.values)  # order defaults to 0
             assert all(evaluate(fit, t[i], 0) == fit.values[i] for i in (0, n // 2, n - 1))
 
     def test_scale_at_the_knots_is_the_scale_values(self):

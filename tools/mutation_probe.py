@@ -15,7 +15,6 @@ modules passed through ``ast.unparse`` unmutated; that run must pass, or
 no verdict below means anything.
 
     python tools/mutation_probe.py            # the baseline and the sample
-    python tools/mutation_probe.py --list     # only print the sample
     python tools/mutation_probe.py --only 3 17  # rerun sample entries 3 and 17
 
 It prints one line per mutant and, at the end, the survivors as a
@@ -103,7 +102,6 @@ def run_suite(copy):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="print the sampled sites and stop")
     parser.add_argument("--only", type=int, nargs="+", metavar="K", help="run only these entries of the sample")
     args = parser.parse_args(argv)
 
@@ -112,8 +110,6 @@ def main(argv=None):
     print(f"{len(every)} sites in {', '.join(MODULES)}; sample of {SAMPLE} with random.Random({SEED}):")
     for k, (module, _, line, text) in enumerate(sample):
         print(f"  {k:2d}  {module}.py:{line}  {text}")
-    if args.list:
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         copy = Path(tmp)
